@@ -25,7 +25,11 @@ from .errors import (
     InvalidWeight,
     NotAFrame,
     NotAFrameOnSubspace,
+    NotHermitian,
+    NotPositive,
     ParseError,
+    PullbackFailed,
+    QuatFramesError,
     Singular,
     ValidationError,
 )
@@ -350,15 +354,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error class: 1 for a mathematical failure of valid
+# input, 2 for input that is malformed or outside the admissible range
+EXIT_CODES = {
+    NotAFrame: 1,
+    NotAFrameOnSubspace: 1,
+    HypothesisViolated: 1,
+    Singular: 1,
+    NotHermitian: 1,
+    NotPositive: 1,
+    PullbackFailed: 1,
+    ParseError: 2,
+    ValidationError: 2,
+    InvalidParams: 2,
+    ConditionViolated: 2,
+    DimensionMismatch: 2,
+    InvalidWeight: 2,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotAFrame, NotAFrameOnSubspace, HypothesisViolated, Singular) as exc:
+    except QuatFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError, InvalidParams, ConditionViolated,
-            DimensionMismatch, InvalidWeight, OSError) as exc:
+        return EXIT_CODES[type(exc)]
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ class DimensionMismatch(QuatFramesError):
 
 
 class Singular(QuatFramesError):
-    """Gaussian elimination found no usable pivot."""
+    """A solve or inverse was handed a matrix whose smallest singular value
+    is negligible against its Frobenius norm."""
 
 
 class NotHermitian(QuatFramesError):
@@ -19,6 +20,10 @@ class NotHermitian(QuatFramesError):
 
 class NotPositive(QuatFramesError):
     """A square root was requested of an operator with a negative eigenvalue."""
+
+
+class PullbackFailed(QuatFramesError):
+    """The eigenvectors of chi(S) did not pull back to a basis of H^n."""
 
 
 class NotAFrame(QuatFramesError):

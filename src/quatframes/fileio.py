@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 from .errors import ParseError, ValidationError
@@ -52,6 +53,9 @@ def _as_real(value: Any, where: str) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, _REAL):
         raise ParseError(f"{where}: expected a number")
+    # json.loads accepts NaN and Infinity, which no frame can hold
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: expected a finite number, got {value}")
     return float(value)
 
 

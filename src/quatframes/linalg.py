@@ -10,14 +10,16 @@ is conjugate-linear in the first slot and right-linear in the second.
 Matrices act from the left, (A u)_r = sum_c A[r,c] * u_c, so they commute
 with the right scalar action.
 
-Spectral work happens in the complex adjoint representation: writing
-A = A1 + A2*j with complex blocks, the embedding
+Spectra, inverses and solves happen in the complex adjoint
+representation: writing A = A1 + A2*j with complex blocks, the embedding
 
     chi(A) = [[A1, A2], [-conj(A2), conj(A1)]]
 
-is an algebra homomorphism with chi(A*) = chi(A)^H.  For self-adjoint A
-the eigenvalues of chi(A) are real and come in equal pairs; collapsing
-each pair gives the quaternionic spectrum.
+is an injective algebra homomorphism with chi(A*) = chi(A)^H and
+chi(A^-1) = chi(A)^-1, so numpy.linalg (LAPACK) does the work on chi(A)
+and the result is pulled back.  For self-adjoint A the eigenvalues of
+chi(A) are real and come in equal pairs; collapsing each pair gives the
+quaternionic spectrum.
 """
 
 from __future__ import annotations
@@ -26,19 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositive, Singular
+from .errors import DimensionMismatch, NotHermitian, NotPositive, PullbackFailed, Singular
 from .quaternion import Quaternion
 
 # relative self-adjointness tolerance for spectral routines
 HERMITIAN_RTOL = 1e-9
 # eigenvalues of nominally positive operators in [-CLAMP, 0) are clamped to 0
 EIGENVALUE_CLAMP = 1e-10
-# pivot threshold for Gaussian elimination, relative to ||A||_F
+# solve and inverse refuse a matrix whose smallest singular value is not
+# above this fraction of ||A||_F; LAPACK itself only stops on exact zeros
 SINGULAR_RTOL = 1e-12
-# cyclic Jacobi stops when the off-diagonal Frobenius mass falls below
-# this fraction of the total Frobenius norm
-JACOBI_OFF_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 # Gram-Schmidt drops vectors whose residual norm falls below this
 GS_DROP_TOL = 1e-10
 
@@ -61,11 +60,6 @@ def _conj4(a: np.ndarray) -> np.ndarray:
     out = a.copy()
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def _inv4(a: np.ndarray) -> np.ndarray:
-    m2 = np.sum(a * a, axis=-1, keepdims=True)
-    return _conj4(a) / m2
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,63 +280,6 @@ def frobenius_distance(a: QMatrix, b: QMatrix) -> float:
     return float(np.linalg.norm(a.data - b.data))
 
 
-# ====== Gaussian elimination (non-commutative) ======
-
-def _eliminate(aug: np.ndarray, norm_a: float) -> np.ndarray:
-    """Forward elimination with partial pivoting on an augmented system.
-
-    Row operations multiply by pivot inverses on the left, which is the
-    side consistent with solving A x = b for a right-module unknown x.
-    """
-    n = aug.shape[0]
-    pivot_floor = SINGULAR_RTOL * norm_a
-    for col in range(n):
-        moduli = np.sqrt(np.sum(aug[col:, col] ** 2, axis=-1))
-        best = int(np.argmax(moduli))
-        if moduli[best] <= pivot_floor:
-            raise Singular(f"no pivot above {pivot_floor:.3e} in column {col}")
-        if best != 0:
-            aug[[col, col + best]] = aug[[col + best, col]]
-        pivot_inv = _inv4(aug[col, col])
-        for row in range(col + 1, n):
-            factor = _mul4(aug[row, col], pivot_inv)
-            aug[row] = aug[row] - _mul4(factor[None, :], aug[col])
-    return aug
-
-
-def _back_substitute(aug: np.ndarray, n: int, width: int) -> np.ndarray:
-    x = np.zeros((n, width, 4))
-    for row in range(n - 1, -1, -1):
-        acc = aug[row, n:].copy()
-        if row + 1 < n:
-            prods = _mul4(aug[row, row + 1:n, None, :], x[row + 1:])
-            acc -= prods.sum(axis=0)
-        x[row] = _mul4(_inv4(aug[row, row])[None, :], acc)
-    return x
-
-
-def solve(a: QMatrix, b: QVector) -> QVector:
-    """Solve A x = b by Gaussian elimination with partial pivoting."""
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"solve needs a square matrix, got {a.shape}")
-    if a.rows != b.dim:
-        raise DimensionMismatch(f"matrix {a.shape} vs rhs dim {b.dim}")
-    n = a.rows
-    aug = np.concatenate([a.data.copy(), b.data[:, None, :].copy()], axis=1)
-    _eliminate(aug, a.frobenius())
-    return QVector(_back_substitute(aug, n, 1)[:, 0, :])
-
-
-def inverse_matrix(a: QMatrix) -> QMatrix:
-    """Inverse via elimination against the identity block."""
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"inverse needs a square matrix, got {a.shape}")
-    n = a.rows
-    aug = np.concatenate([a.data.copy(), QMatrix.identity(n).data.copy()], axis=1)
-    _eliminate(aug, a.frobenius())
-    return QMatrix(_back_substitute(aug, n, n))
-
-
 # ====== complex adjoint representation ======
 
 def complex_adjoint_rep(a: QMatrix) -> np.ndarray:
@@ -364,6 +301,37 @@ def _from_complex_blocks(c: np.ndarray) -> QMatrix:
     return QMatrix(_join(a1, a2))
 
 
+# ====== inverse and solve ======
+
+def _invertible_chi(a: QMatrix) -> np.ndarray:
+    """chi(A) of a square A whose smallest singular value clears
+    SINGULAR_RTOL * ||A||_F; chi(A^-1) = chi(A)^-1."""
+    if a.rows != a.cols:
+        raise DimensionMismatch(f"solve and inverse need a square matrix, got {a.shape}")
+    h = complex_adjoint_rep(a)
+    floor = SINGULAR_RTOL * a.frobenius()
+    smallest = np.linalg.svd(h, compute_uv=False)[-1]
+    if smallest <= floor:
+        raise Singular(f"smallest singular value {smallest:.3e} is not above {floor:.3e}")
+    return h
+
+
+def solve(a: QMatrix, b: QVector) -> QVector:
+    """Solve A x = b through LAPACK on the complex adjoint representation."""
+    if a.rows != b.dim:
+        raise DimensionMismatch(f"matrix {a.shape} vs rhs dim {b.dim}")
+    h = _invertible_chi(a)
+    rhs = complex_adjoint_rep(QMatrix(b.data[:, None, :]))
+    return _from_complex_blocks(np.linalg.solve(h, rhs)).column(0)
+
+
+def inverse_matrix(a: QMatrix) -> QMatrix:
+    """Inverse through LAPACK on the complex adjoint representation."""
+    return _from_complex_blocks(np.linalg.inv(_invertible_chi(a)))
+
+
+# ====== spectra ======
+
 def _check_hermitian(s: QMatrix) -> None:
     if s.rows != s.cols:
         raise DimensionMismatch(f"spectral routines need square input, got {s.shape}")
@@ -372,55 +340,13 @@ def _check_hermitian(s: QMatrix) -> None:
         raise NotHermitian("matrix is not self-adjoint to working tolerance")
 
 
-def _jacobi(h: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Returns unsorted eigenvalues (the final diagonal) and, optionally, the
-    accumulated unitary whose columns are eigenvectors.  Iteration stops
-    when the off-diagonal Frobenius mass is below JACOBI_OFF_RTOL times
-    the Frobenius norm of the input.
-    """
-    a = h.astype(np.complex128).copy()
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128) if want_vectors else None
-    target = JACOBI_OFF_RTOL * np.linalg.norm(h)
-    skip = target / (2.0 * max(n, 1))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta <= skip:
-                    continue
-                phase = apq / beta
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * beta)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = -sign / (abs(tau) + np.hypot(tau, 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^H A J with the unitary J embedded at (p, q):
-                # J[p,p] = phase*c, J[p,q] = phase*s, J[q,p] = -s, J[q,q] = c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = phase * c * cp - s * cq
-                a[:, q] = phase * s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = np.conj(phase) * c * rp - s * rq
-                a[q, :] = np.conj(phase) * s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if want_vectors:
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = phase * c * vp - s * vq
-                    v[:, q] = phase * s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi sweep limit exceeded")
-    return np.diagonal(a).real.copy(), v
+def _hermitian_chi(s: QMatrix) -> np.ndarray:
+    """chi(S) of a self-adjoint S, averaged with its conjugate transpose:
+    LAPACK reads one triangle only, and the average keeps the round-off
+    asymmetry that HERMITIAN_RTOL admits out of the result."""
+    _check_hermitian(s)
+    h = complex_adjoint_rep(s)
+    return (h + h.conj().T) / 2.0
 
 
 def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
@@ -432,9 +358,7 @@ def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(s: QMatrix) -> np.ndarray:
     """Ascending real eigenvalues of a self-adjoint matrix, one per
     quaternionic eigenvector (pair-collapsed from the complex picture)."""
-    _check_hermitian(s)
-    vals, _ = _jacobi(complex_adjoint_rep(s), want_vectors=False)
-    return _collapse_pairs(vals)
+    return _collapse_pairs(np.linalg.eigvalsh(_hermitian_chi(s)))
 
 
 @dataclass(frozen=True)
@@ -476,7 +400,7 @@ def _quaternionic_eigenvectors(w: np.ndarray, v: np.ndarray, n: int) -> QMatrix:
             if len(accepted) == n:
                 break
     if len(accepted) != n:
-        raise RuntimeError("eigenvector pull-back did not span H^n")
+        raise PullbackFailed("eigenvector pull-back did not span H^n")
     return QMatrix(np.stack(accepted, axis=1))
 
 
@@ -486,8 +410,7 @@ def hermitian_spectrum(s: QMatrix) -> Spectrum:
     Eigenvalues are real, ascending, and carry the quaternionic
     multiplicity; eigenvector columns satisfy S v = v * lambda.
     """
-    _check_hermitian(s)
-    w, v = _jacobi(complex_adjoint_rep(s), want_vectors=True)
+    w, v = np.linalg.eigh(_hermitian_chi(s))
     return Spectrum(_collapse_pairs(w), _quaternionic_eigenvectors(w, v, s.rows))
 
 
@@ -497,9 +420,7 @@ def positive_sqrt(s: QMatrix) -> QMatrix:
     Eigenvalues in [-EIGENVALUE_CLAMP, 0) are clamped to zero; anything
     below that raises NotPositive.
     """
-    _check_hermitian(s)
-    h = complex_adjoint_rep(s)
-    w, v = _jacobi(h, want_vectors=True)
+    w, v = np.linalg.eigh(_hermitian_chi(s))
     if w.min(initial=0.0) < -EIGENVALUE_CLAMP:
         raise NotPositive(f"eigenvalue {w.min():.3e} below -{EIGENVALUE_CLAMP:.0e}")
     w = np.where(w < 0.0, 0.0, w)

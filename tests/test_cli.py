@@ -11,6 +11,7 @@ from conftest import (
     shifted_basis_vector_frame,
     standard_basis,
 )
+from quatframes import cli, errors
 from quatframes.cli import main
 from quatframes.fileio import (
     load_frame,
@@ -350,3 +351,61 @@ def test_usage_error_from_argparse(files):
     with pytest.raises(SystemExit) as info:
         main(["stability", files["shifted_op"]])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("vector_frame", "frame.members[1].data[2][3]"),
+    ("operator_frame", "frame.members[3].data[0][2][0]"),
+    ("fusion", "frame.weights[1]"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_number_is_parse_error(capsys, tmp_path, kind, field, value):
+    basis = standard_basis(4)
+    if kind == "vector_frame":
+        obj = vector_frame_obj(VectorFrame(4, basis))
+        obj["members"][1]["data"][2][3] = value
+    elif kind == "operator_frame":
+        obj = operator_frame_obj(coordinate_functional_frame(4))
+        obj["members"][3]["data"][0][2][0] = value
+    else:
+        obj = {"kind": "fusion", "dim": 4, "weights": [1.0, value],
+               "subspaces": [[vector_obj(basis[0])], [vector_obj(basis[1])]]}
+    path = tmp_path / "nonfinite.json"
+    # json.dumps spells the value as the NaN or Infinity token
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err and "finite" in err
+
+
+# every package error class and the exit code main turns it into
+EXIT_CODES = {
+    errors.NotAFrame: 1,
+    errors.NotAFrameOnSubspace: 1,
+    errors.HypothesisViolated: 1,
+    errors.Singular: 1,
+    errors.NotHermitian: 1,
+    errors.NotPositive: 1,
+    errors.PullbackFailed: 1,
+    errors.ParseError: 2,
+    errors.ValidationError: 2,
+    errors.InvalidParams: 2,
+    errors.ConditionViolated: 2,
+    errors.DimensionMismatch: 2,
+    errors.InvalidWeight: 2,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(EXIT_CODES) == set(errors.QuatFramesError.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_each_error_class_exits_cleanly(files, capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    code, out, err = run(capsys, "analyze", files["shifted_vec"])
+    assert code == EXIT_CODES[cls]
+    assert out == "" and err == "error: boom\n"

@@ -1,4 +1,4 @@
-"""Right quaternionic linear algebra: products, elimination, spectra.
+"""Right quaternionic linear algebra: products, inverses, spectra.
 
 The eigensolver is cross-checked against an independent power-iteration
 oracle on the complex adjoint representation.
@@ -54,7 +54,7 @@ def qclose(p, q, tol=ABS_TOL):
 
 def power_iteration_lambda_max(h, iters=5000):
     """Largest eigenvalue of a PSD complex Hermitian matrix, computed
-    independently of the Jacobi solver."""
+    independently of LAPACK's Hermitian eigensolver."""
     n = h.shape[0]
     x = np.cos(np.arange(n)) + 1j * np.sin(3.0 * np.arange(n) + 0.5)
     x /= np.linalg.norm(x)
@@ -156,7 +156,7 @@ def test_complex_rep_intertwines_vector_action():
     assert np.allclose(image[4:], -(au.data[:, 2] - 1j * au.data[:, 3]), atol=1e-12)
 
 
-# ====== Gaussian elimination ======
+# ====== inverse and solve ======
 
 def test_inverse_of_diagonal():
     a = QMatrix.from_quaternions([
@@ -172,20 +172,24 @@ def test_inverse_of_diagonal():
 
 def test_solve_residual_small():
     gen = rng()
-    for _ in range(20):
-        a = random_qmatrix(gen, 5, 5)
-        b = random_qvector(gen, 5)
-        x = solve(a, b)
-        residual = (a @ x - b).norm()
-        assert residual <= 1e-10 * max(1.0, b.norm())
+    for n, reps in ((5, 20), (32, 5)):
+        for _ in range(reps):
+            a = random_qmatrix(gen, n, n)
+            b = random_qvector(gen, n)
+            x = solve(a, b)
+            residual = (a @ x - b).norm()
+            assert residual <= 1e-10 * max(1.0, b.norm())
 
 
 def test_inverse_round_trip():
     gen = rng()
-    for _ in range(10):
-        a = random_qmatrix(gen, 6, 6)
-        left = a @ inverse_matrix(a)
-        assert frobenius_distance(left, QMatrix.identity(6)) < 1e-10
+    for n, reps in ((6, 10), (32, 5)):
+        for _ in range(reps):
+            a = random_qmatrix(gen, n, n)
+            inv = inverse_matrix(a)
+            identity = QMatrix.identity(n)
+            assert frobenius_distance(a @ inv, identity) < 1e-10
+            assert frobenius_distance(inv @ a, identity) < 1e-10
 
 
 def test_singular_matrix_rejected():
@@ -195,6 +199,14 @@ def test_singular_matrix_rejected():
     u = QVector.from_quaternions([ONE, I])
     with pytest.raises(Singular):
         inverse_matrix(outer(u, u))
+    # a rank-one matrix nudged off singularity by round-off-sized noise
+    gen = rng()
+    v = random_qvector(gen, 6)
+    nearly = outer(v, v) + random_qmatrix(gen, 6, 6, scale=1e-14)
+    with pytest.raises(Singular):
+        inverse_matrix(nearly)
+    with pytest.raises(Singular):
+        solve(nearly, random_qvector(gen, 6))
 
 
 def test_dimension_mismatch_raises():
@@ -255,6 +267,35 @@ def test_spectrum_residuals_with_degenerate_eigenvalues():
         for l in range(k + 1, 6):
             ip = inner(spectrum.eigenvectors.column(k), spectrum.eigenvectors.column(l))
             assert abs(ip) <= 1e-9
+
+
+def random_unitary(gen, n):
+    """Quaternionic unitary: Gram-Schmidt on n random vectors of H^n."""
+    basis = orthonormalize([random_qvector(gen, n) for _ in range(n)])
+    assert len(basis) == n
+    return QMatrix.from_columns(basis)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_spectrum_of_unitary_conjugate_with_multiplicities(n):
+    # S = U diag(lam) U* with k distinct levels, from all-distinct down to
+    # one level of multiplicity n
+    gen = np.random.default_rng([SEED, n])
+    for levels in sorted({n, n // 2, 3, 2, 1}, reverse=True):
+        values = np.sort(gen.uniform(0.5, 5.0, size=levels))
+        cuts = np.sort(gen.choice(np.arange(1, n), size=levels - 1, replace=False))
+        lam = np.repeat(values, np.diff(np.concatenate([[0], cuts, [n]])))
+        u = random_unitary(gen, n)
+        s = u @ QMatrix.from_real(np.diag(lam)) @ u.adjoint()
+        norm = s.frobenius()
+        spectrum = hermitian_spectrum(s)
+        assert np.max(np.abs(spectrum.eigenvalues - lam)) <= 1e-12 * norm
+        vecs = spectrum.eigenvectors
+        for k in range(n):
+            v = vecs.column(k)
+            res = (s @ v - v * float(spectrum.eigenvalues[k])).norm()
+            assert res <= 1e-12 * norm
+        assert frobenius_distance(vecs.adjoint() @ vecs, QMatrix.identity(n)) <= 1e-12 * n
 
 
 def test_not_hermitian_rejected():
