@@ -23,6 +23,7 @@ from .errors import (
     HypothesisViolated,
     InvalidParams,
     InvalidWeight,
+    NonFinite,
     NotAFrame,
     NotAFrameOnSubspace,
     NotHermitian,
@@ -50,10 +51,10 @@ from .generalizations import (
     quasi_projector_check,
     quasi_to_op_frame,
 )
-from .linalg import QVector, hermitian_eigenvalues, inner, inverse_matrix, positive_sqrt
-from .operator_frames import op_dual, op_frame_operator, op_parseval, op_report, reconstruct
-from .reporting import FRAME_TOL
-from .sampling import random_qvector
+from .linalg import QMatrix
+from .operator_frames import op_dual, op_parseval, op_report
+from .reporting import dual_rows, extremal_eigenvalues, gram
+from .sampling import random_columns
 from .stability import (
     Theorem1Params,
     Theorem2Params,
@@ -62,7 +63,7 @@ from .stability import (
     fit_params_t1,
     fit_params_t2,
 )
-from .vector_frames import VectorFrame, canonical_dual, frame_operator, report
+from .vector_frames import canonical_dual, parseval, report
 
 RECONSTRUCT_TOL = 1e-8
 
@@ -76,9 +77,8 @@ def _head(command: str, path: str) -> dict:
     }
 
 
-def _bounds(s) -> list[float]:
-    eigs = hermitian_eigenvalues(s)
-    return [float(eigs[0]), float(eigs[-1])]
+def _bounds(frame) -> list[float]:
+    return list(extremal_eigenvalues(gram(frame.analysis_matrix())))
 
 
 def _classification(rep) -> list[str]:
@@ -149,16 +149,14 @@ def cmd_dual(args) -> int:
     if kind == "vector_frame":
         dual = canonical_dual(frame)
         obj = vector_frame_obj(dual)
-        bounds = _bounds(frame_operator(dual))
     elif kind == "operator_frame":
         dual = op_dual(frame)
         obj = operator_frame_obj(dual)
-        bounds = _bounds(op_frame_operator(dual))
     else:
         raise ValidationError(
             "dual requires a vector_frame or operator_frame file; "
             "run convert first")
-    _write_summary("dual", args, obj, bounds)
+    _write_summary("dual", args, obj, _bounds(dual))
     return 0
 
 
@@ -173,20 +171,14 @@ def _to_operator_frame(kind: str, frame):
 def cmd_parseval(args) -> int:
     kind, frame = load_frame(args.path)
     if kind == "vector_frame":
-        s = frame_operator(frame)
-        if hermitian_eigenvalues(s)[0] <= FRAME_TOL:
-            raise NotAFrame("not a frame; cannot normalize to Parseval")
-        white = inverse_matrix(positive_sqrt(s))
-        result = VectorFrame(frame.space_dim, [white @ u for u in frame.members])
+        result = parseval(frame)
         obj = vector_frame_obj(result)
-        bounds = _bounds(frame_operator(result))
     else:
         if kind != "operator_frame":
             frame = _to_operator_frame(kind, frame)
         result = op_parseval(frame)
         obj = operator_frame_obj(result)
-        bounds = _bounds(op_frame_operator(result))
-    _write_summary("parseval", args, obj, bounds)
+    _write_summary("parseval", args, obj, _bounds(result))
     return 0
 
 
@@ -196,7 +188,7 @@ def cmd_convert(args) -> int:
         raise ValidationError("convert requires a fusion, pseudo, or quasi file")
     result = _to_operator_frame(kind, frame)
     obj = operator_frame_obj(result)
-    _write_summary("convert", args, obj, _bounds(op_frame_operator(result)))
+    _write_summary("convert", args, obj, _bounds(result))
     return 0
 
 
@@ -244,23 +236,13 @@ def cmd_stability(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     kind, frame = load_frame(args.path)
-    if kind == "vector_frame":
-        dual = canonical_dual(frame)
-
-        def rebuild(x: QVector) -> QVector:
-            acc = QVector.zeros(frame.space_dim)
-            for u, d in zip(frame.members, dual.members):
-                acc = acc + u * inner(d, x)
-            return acc
-    elif kind == "operator_frame":
-        dual = op_dual(frame)
-
-        def rebuild(x: QVector) -> QVector:
-            return reconstruct(frame, dual, x)
-    else:
+    if kind not in ("vector_frame", "operator_frame"):
         raise ValidationError(
             "reconstruct requires a vector_frame or operator_frame file; "
             "run convert first")
+    # the dual's synthesis after the frame's analysis is the identity
+    analysis = frame.analysis_matrix()
+    dual_synthesis = dual_rows(analysis).adjoint()
 
     if args.vector is not None:
         probe = load_vector(args.vector)
@@ -268,19 +250,19 @@ def cmd_reconstruct(args) -> int:
             raise ValidationError(
                 f"vector dimension {probe.dim} does not match "
                 f"frame dim {frame.space_dim}")
-        vectors = [probe]
+        x = QMatrix(probe.data[:, None])
     else:
         if args.random < 1:
             raise ValidationError("--random needs a positive count")
-        gen = np.random.default_rng(args.seed)
-        vectors = [random_qvector(gen, frame.space_dim)
-                   for _ in range(args.random)]
+        x = random_columns(np.random.default_rng(args.seed), frame.space_dim,
+                           args.random)
 
-    max_residual = max((rebuild(x) - x).norm() for x in vectors)
+    residuals = dual_synthesis @ (analysis @ x) - x
+    max_residual = float(residuals.column_norms().max())
     doc = _head("reconstruct", args.path)
     doc["kind"] = kind
     doc["seed"] = args.seed
-    doc["vector_count"] = len(vectors)
+    doc["vector_count"] = x.cols
     doc["max_residual"] = max_residual
     doc["ok"] = max_residual < RECONSTRUCT_TOL
     print(dumps12(doc))
@@ -370,6 +352,7 @@ EXIT_CODES = {
     ConditionViolated: 2,
     DimensionMismatch: 2,
     InvalidWeight: 2,
+    NonFinite: 2,
 }
 
 

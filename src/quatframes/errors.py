@@ -22,6 +22,11 @@ class NotPositive(QuatFramesError):
     """A square root was requested of an operator with a negative eigenvalue."""
 
 
+class NonFinite(QuatFramesError):
+    """A matrix handed to LAPACK has inf or nan entries, such as a frame
+    operator whose entries overflowed."""
+
+
 class PullbackFailed(QuatFramesError):
     """The eigenvectors of chi(S) did not pull back to a basis of H^n."""
 

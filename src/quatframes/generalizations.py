@@ -5,7 +5,10 @@ fusion frames measure energy through weighted subspace projections,
 pseudo-frame pairs reconstruct on a designated subspace through separate
 analysis and synthesis families, and quasi-projector systems resolve the
 identity by a sum of bounded self-adjoint operators.  All three embed
-into frames of operators, which is how their bounds are computed here.
+into frames of operators: fusion frames and quasi-projector systems are
+encoded as stacked analysis matrices for the core in reporting, and a
+pseudo-frame pair reconstructs through the analysis matrix of its
+analyzers and the synthesis matrix of its synthesizers.
 """
 
 from __future__ import annotations
@@ -24,16 +27,15 @@ from .linalg import (
     QMatrix,
     QVector,
     _conj4,
-    _mul4,
     frobenius_distance,
     hermitian_eigenvalues,
-    inner,
     orthonormalize,
     projection,
 )
 from .operator_frames import OperatorFrame, op_report
-from .reporting import FRAME_TOL, FrameReport, build_report
-from .sampling import random_quaternion
+from .reporting import FrameReport, build_report, gram, stack_rows
+from .sampling import random_columns
+from .vector_frames import VectorFrame, synthesis_matrix
 
 # residual tolerance for resolution-of-identity and compatibility checks
 STRUCTURE_TOL = 1e-10
@@ -73,6 +75,13 @@ class FusionFrame:
     def __len__(self) -> int:
         return len(self.subspaces)
 
+    def analysis_matrix(self) -> QMatrix:
+        """The stacked analysis matrix v_i B_i*: one row v_i <b| for each
+        vector b of the orthonormal basis B_i of W_i."""
+        return stack_rows(self.space_dim, [
+            w * _conj4(b.data)[None]
+            for w, basis in zip(self.weights, self.subspaces) for b in basis])
+
     def projections(self) -> list[QMatrix]:
         return [projection(basis) if basis else
                 QMatrix.zeros(self.space_dim, self.space_dim)
@@ -83,29 +92,13 @@ class FusionFrame:
 
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:
-    """sum_i v_i^2 P_{W_i}, accumulated in subspace order."""
-    s = np.zeros((f.space_dim, f.space_dim, 4))
-    for w, p in zip(f.weights, f.projections()):
-        s += (w * w) * p.data
-    s = (s + _conj4(np.swapaxes(s, 0, 1))) / 2.0
-    return QMatrix(s)
+    """sum_i v_i^2 P_{W_i} = A* A."""
+    return gram(f.analysis_matrix())
 
 
 def fusion_report(f: FusionFrame) -> FrameReport:
     """Bounds are the extremal eigenvalues of sum_i v_i^2 P_{W_i}."""
-    dims = [len(basis) for basis in f.subspaces]
-    total = sum(dims)
-
-    def reduced(skip):
-        keep = [i for i in range(len(f)) if i != skip]
-        sub = FusionFrame(f.space_dim,
-                          [f.subspaces[i] for i in keep],
-                          [f.weights[i] for i in keep])
-        return fusion_frame_operator(sub)
-
-    return build_report(fusion_frame_operator(f), len(f),
-                        removal_rank=lambda i: total - dims[i],
-                        reduced_operator=reduced)
+    return build_report(f.analysis_matrix(), [len(b) for b in f.subspaces])
 
 
 def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
@@ -152,12 +145,11 @@ class PseudoCheck:
     max_residual: float
 
 
-def _pseudo_residual(pair: PseudoFramePair, x: QVector) -> float:
-    acc = np.zeros((pair.space_dim, 4))
-    for xa, xs in zip(pair.analyzers, pair.synthesizers):
-        coeff = inner(xa, x)
-        acc += _mul4(xs.data, np.array(coeff.components)[None, :])
-    return float(np.linalg.norm(acc - x.data))
+def _pseudo_residuals(pair: PseudoFramePair, x: QMatrix) -> np.ndarray:
+    """||sum_i x_i+ <x_i|x> - x|| for every column x."""
+    analysis = VectorFrame(pair.space_dim, pair.analyzers).analysis_matrix()
+    synthesis = synthesis_matrix(VectorFrame(pair.space_dim, pair.synthesizers))
+    return (synthesis @ (analysis @ x) - x).column_norms()
 
 
 def pseudo_frame_check(pair: PseudoFramePair, samples: int = 50,
@@ -165,22 +157,17 @@ def pseudo_frame_check(pair: PseudoFramePair, samples: int = 50,
     """Test the reconstruction identity on every basis vector of the
     subspace and on `samples` random right-quaternion combinations of
     them; holds iff the largest residual stays below PSEUDO_TOL."""
-    rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    for b in pair.subspace:
-        max_residual = max(max_residual, _pseudo_residual(pair, b))
     basis = pair.subspace
-    if basis:
-        for _ in range(samples):
-            acc = np.zeros((pair.space_dim, 4))
-            for b in basis:
-                q = random_quaternion(rng)
-                acc += _mul4(b.data, np.array(q.components)[None, :])
-            norm = np.linalg.norm(acc)
-            if norm < 1e-12:
-                continue
-            x = QVector(acc / norm)
-            max_residual = max(max_residual, _pseudo_residual(pair, x))
+    if not basis:
+        return PseudoCheck(holds=True, max_residual=0.0)
+    b = QMatrix.from_columns(basis)
+    # the right coefficients of each sample against the basis, one column each
+    coefficients = random_columns(np.random.default_rng(seed), len(basis), samples)
+    combos = b @ coefficients
+    norms = combos.column_norms()
+    keep = norms >= 1e-12
+    probes = np.concatenate([b.data, combos.data[:, keep] / norms[keep, None]], axis=1)
+    max_residual = float(_pseudo_residuals(pair, QMatrix(probes)).max())
     return PseudoCheck(holds=max_residual <= PSEUDO_TOL,
                        max_residual=max_residual)
 
@@ -196,13 +183,11 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     s = len(basis)
     if s == 0:
         raise NotAFrameOnSubspace("subspace is trivial")
-    members = []
-    for xa in pair.analyzers:
-        # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the
-        # row of entries <x_a|b_k> acting from the left
-        row = np.stack([inner(xa, b).components for b in basis], axis=0)
-        members.append(QMatrix(row[None, :, :]))
-    frame = OperatorFrame(s, members)
+    # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the row
+    # of entries <x_a|b_k> acting from the left
+    rows = (VectorFrame(pair.space_dim, pair.analyzers).analysis_matrix()
+            @ QMatrix.from_columns(basis))
+    frame = OperatorFrame(s, [QMatrix(row[None]) for row in rows.data])
     if not op_report(frame).is_frame:
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
@@ -270,19 +255,13 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     compatible:    P_j acts through its own subspace, P_j pi_{W_j} = P_j.
     """
     n = system.space_dim
-    total = np.zeros((n, n, 4))
-    gram = np.zeros((n, n, 4))
-    self_adjoint = True
-    for p in system.projectors:
-        total += p.data
-        gram += (p.adjoint() @ p).data
-        scale = max(1.0, p.frobenius())
-        if frobenius_distance(p, p.adjoint()) > STRUCTURE_TOL * scale:
-            self_adjoint = False
-    resolution_ok = (frobenius_distance(QMatrix(total), QMatrix.identity(n))
-                     <= STRUCTURE_TOL)
-    gram = (gram + _conj4(np.swapaxes(gram, 0, 1))) / 2.0
-    bessel_bound = float(hermitian_eigenvalues(QMatrix(gram))[-1])
+    a = stack_rows(n, [p.data for p in system.projectors])
+    total = QMatrix(a.data.reshape(-1, n, n, 4).sum(axis=0))
+    resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
+    bessel_bound = float(hermitian_eigenvalues(gram(a))[-1])
+    self_adjoint = all(
+        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * max(1.0, p.frobenius())
+        for p in system.projectors)
     compatible = True
     for j, p in enumerate(system.projectors):
         if system.decomposition is not None:

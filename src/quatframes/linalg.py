@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPositive, PullbackFailed, Singular
+from .errors import (
+    DimensionMismatch,
+    NonFinite,
+    NotHermitian,
+    NotPositive,
+    PullbackFailed,
+    Singular,
+)
 from .quaternion import Quaternion
 
 # relative self-adjointness tolerance for spectral routines
@@ -225,6 +232,9 @@ class QMatrix:
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.data))
 
+    def column_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.data, axis=(0, 2))
+
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_shape(other)
         return QMatrix(self.data + other.data)
@@ -288,6 +298,15 @@ def complex_adjoint_rep(a: QMatrix) -> np.ndarray:
     return np.block([[a1, a2], [-np.conj(a2), np.conj(a1)]])
 
 
+def _finite_chi(a: QMatrix) -> np.ndarray:
+    """chi(A) for LAPACK, which cannot take inf or nan entries."""
+    h = complex_adjoint_rep(a)
+    if not np.isfinite(h).all():
+        raise NonFinite("matrix has inf or nan entries, such as from an "
+                        "overflow; rescale the input")
+    return h
+
+
 def _from_complex_blocks(c: np.ndarray) -> QMatrix:
     """Project a 2m x 2n complex matrix back onto the image of chi.
 
@@ -308,7 +327,7 @@ def _invertible_chi(a: QMatrix) -> np.ndarray:
     SINGULAR_RTOL * ||A||_F; chi(A^-1) = chi(A)^-1."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"solve and inverse need a square matrix, got {a.shape}")
-    h = complex_adjoint_rep(a)
+    h = _finite_chi(a)
     floor = SINGULAR_RTOL * a.frobenius()
     smallest = np.linalg.svd(h, compute_uv=False)[-1]
     if smallest <= floor:
@@ -344,8 +363,8 @@ def _hermitian_chi(s: QMatrix) -> np.ndarray:
     """chi(S) of a self-adjoint S, averaged with its conjugate transpose:
     LAPACK reads one triangle only, and the average keeps the round-off
     asymmetry that HERMITIAN_RTOL admits out of the result."""
+    h = _finite_chi(s)
     _check_hermitian(s)
-    h = complex_adjoint_rep(s)
     return (h + h.conj().T) / 2.0
 
 

@@ -8,8 +8,11 @@ different codomain dimensions.  The family is a frame of operators when
 its frame operator is S = sum_i T_i* T_i, and the optimal bounds are the
 extremal eigenvalues of S.  Every member T_i decomposes into the rows
 x_k^i = T_i*(e_k^i); the flat list of those vectors is an ordinary vector
-frame with the same frame operator and the same bounds, which is the
-bridge used throughout this module.
+frame with the same frame operator and the same bounds.  That induced
+sequence is the representation the code uses: stacking the T_i gives the
+analysis matrix A whose rows are the <x_k^i|, and the core in reporting
+computes S = A* A, analysis, synthesis, duals and the Parseval
+normalization from it.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame
-from .linalg import (
-    QMatrix,
-    QVector,
-    _conj4,
-    hermitian_eigenvalues,
-    inverse_matrix,
-    positive_sqrt,
+from .errors import DimensionMismatch
+from .linalg import QMatrix, QVector, _conj4
+from .reporting import (
+    FrameReport,
+    build_report,
+    dual_rows,
+    gram,
+    parseval_rows,
+    split_rows,
+    stack_rows,
 )
-from .reporting import FRAME_TOL, FrameReport, build_report
 from .vector_frames import VectorFrame
 
 
@@ -48,6 +52,10 @@ class OperatorFrame:
     @property
     def codomain_dims(self) -> list[int]:
         return [m.rows for m in self.members]
+
+    def analysis_matrix(self) -> QMatrix:
+        """The stacked analysis matrix: the members one below the other."""
+        return stack_rows(self.space_dim, [m.data for m in self.members])
 
     def __len__(self) -> int:
         return len(self.members)
@@ -78,48 +86,36 @@ class BlockVector:
         return f"BlockVector(blocks={[b.dim for b in self.blocks]})"
 
 
+def _from_rows(f: OperatorFrame, a: QMatrix) -> OperatorFrame:
+    return OperatorFrame(f.space_dim, map(QMatrix, split_rows(a.data, f.codomain_dims)))
+
+
 def op_frame_operator(f: OperatorFrame) -> QMatrix:
-    """S = sum_i T_i* T_i, accumulated in member order."""
-    s = np.zeros((f.space_dim, f.space_dim, 4))
-    for t in f.members:
-        s += (t.adjoint() @ t).data
-    s = (s + _conj4(np.swapaxes(s, 0, 1))) / 2.0
-    return QMatrix(s)
-
-
-def _reduced_operator(f: OperatorFrame, skip: int) -> QMatrix:
-    return op_frame_operator(OperatorFrame(
-        f.space_dim, [t for i, t in enumerate(f.members) if i != skip]))
+    """S = sum_i T_i* T_i = A* A."""
+    return gram(f.analysis_matrix())
 
 
 def op_report(f: OperatorFrame) -> FrameReport:
     """Optimal bounds and classification flags, as for vector frames."""
-    dims = f.codomain_dims
-    total = sum(dims)
-    return build_report(op_frame_operator(f), len(f.members),
-                        removal_rank=lambda i: total - dims[i],
-                        reduced_operator=lambda i: _reduced_operator(f, i))
+    return build_report(f.analysis_matrix(), f.codomain_dims)
 
 
 def op_analysis(f: OperatorFrame, u: QVector) -> BlockVector:
     """The tuple {T_i u}; its squared norm is the analysis energy of u."""
     if u.dim != f.space_dim:
         raise DimensionMismatch(f"vector dim {u.dim} vs space dim {f.space_dim}")
-    return BlockVector([t @ u for t in f.members])
+    return BlockVector(map(QVector, split_rows((f.analysis_matrix() @ u).data,
+                                               f.codomain_dims)))
 
 
 def op_synthesis(f: OperatorFrame, x: BlockVector) -> QVector:
     """sum_i T_i*(x_i), the adjoint of analysis."""
-    if len(x.blocks) != len(f.members):
+    dims = [b.dim for b in x.blocks]
+    if dims != f.codomain_dims:
         raise DimensionMismatch(
-            f"{len(x.blocks)} blocks for {len(f.members)} members")
-    out = np.zeros((f.space_dim, 4))
-    for t, b in zip(f.members, x.blocks):
-        if b.dim != t.rows:
-            raise DimensionMismatch(
-                f"block dim {b.dim} vs codomain dim {t.rows}")
-        out += (t.adjoint() @ b).data
-    return QVector(out)
+            f"block dims {dims} vs codomain dims {f.codomain_dims}")
+    x_data = np.concatenate([np.zeros((0, 4))] + [b.data for b in x.blocks])
+    return f.analysis_matrix().adjoint() @ QVector(x_data)
 
 
 @dataclass(frozen=True)
@@ -137,20 +133,8 @@ class InducedSequence:
 
 def induced_sequence(f: OperatorFrame) -> InducedSequence:
     """x_k^i = T_i*(e_k^i) for the standard basis of each codomain."""
-    vectors = []
-    for t in f.members:
-        adj = t.adjoint()
-        for k in range(t.rows):
-            vectors.append(adj.column(k))
-    return InducedSequence(f.space_dim, vectors)
-
-
-def _invertible_frame_operator(f: OperatorFrame) -> QMatrix:
-    s = op_frame_operator(f)
-    vals = hermitian_eigenvalues(s)
-    if vals[0] <= FRAME_TOL:
-        raise NotAFrame(f"smallest eigenvalue {vals[0]:.3e} of S is not positive")
-    return s
+    return InducedSequence(
+        f.space_dim, list(map(QVector, _conj4(f.analysis_matrix().data))))
 
 
 def op_dual(f: OperatorFrame) -> OperatorFrame:
@@ -160,8 +144,7 @@ def op_dual(f: OperatorFrame) -> OperatorFrame:
     order, its frame operator is S^-1, and pairing it with f reconstructs
     every vector.
     """
-    s_inv = inverse_matrix(_invertible_frame_operator(f))
-    return OperatorFrame(f.space_dim, [t @ s_inv for t in f.members])
+    return _from_rows(f, dual_rows(f.analysis_matrix()))
 
 
 def op_parseval(f: OperatorFrame) -> OperatorFrame:
@@ -170,22 +153,14 @@ def op_parseval(f: OperatorFrame) -> OperatorFrame:
     S^-1/2 is computed as the inverse of the positive square root; the
     resulting family has frame operator equal to the identity.
     """
-    s = _invertible_frame_operator(f)
-    root_inv = inverse_matrix(positive_sqrt(s))
-    return OperatorFrame(f.space_dim, [t @ root_inv for t in f.members])
+    return _from_rows(f, parseval_rows(f.analysis_matrix()))
 
 
 def reconstruct(f: OperatorFrame, g: OperatorFrame, u: QVector) -> QVector:
     """sum_i G_i* F_i(u); returns u itself when g is the canonical dual
     of f (and S u when g is f)."""
-    if len(f.members) != len(g.members):
+    if (f.space_dim, f.codomain_dims) != (g.space_dim, g.codomain_dims):
         raise DimensionMismatch(
-            f"{len(f.members)} members vs {len(g.members)}")
-    if f.space_dim != g.space_dim:
-        raise DimensionMismatch(
-            f"space dims {f.space_dim} and {g.space_dim}")
-    for tf, tg in zip(f.members, g.members):
-        if tf.rows != tg.rows:
-            raise DimensionMismatch(
-                f"codomain dims {tf.rows} and {tg.rows} differ")
-    return op_synthesis(g, op_analysis(f, u))
+            f"space dim {f.space_dim} with codomain dims {f.codomain_dims} vs"
+            f" {g.space_dim} with {g.codomain_dims}")
+    return g.analysis_matrix().adjoint() @ (f.analysis_matrix() @ u)

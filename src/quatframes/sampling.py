@@ -21,6 +21,12 @@ def random_qvector(rng: np.random.Generator, dim: int, scale: float = 1.0) -> QV
     return QVector(rng.standard_normal((dim, 4)) * scale)
 
 
+def random_columns(rng: np.random.Generator, dim: int, count: int) -> QMatrix:
+    """count standard normal vectors of H^dim as the columns of a matrix,
+    drawn in one call in the order of count calls of random_qvector."""
+    return QMatrix(np.swapaxes(rng.standard_normal((count, dim, 4)), 0, 1))
+
+
 def random_unit_qvector(rng: np.random.Generator, dim: int) -> QVector:
     while True:
         data = rng.standard_normal((dim, 4))

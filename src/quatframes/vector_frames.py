@@ -7,26 +7,19 @@ A finite family {u_i} is a frame when
 for some 0 < r1 <= r2.  Synthesis applies right coefficients,
 T({q_i}) = sum_i u_i q_i, analysis takes inner products against the
 members, and the frame operator S = sum_i u_i <u_i|.|> is their
-composition.
+composition.  A vector frame is the frame of operators whose members are
+the 1 x n functionals <u_i|; its stacked analysis matrix has those rows,
+and everything here is computed from it by the core in reporting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame
-from .linalg import (
-    QMatrix,
-    QVector,
-    _conj4,
-    _mul4,
-    hermitian_eigenvalues,
-    inner,
-    inverse_matrix,
-    outer,
-)
+from .errors import DimensionMismatch
+from .linalg import QMatrix, QVector, _conj4
 from .quaternion import Quaternion
-from .reporting import FRAME_TOL, FrameReport, build_report
+from .reporting import FrameReport, build_report, dual_rows, gram, parseval_rows
 
 
 class VectorFrame:
@@ -46,6 +39,10 @@ class VectorFrame:
     def __len__(self) -> int:
         return len(self.members)
 
+    def analysis_matrix(self) -> QMatrix:
+        """The stacked analysis matrix, whose rows are the <u_i|."""
+        return synthesis_matrix(self).adjoint()
+
     def __repr__(self):
         return f"VectorFrame(space_dim={self.space_dim}, members={len(self)})"
 
@@ -56,17 +53,16 @@ def synthesis(f: VectorFrame, coefficients) -> QVector:
     if len(coefficients) != len(f.members):
         raise DimensionMismatch(
             f"{len(coefficients)} coefficients for {len(f.members)} members")
-    out = np.zeros((f.space_dim, 4))
-    for u, q in zip(f.members, coefficients):
-        out += _mul4(u.data, np.array(q.components)[None, :])
-    return QVector(out)
+    q = np.array([c.components for c in coefficients], dtype=np.float64)
+    return synthesis_matrix(f) @ QVector(q.reshape(-1, 4))
 
 
 def analysis(f: VectorFrame, u: QVector) -> list[Quaternion]:
     """Coefficient list {<u_i|u>} in member order."""
     if u.dim != f.space_dim:
         raise DimensionMismatch(f"vector dim {u.dim} vs space dim {f.space_dim}")
-    return [inner(m, u) for m in f.members]
+    coefficients = f.analysis_matrix() @ u
+    return [coefficients[i] for i in range(len(f))]
 
 
 def synthesis_matrix(f: VectorFrame) -> QMatrix:
@@ -76,33 +72,27 @@ def synthesis_matrix(f: VectorFrame) -> QMatrix:
     return QMatrix.from_columns(f.members)
 
 
+def _from_rows(space_dim: int, a: QMatrix) -> VectorFrame:
+    # row i of a stacked analysis matrix is <u_i|
+    return VectorFrame(space_dim, map(QVector, _conj4(a.data)))
+
+
 def frame_operator(f: VectorFrame) -> QMatrix:
-    """S = sum_i u_i <u_i|.|>, accumulated in member order."""
-    s = np.zeros((f.space_dim, f.space_dim, 4))
-    for u in f.members:
-        s += outer(u, u).data
-    # the sum is self-adjoint in exact arithmetic; pin it down in floats
-    s = (s + _conj4(np.swapaxes(s, 0, 1))) / 2.0
-    return QMatrix(s)
-
-
-def _reduced_operator(f: VectorFrame, skip: int) -> QMatrix:
-    return frame_operator(VectorFrame(
-        f.space_dim, [u for i, u in enumerate(f.members) if i != skip]))
+    """S = sum_i u_i <u_i|.|> = A* A."""
+    return gram(f.analysis_matrix())
 
 
 def report(f: VectorFrame) -> FrameReport:
     """Optimal bounds (extremal eigenvalues of S) and classification."""
-    return build_report(frame_operator(f), len(f.members),
-                        removal_rank=lambda i: len(f.members) - 1,
-                        reduced_operator=lambda i: _reduced_operator(f, i))
+    return build_report(f.analysis_matrix(), [1] * len(f))
 
 
 def canonical_dual(f: VectorFrame) -> VectorFrame:
-    """The frame {S^-1 u_i}; raises NotAFrame when S is not invertible."""
-    s = frame_operator(f)
-    vals = hermitian_eigenvalues(s)
-    if vals[0] <= FRAME_TOL:
-        raise NotAFrame(f"smallest eigenvalue {vals[0]:.3e} of S is not positive")
-    s_inv = inverse_matrix(s)
-    return VectorFrame(f.space_dim, [s_inv @ u for u in f.members])
+    """The frame {S^-1 u_i}; raises NotAFrame when S fails the frame test."""
+    return _from_rows(f.space_dim, dual_rows(f.analysis_matrix()))
+
+
+def parseval(f: VectorFrame) -> VectorFrame:
+    """The Parseval frame {S^-1/2 u_i}; raises NotAFrame when S fails
+    the frame test."""
+    return _from_rows(f.space_dim, parseval_rows(f.analysis_matrix()))

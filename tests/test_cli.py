@@ -131,6 +131,33 @@ def test_analyze_nonframe_still_reports(files, capsys):
     assert "frame" not in doc["classification"]
 
 
+def test_analyze_tiny_orthonormal_basis_is_a_tight_frame(capsys, tmp_path):
+    # the frame test is relative to the scale of S: bounds 1e-12 still
+    # make the orthonormal basis of H^2 scaled by 1e-6 a tight frame
+    path = str(tmp_path / "tiny.json")
+    write_document(path, vector_frame_obj(
+        VectorFrame(2, [b * 1e-6 for b in standard_basis(2)])))
+    code, doc, _ = run_json(capsys, "analyze", path)
+    assert code == 0 and doc["bounds"] == [1e-12, 1e-12]
+    assert doc["classification"] == ["bessel", "frame", "tight", "exact"]
+    code, doc, _ = run_json(capsys, "parseval", path,
+                            "-o", str(tmp_path / "pv.json"))
+    assert code == 0 and doc["bounds"] == [1, 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "dual", "parseval"])
+def test_overflowing_frame_operator_exits_two(capsys, tmp_path, command):
+    # finite input whose frame operator overflows is refused before LAPACK
+    e1, e2 = standard_basis(2)
+    path = str(tmp_path / "huge.json")
+    write_document(path, vector_frame_obj(VectorFrame(2, [e1 * 1e200, e2])))
+    out_args = [] if command == "analyze" else ["-o", str(tmp_path / "out.json")]
+    code, out, err = run(capsys, command, path, *out_args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
     _, second, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
@@ -393,6 +420,7 @@ EXIT_CODES = {
     errors.ConditionViolated: 2,
     errors.DimensionMismatch: 2,
     errors.InvalidWeight: 2,
+    errors.NonFinite: 2,
 }
 
 
