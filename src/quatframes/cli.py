@@ -12,6 +12,7 @@ over threshold), 2 for usage and validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -284,26 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="frame file (any kind)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled checks (pseudo kind)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("dual", help="write the canonical dual frame")
     p.add_argument("path", help="vector_frame or operator_frame file")
     p.add_argument("--out", "-o", required=True, help="output frame file")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("parseval",
                        help="write the Parseval normalization (generalized "
                             "kinds are converted to operator frames first)")
     p.add_argument("path", help="frame file (any kind)")
     p.add_argument("--out", "-o", required=True, help="output frame file")
-    p.set_defaults(func=cmd_parseval)
 
     p = sub.add_parser("convert",
                        help="rewrite a fusion/pseudo/quasi file as an "
                             "operator frame")
     p.add_argument("path", help="fusion, pseudo, or quasi file")
     p.add_argument("--out", "-o", required=True, help="output frame file")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stability",
                        help="check a perturbation theorem on a frame pair")
@@ -319,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    metavar="X", help="theorem 2 lambda")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("reconstruct",
                        help="reconstruct vectors through the canonical dual "
@@ -331,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", type=int, metavar="K",
                        help="number of seeded random vectors")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_reconstruct)
 
     return parser
 
@@ -356,10 +351,18 @@ EXIT_CODES = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name on each call, so a rebound cmd_* is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except QuatFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]

@@ -27,6 +27,8 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 from .generalizations import FusionFrame, PseudoFramePair, QuasiProjectorSystem
 from .linalg import QMatrix, QVector
@@ -49,14 +51,23 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _as_real(value: Any, where: str) -> float:
+def _is_real_type(t: type) -> bool:
     # bool is an int subclass; reject it explicitly
-    if isinstance(value, bool) or not isinstance(value, _REAL):
+    return issubclass(t, _REAL) and not issubclass(t, bool)
+
+
+def _as_real(value: Any, where: str) -> float:
+    if not _is_real_type(type(value)):
         raise ParseError(f"{where}: expected a number")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ParseError(f"{where}: expected a finite number, got an "
+                         "integer too large for a float") from None
     # json.loads accepts NaN and Infinity, which no frame can hold
-    if not math.isfinite(value):
+    if not math.isfinite(real):
         raise ParseError(f"{where}: expected a finite number, got {value}")
-    return float(value)
+    return real
 
 
 def _as_count(value: Any, where: str) -> int:
@@ -73,6 +84,23 @@ def parse_quaternion(obj: Any, where: str) -> Quaternion:
     return Quaternion(*(_as_real(c, f"{where}[{k}]") for k, c in enumerate(obj)))
 
 
+def _finite_array(data: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """`data` as a float64 array when it has `shape` and only finite
+    values, else None.  numpy also reads True, None and "1.5" as floats,
+    so the caller still checks the type of every leaf."""
+    try:
+        arr = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != shape or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _all_real(types: set[type]) -> bool:
+    return all(map(_is_real_type, types))
+
+
 def parse_vector(obj: Any, where: str) -> QVector:
     dim = _as_count(_require(obj, "dim", where), f"{where}.dim")
     data = _require(obj, "data", where)
@@ -81,9 +109,12 @@ def parse_vector(obj: Any, where: str) -> QVector:
     if len(data) != dim:
         raise ValidationError(
             f"{where}: declared dim {dim} but data has {len(data)} entries")
-    entries = [parse_quaternion(c, f"{where}.data[{k}]")
-               for k, c in enumerate(data)]
-    return QVector.from_quaternions(entries)
+    arr = _finite_array(data, (dim, 4))
+    if arr is None or not _all_real({type(c) for q in data for c in q}):
+        # the walk raises on the first entry the array checks refused
+        for k, c in enumerate(data):
+            parse_quaternion(c, f"{where}.data[{k}]")
+    return QVector(arr)
 
 
 def parse_matrix(obj: Any, where: str) -> QMatrix:
@@ -95,16 +126,19 @@ def parse_matrix(obj: Any, where: str) -> QMatrix:
     if len(data) != rows:
         raise ValidationError(
             f"{where}: declared rows {rows} but data has {len(data)} rows")
-    grid = []
-    for r, row in enumerate(data):
-        if not isinstance(row, list):
-            raise ParseError(f"{where}.data[{r}]: expected an array")
-        if len(row) != cols:
-            raise ValidationError(
-                f"{where}.data[{r}]: declared cols {cols} but row has {len(row)}")
-        grid.append([parse_quaternion(c, f"{where}.data[{r}][{k}]")
-                     for k, c in enumerate(row)])
-    return QMatrix.from_quaternions(grid)
+    arr = _finite_array(data, (rows, cols, 4))
+    if arr is None or not _all_real(
+            {type(c) for row in data for q in row for c in q}):
+        # the walk raises on the first row or entry the array checks refused
+        for r, row in enumerate(data):
+            if not isinstance(row, list):
+                raise ParseError(f"{where}.data[{r}]: expected an array")
+            if len(row) != cols:
+                raise ValidationError(
+                    f"{where}.data[{r}]: declared cols {cols} but row has {len(row)}")
+            for k, c in enumerate(row):
+                parse_quaternion(c, f"{where}.data[{r}][{k}]")
+    return QMatrix(arr)
 
 
 def _vector_list(obj: Any, dim: int, where: str) -> list[QVector]:
@@ -199,6 +233,9 @@ def _loads(text: str, where: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal longer than Python's digit limit
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def load_frame(path: str):
@@ -221,14 +258,14 @@ def quaternion_obj(q: Quaternion) -> list[float]:
 
 
 def vector_obj(v: QVector) -> dict:
-    return {"dim": v.dim, "data": [list(map(float, row)) for row in v.data]}
+    return {"dim": v.dim, "data": v.data.tolist()}
 
 
 def matrix_obj(m: QMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "data": [[list(map(float, entry)) for entry in row] for row in m.data],
+        "data": m.data.tolist(),
     }
 
 

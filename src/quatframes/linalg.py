@@ -78,6 +78,18 @@ def _join(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
 
 
+def _norm(a: np.ndarray) -> float:
+    """2-norm of all entries.  They are scaled by the power of two nearest
+    the largest magnitude before squaring, so that squares of entries
+    above 1e154 do not overflow (nor those below 1e-154 underflow); a
+    power of two scales exactly, so in between the digits are unchanged."""
+    top = float(np.abs(a).max(initial=0.0))
+    if top == 0.0 or not np.isfinite(top):
+        return top
+    _, exp = np.frexp(top)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -exp)), exp))
+
+
 def _as_qarray(data, ndim: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
@@ -230,7 +242,7 @@ class QMatrix:
         return QMatrix(_conj4(np.swapaxes(self.data, 0, 1)))
 
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data, axis=(0, 2))
@@ -287,7 +299,7 @@ def outer(u: QVector, v: QVector) -> QMatrix:
 
 
 def frobenius_distance(a: QMatrix, b: QMatrix) -> float:
-    return float(np.linalg.norm(a.data - b.data))
+    return _norm(a.data - b.data)
 
 
 # ====== complex adjoint representation ======

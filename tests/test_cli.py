@@ -158,6 +158,24 @@ def test_overflowing_frame_operator_exits_two(capsys, tmp_path, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_frame_with_entries_near_overflow_runs_every_command(capsys, tmp_path):
+    # S = 1e300 I is finite, so every command works; the norms behind the
+    # singularity and self-adjointness checks must not square 1e300
+    path = str(tmp_path / "large.json")
+    write_document(path, vector_frame_obj(
+        VectorFrame(2, [b * 1e150 for b in standard_basis(2)])))
+    code, doc, err = run_json(capsys, "analyze", path)
+    assert code == 0 and err == "" and doc["bounds"] == [1e300, 1e300]
+    assert doc["classification"] == ["bessel", "frame", "tight", "exact"]
+    for command, bounds in (("dual", [1e-300, 1e-300]), ("parseval", [1, 1])):
+        code, doc, err = run_json(capsys, command, path,
+                                  "-o", str(tmp_path / f"{command}.json"))
+        assert code == 0 and err == "" and doc["bounds"] == bounds
+    code, doc, err = run_json(capsys, "reconstruct", path, "--random", "2")
+    assert code == 0 and err == "" and doc["max_residual"] < 1e-12
+
+
 def test_analyze_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
     _, second, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
@@ -385,7 +403,11 @@ def test_usage_error_from_argparse(files):
     ("operator_frame", "frame.members[3].data[0][2][0]"),
     ("fusion", "frame.weights[1]"),
 ])
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"),
+    # an integer that float() cannot hold, written out in all its digits
+    pytest.param(10**400, id="int10e400"),
+])
 def test_nonfinite_number_is_parse_error(capsys, tmp_path, kind, field, value):
     basis = standard_basis(4)
     if kind == "vector_frame":
@@ -403,6 +425,17 @@ def test_nonfinite_number_is_parse_error(capsys, tmp_path, kind, field, value):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and field in err and "finite" in err
+
+
+def test_overlong_integer_literal_is_parse_error(capsys, tmp_path):
+    # json.loads refuses integer literals beyond Python's digit limit
+    obj = vector_frame_obj(VectorFrame(2, standard_basis(2)))
+    text = json.dumps(obj).replace("1.0", "1" + "0" * 4999, 1)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 # every package error class and the exit code main turns it into

@@ -3,7 +3,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import shifted_basis_vector_frame, standard_basis
 from quatframes.errors import ParseError, ValidationError
@@ -203,3 +206,97 @@ def test_vector_obj_matches_format():
     v = standard_basis(2)[1]
     obj = vector_obj(v)
     assert obj == {"dim": 2, "data": [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
+
+
+# ====== the array path against the per-entry walk ======
+
+EXAMPLES = settings(max_examples=80, deadline=None)
+
+# numbers a frame file may hold: any finite float, and integers beyond
+# int64 that a float still holds
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+
+# what may stand where a number belongs; numpy reads the first three
+# as floats, and float() cannot hold 10**400
+BAD_LEAVES = [True, "1.5", None, float("nan"), float("inf"), 10**400, [1]]
+
+
+@st.composite
+def documents(draw):
+    """A vector_frame or operator_frame document as json.loads returns it."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.lists(NUMBERS, min_size=4, max_size=4),
+                       min_size=n, max_size=n)
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        members = [{"dim": n, "data": draw(entries)} for _ in range(count)]
+        return {"kind": "vector_frame", "dim": n, "members": members}
+    members = []
+    for _ in range(count):
+        rows = draw(st.lists(entries, min_size=1, max_size=3))
+        members.append({"rows": len(rows), "cols": n, "data": rows})
+    return {"kind": "operator_frame", "dim": n, "members": members}
+
+
+def quaternion_slots(doc):
+    """(list, index, field path) of every quaternion in the members."""
+    slots = []
+    for i, member in enumerate(doc["members"]):
+        where = f"frame.members[{i}].data"
+        rows = ([(where, member["data"])] if "dim" in member else
+                [(f"{where}[{r}]", row) for r, row in enumerate(member["data"])])
+        for prefix, row in rows:
+            slots += [(row, k, f"{prefix}[{k}]") for k in range(len(row))]
+    return slots
+
+
+def as_floats(data):
+    """The payload with every number through float(), as the walk reads it."""
+    if isinstance(data, list):
+        return [as_floats(x) for x in data]
+    return float(data)
+
+
+@EXAMPLES
+@given(documents(), st.data())
+def test_bad_leaf_is_refused_at_its_path(doc, data):
+    row, k, where = data.draw(st.sampled_from(quaternion_slots(doc)))
+    bad = data.draw(st.sampled_from(BAD_LEAVES + ["5-array"]))
+    if bad == "5-array":
+        row[k] = row[k] + [0]
+    else:
+        c = data.draw(st.integers(0, 3))
+        row[k][c] = bad
+        where = f"{where}[{c}]"
+    with pytest.raises(ParseError) as info:
+        parse_frame(doc)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+@EXAMPLES
+@given(documents())
+def test_clean_document_parses_to_its_numbers(doc):
+    _, frame = parse_frame(doc)
+    for member, parsed in zip(doc["members"], frame.members):
+        expected = np.asarray(as_floats(member["data"]))
+        assert parsed.data.shape == expected.shape
+        assert parsed.data.tobytes() == expected.tobytes()
+
+
+# half a unit in the 12th significant digit, relative, plus the rounding
+# of the decimal back to binary
+DIGITS12_RTOL = 5e-12 + 1e-15
+
+
+@EXAMPLES
+@given(documents())
+def test_clean_document_round_trips_at_12_digits(doc):
+    kind, frame = parse_frame(doc)
+    to_obj = vector_frame_obj if kind == "vector_frame" else operator_frame_obj
+    text = dumps12(to_obj(frame))
+    kind_back, back = parse_frame(json.loads(text))
+    assert kind_back == kind
+    for a, b in zip(frame.members, back.members):
+        np.testing.assert_allclose(b.data, a.data, rtol=DIGITS12_RTOL, atol=0)
+    assert dumps12(to_obj(back)) == text
