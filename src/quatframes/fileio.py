@@ -227,28 +227,27 @@ def parse_frame(obj: Any):
     return kind, QuasiProjectorSystem(dim, projectors)
 
 
-def _loads(text: str, where: str) -> Any:
+def _load_json(path: str) -> Any:
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
-        # an integer literal longer than Python's digit limit
-        raise ParseError(f"{where}: {exc}") from exc
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, arrays nested deeper than the decoder's
+        # recursion limit, or an integer literal beyond Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_frame(path: str):
     """Read and parse a frame file; returns (kind, frame)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_frame(_loads(text, path))
+    return parse_frame(_load_json(path))
 
 
 def load_vector(path: str) -> QVector:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_vector(_loads(text, path), "vector")
+    return parse_vector(_load_json(path), "vector")
 
 
 # ====== serialization ======

@@ -47,21 +47,12 @@ EIGENVALUE_CLAMP = 1e-10
 SINGULAR_RTOL = 1e-12
 # Gram-Schmidt drops vectors whose residual norm falls below this
 GS_DROP_TOL = 1e-10
+# the eigenvector pull-back drops unit eigenvectors of chi(S) below this: the
+# pair partner of a kept direction leaves round-off, a new one a sizeable part
+PULLBACK_DROP_TOL = 0.3
 
 
 # ====== component arithmetic on (..., 4) arrays ======
-
-def _mul4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ], axis=-1)
-
 
 def _conj4(a: np.ndarray) -> np.ndarray:
     out = a.copy()
@@ -148,8 +139,7 @@ class QVector:
         if isinstance(scalar, (int, float)):
             return QVector(self.data * float(scalar))
         if isinstance(scalar, Quaternion):
-            q = np.array(scalar.components)
-            return QVector(_mul4(self.data, q[None, :]))
+            return (_column(self) @ QMatrix([[scalar.components]])).column(0)
         return NotImplemented
 
     def __rmul__(self, scalar) -> "QVector":
@@ -172,10 +162,9 @@ class QVector:
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
-    """<u|v> = sum_k conj(u_k) v_k, accumulated over ascending k."""
+    """<u|v> = sum_k conj(u_k) v_k, the 1 x 1 product u* v."""
     u._check_dim(v)
-    terms = _mul4(_conj4(u.data), v.data)
-    return Quaternion.from_components(terms.sum(axis=0))
+    return (_column(u).adjoint() @ _column(v))[0, 0]
 
 
 # ====== matrices ======
@@ -266,24 +255,18 @@ class QMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        if isinstance(other, QVector):
+            return (self @ _column(other)).column(0)
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"matmul shapes {self.shape} and {other.shape}")
         # the complex split turns the quaternionic product into commutative
         # complex block arithmetic, preserving factor order exactly
         a1, a2 = _split(self.data)
-        if isinstance(other, QMatrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(
-                    f"matmul shapes {self.shape} and {other.shape}")
-            b1, b2 = _split(other.data)
-            return QMatrix(_join(a1 @ b1 - a2 @ np.conj(b2),
-                                 a1 @ b2 + a2 @ np.conj(b1)))
-        if isinstance(other, QVector):
-            if self.cols != other.dim:
-                raise DimensionMismatch(
-                    f"matrix cols {self.cols} vs vector dim {other.dim}")
-            u1, u2 = _split(other.data)
-            return QVector(_join(a1 @ u1 - a2 @ np.conj(u2),
-                                 a1 @ u2 + a2 @ np.conj(u1)))
-        return NotImplemented
+        b1, b2 = _split(other.data)
+        return QMatrix(_join(a1 @ b1 - a2 @ np.conj(b2),
+                             a1 @ b2 + a2 @ np.conj(b1)))
 
     def _check_shape(self, other: "QMatrix"):
         if self.shape != other.shape:
@@ -293,9 +276,14 @@ class QMatrix:
         return f"QMatrix(shape={self.shape})"
 
 
+def _column(u: QVector) -> QMatrix:
+    """u as an n x 1 matrix."""
+    return QMatrix(u.data[:, None, :])
+
+
 def outer(u: QVector, v: QVector) -> QMatrix:
     """Rank-one operator u<v|.|>, with entries u_r * conj(v_c)."""
-    return QMatrix(_mul4(u.data[:, None, :], _conj4(v.data)[None, :, :]))
+    return _column(u) @ _column(v).adjoint()
 
 
 def frobenius_distance(a: QMatrix, b: QMatrix) -> float:
@@ -352,7 +340,7 @@ def solve(a: QMatrix, b: QVector) -> QVector:
     if a.rows != b.dim:
         raise DimensionMismatch(f"matrix {a.shape} vs rhs dim {b.dim}")
     h = _invertible_chi(a)
-    rhs = complex_adjoint_rep(QMatrix(b.data[:, None, :]))
+    rhs = complex_adjoint_rep(_column(b))
     return _from_complex_blocks(np.linalg.solve(h, rhs)).column(0)
 
 
@@ -409,30 +397,17 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def _quaternionic_eigenvectors(w: np.ndarray, v: np.ndarray, n: int) -> QMatrix:
-    """Pick n right eigenvectors of S from the 2n eigenpairs of chi(S).
+def _quaternionic_eigenvectors(v: np.ndarray) -> QMatrix:
+    """Pick n right eigenvectors of S from the 2n eigenvectors of chi(S).
 
-    A complex eigenvector [x; y] of chi(S) pulls back to the quaternionic
-    eigenvector with split components (x, -conj(y)); the pull-back of each
-    eigenvalue pair spans a single quaternionic direction, so Gram-Schmidt
-    with a coarse acceptance threshold keeps exactly one of the two.
+    Each is the chi column of a quaternionic eigenvector, and the two of an
+    eigenvalue pair stand for one quaternionic direction, so the sweep with
+    the coarse cut-off PULLBACK_DROP_TOL keeps exactly one of the two.
     """
-    order = np.argsort(w, kind="stable")
-    accepted: list[np.ndarray] = []
-    for idx in order:
-        col = v[:, idx]
-        cand = _join(col[:n], -np.conj(col[n:]))
-        for basis in accepted:
-            coeff = _mul4(_conj4(basis), cand).sum(axis=0)
-            cand = cand - _mul4(basis, coeff[None, :])
-        norm = np.linalg.norm(cand)
-        if norm > 0.3:
-            accepted.append(cand / norm)
-            if len(accepted) == n:
-                break
-    if len(accepted) != n:
+    basis = _gram_schmidt(v, PULLBACK_DROP_TOL)
+    if basis.cols != basis.rows:
         raise PullbackFailed("eigenvector pull-back did not span H^n")
-    return QMatrix(np.stack(accepted, axis=1))
+    return basis
 
 
 def hermitian_spectrum(s: QMatrix) -> Spectrum:
@@ -442,7 +417,7 @@ def hermitian_spectrum(s: QMatrix) -> Spectrum:
     multiplicity; eigenvector columns satisfy S v = v * lambda.
     """
     w, v = np.linalg.eigh(_hermitian_chi(s))
-    return Spectrum(_collapse_pairs(w), _quaternionic_eigenvectors(w, v, s.rows))
+    return Spectrum(_collapse_pairs(w), _quaternionic_eigenvectors(v))
 
 
 def positive_sqrt(s: QMatrix) -> QMatrix:
@@ -457,31 +432,54 @@ def positive_sqrt(s: QMatrix) -> QMatrix:
     w = np.where(w < 0.0, 0.0, w)
     root = (v * np.sqrt(w)[None, :]) @ v.conj().T
     root = (root + root.conj().T) / 2.0
-    out = _from_complex_blocks(root)
-    return QMatrix((out.data + _conj4(np.swapaxes(out.data, 0, 1))) / 2.0)
+    return _from_complex_blocks(root)
 
 
 # ====== orthonormalization and projections ======
 
+def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
+    """Right-quaternionic Gram-Schmidt on the 2n x m chi columns of m
+    vectors of H^n; returns the n x k orthonormal basis it keeps.
+
+    The chi column c = [u1; -conj(u2)] of u = u1 + u2*j and its partner
+    [u2; conj(u1)] span the right multiples u*q.  Each candidate is
+    projected twice off the kept columns and their partners, dropped when
+    its residual norm falls below drop_tol and kept normalized otherwise.
+    """
+    rows = columns.shape[0]
+    n = rows // 2
+    span = np.empty((rows, rows), dtype=complex)
+    k = 0
+    for c in columns.T:
+        q = span[:, :k]
+        for _ in range(2):
+            c = c - q @ (q.conj().T @ c)
+        norm = _norm(c.view(np.float64))
+        if norm < drop_tol:
+            continue
+        c = c / norm
+        span[:, k] = c
+        span[:, k + 1] = np.concatenate([-np.conj(c[n:]), np.conj(c[:n])])
+        k += 2
+        if k == rows:
+            break
+    # kept columns, then their partners: chi of the basis
+    return _from_complex_blocks(np.hstack([span[:, :k:2], span[:, 1:k:2]]))
+
+
 def orthonormalize(vectors) -> list[QVector]:
-    """Right-quaternionic Gram-Schmidt.
+    """Right-quaternionic Gram-Schmidt, run on chi columns.
 
     Projection coefficients <b|v> multiply on the right, v - b*<b|v>;
     vectors whose residual norm falls below GS_DROP_TOL are dropped.
     A second orthogonalization pass keeps the Gram matrix near identity.
     """
-    basis: list[np.ndarray] = []
-    for vec in vectors:
-        cand = vec.data.copy()
-        for _ in range(2):
-            for b in basis:
-                coeff = _mul4(_conj4(b), cand).sum(axis=0)
-                cand = cand - _mul4(b, coeff[None, :])
-        norm = np.linalg.norm(cand)
-        if norm < GS_DROP_TOL:
-            continue
-        basis.append(cand / norm)
-    return [QVector(b) for b in basis]
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    chi = complex_adjoint_rep(QMatrix.from_columns(vectors))
+    basis = _gram_schmidt(chi[:, :len(vectors)], GS_DROP_TOL)
+    return [basis.column(c) for c in range(basis.cols)]
 
 
 def projection(vectors) -> QMatrix:

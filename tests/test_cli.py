@@ -176,6 +176,21 @@ def test_frame_with_entries_near_overflow_runs_every_command(capsys, tmp_path):
     assert code == 0 and err == "" and doc["max_residual"] < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_fusion_with_huge_basis_vectors_is_parseval(capsys, tmp_path):
+    # the subspaces spanned by e1*1e160 and e2*1e160 are those of the
+    # standard basis; Gram-Schmidt must not square the entries to inf
+    path = str(tmp_path / "huge_fusion.json")
+    write_document(path, {
+        "kind": "fusion", "dim": 2, "weights": [1.0, 1.0],
+        "subspaces": [[vector_obj(b * 1e160)] for b in standard_basis(2)],
+    })
+    code, doc, err = run_json(capsys, "analyze", path)
+    assert code == 0 and err == "" and doc["bounds"] == [1, 1]
+    assert doc["classification"] == ["bessel", "frame", "tight", "parseval",
+                                     "exact"]
+
+
 def test_analyze_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
     _, second, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
@@ -436,6 +451,21 @@ def test_overlong_integer_literal_is_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+])
+def test_unreadable_json_is_parse_error(files, capsys, tmp_path, payload):
+    # both readers: the frame file and the vector file of reconstruct
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(payload)
+    for command in (["analyze", str(path)],
+                    ["reconstruct", files["shifted_vec"], "--vector", str(path)]):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 # every package error class and the exit code main turns it into

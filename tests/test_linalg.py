@@ -6,6 +6,8 @@ oracle on the complex adjoint representation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatframes.errors import (
     DimensionMismatch,
@@ -321,6 +323,7 @@ def test_positive_sqrt_squares_back():
         a = random_qmatrix(gen, 5, 5)
         s = a.adjoint() @ a
         r = positive_sqrt(s)
+        assert np.array_equal(r.data, r.adjoint().data)
         assert frobenius_distance(r @ r, s) <= 1e-9 * s.frobenius()
         # sqrt of the square returns the original root
         again = positive_sqrt(r @ r)
@@ -383,3 +386,74 @@ def test_projection_onto_first_coordinate():
     expect = np.zeros((3, 3, 4))
     expect[0, 0, 0] = 1.0
     assert np.allclose(p.data, expect, atol=1e-14)
+
+
+# ====== oracle: modified Gram-Schmidt on Hamilton products ======
+
+def _mul4(a, b):
+    """Hamilton product of (..., 4) component arrays."""
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ], axis=-1)
+
+
+def _conj4(a):
+    return a * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def reference_orthonormalize(vectors, drop_tol=1e-10):
+    """Two passes of modified Gram-Schmidt, v - b*<b|v> one basis vector
+    at a time, on component arrays."""
+    basis = []
+    for vec in vectors:
+        cand = vec.copy()
+        for _ in range(2):
+            for b in basis:
+                coeff = _mul4(_conj4(b), cand).sum(axis=0)
+                cand = cand - _mul4(b, coeff[None, :])
+        norm = np.linalg.norm(cand)
+        if norm >= drop_tol:
+            basis.append(cand / norm)
+    return basis
+
+
+@st.composite
+def vector_lists(draw):
+    """Random vectors of H^n mixed with duplicates, right multiples u*q,
+    zero vectors and vectors scaled by 1e-14."""
+    n = draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.lists(st.sampled_from(
+        ["new", "duplicate", "multiple", "zero", "tiny"]), min_size=1, max_size=24))
+    vecs = []
+    for step in steps:
+        if step == "zero":
+            vecs.append(np.zeros((n, 4)))
+        elif step == "tiny":
+            vecs.append(gen.standard_normal((n, 4)) * 1e-14)
+        elif step == "new" or not vecs:
+            vecs.append(gen.standard_normal((n, 4)))
+        else:
+            u = vecs[gen.integers(len(vecs))]
+            q = gen.standard_normal(4)
+            vecs.append(u.copy() if step == "duplicate" else _mul4(u, q[None, :]))
+    return vecs
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_lists())
+def test_orthonormalize_matches_modified_gram_schmidt(vecs):
+    ref = reference_orthonormalize(vecs)
+    basis = orthonormalize([QVector(v) for v in vecs])
+    assert len(basis) == len(ref)
+    for b, r in zip(basis, ref):
+        assert np.abs(b.data - r).max() <= 1e-10
+    if basis:
+        b = QMatrix.from_columns(basis)
+        gram = (b.adjoint() @ b).data - QMatrix.identity(len(basis)).data
+        assert np.abs(gram).max() <= 1e-12
