@@ -252,10 +252,6 @@ def load_vector(path: str) -> QVector:
 
 # ====== serialization ======
 
-def quaternion_obj(q: Quaternion) -> list[float]:
-    return [q.r0, q.r1, q.r2, q.r3]
-
-
 def vector_obj(v: QVector) -> dict:
     return {"dim": v.dim, "data": v.data.tolist()}
 

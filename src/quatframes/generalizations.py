@@ -32,8 +32,15 @@ from .linalg import (
     orthonormalize,
     projection,
 )
-from .operator_frames import OperatorFrame, op_report
-from .reporting import FrameReport, build_report, gram, stack_rows
+from .operator_frames import OperatorFrame
+from .reporting import (
+    FrameReport,
+    build_report,
+    extremal_eigenvalues,
+    gram,
+    has_frame_bounds,
+    stack_rows,
+)
 from .sampling import random_columns
 from .vector_frames import VectorFrame, synthesis_matrix
 
@@ -188,7 +195,7 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     rows = (VectorFrame(pair.space_dim, pair.analyzers).analysis_matrix()
             @ QMatrix.from_columns(basis))
     frame = OperatorFrame(s, [QMatrix(row[None]) for row in rows.data])
-    if not op_report(frame).is_frame:
+    if not has_frame_bounds(*extremal_eigenvalues(gram(rows))):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
     return frame

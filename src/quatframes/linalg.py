@@ -45,7 +45,8 @@ EIGENVALUE_CLAMP = 1e-10
 # solve and inverse refuse a matrix whose smallest singular value is not
 # above this fraction of ||A||_F; LAPACK itself only stops on exact zeros
 SINGULAR_RTOL = 1e-12
-# Gram-Schmidt drops vectors whose residual norm falls below this
+# Gram-Schmidt drops a vector whose residual norm is at most this fraction
+# of its norm before projection, so a subspace keeps its basis at any scale
 GS_DROP_TOL = 1e-10
 # the eigenvector pull-back drops unit eigenvectors of chi(S) below this: the
 # pair partner of a kept direction leaves round-off, a new one a sizeable part
@@ -444,18 +445,21 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
     The chi column c = [u1; -conj(u2)] of u = u1 + u2*j and its partner
     [u2; conj(u1)] span the right multiples u*q.  Each candidate is
     projected twice off the kept columns and their partners, dropped when
-    its residual norm falls below drop_tol and kept normalized otherwise.
+    its residual norm is at most drop_tol times its norm before projection
+    and kept normalized otherwise.
     """
     rows = columns.shape[0]
     n = rows // 2
     span = np.empty((rows, rows), dtype=complex)
     k = 0
     for c in columns.T:
+        # a contiguous copy: the float64 view of a strided row would raise
+        floor = drop_tol * _norm(np.ascontiguousarray(c).view(np.float64))
         q = span[:, :k]
         for _ in range(2):
             c = c - q @ (q.conj().T @ c)
         norm = _norm(c.view(np.float64))
-        if norm < drop_tol:
+        if norm <= floor:
             continue
         c = c / norm
         span[:, k] = c
@@ -471,7 +475,8 @@ def orthonormalize(vectors) -> list[QVector]:
     """Right-quaternionic Gram-Schmidt, run on chi columns.
 
     Projection coefficients <b|v> multiply on the right, v - b*<b|v>;
-    vectors whose residual norm falls below GS_DROP_TOL are dropped.
+    vectors whose residual norm is at most GS_DROP_TOL times their own
+    norm are dropped.
     A second orthogonalization pass keeps the Gram matrix near identity.
     """
     vectors = list(vectors)

@@ -48,11 +48,3 @@ def random_operator_frame(rng: np.random.Generator, dim: int,
 
 def random_block_vector(rng: np.random.Generator, dims) -> BlockVector:
     return BlockVector([random_qvector(rng, d) for d in dims])
-
-
-def random_unit_block_vector(rng: np.random.Generator, dims) -> BlockVector:
-    blocks = [rng.standard_normal((d, 4)) for d in dims]
-    norm = np.sqrt(sum(float(np.sum(b * b)) for b in blocks))
-    if norm < 1e-6:
-        return random_unit_block_vector(rng, dims)
-    return BlockVector([QVector(b / norm) for b in blocks])

@@ -16,19 +16,22 @@ family:
       ||sum_i (T_i* - R_i*)(x_i)||
           <= lambda ||sum_i T_i*(x_i)|| + mu (sum_i ||x_i||^2)^(1/2)
     concludes R is a frame with bounds
-      r1 (1 - (lambda + mu)/sqrt(r1))^2
-      r2 (1 + (lambda + mu)/sqrt(r2))^2
+      r1 (1 - (lambda + mu/sqrt(r1)))^2
+      r2 (1 + lambda + mu/sqrt(r2))^2
+    (P. G. Casazza and O. Christensen, J. Fourier Anal. Appl. 3, 1997).
 
 Theorem 2 is often quoted with the mu term unrooted, i.e. as
 mu * sum_i ||x_i||^2, which is dimensionally inconsistent with the left
 side (a norm); the checker adopts the square-root reading and says so
 in the verdict's ``note`` field rather than silently correcting it.
 
-Each checker samples its hypothesis on seeded random inputs (all samples
-drawn at once and tested as one batch), evaluates
-the predicted bounds verbatim (no sharpening), measures the actual
-bounds of R, and reports whether measured lies inside predicted.  A
-nonpositive predicted lower bound means the theorem makes no frame
+Both hypotheses read ||D x|| <= sum_k c_k ||M_k x|| + mu ||x||, with
+D = A_F - A_R and M = A_F, A_R on the stacked analysis matrices for
+theorem 1 and their adjoints for theorem 2.  With every c_k = 0 that is
+||A_F - A_R|| <= mu, decided exactly; otherwise it is tested on seeded
+random columns.  The predicted bounds are evaluated verbatim and
+compared with the measured bounds of R, both steps with relative slack.
+A nonpositive predicted lower bound means the theorem makes no frame
 claim; consistency is then vacuous.  ``predicted_lower`` keeps the sign
 of the pre-square factor so that inadmissibly large constants surface
 as a negative number instead of a silently squared positive one.
@@ -36,18 +39,19 @@ as a negative number instead of a silently squared positive one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, InvalidParams, NotAFrame
-from .linalg import QMatrix, hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues
 from .operator_frames import OperatorFrame, op_frame_operator
 from .reporting import extremal_eigenvalues, has_frame_bounds
 from .sampling import random_columns
 
-# slack for sampled inequality checks; absorbs rounding, not structure
+# relative slack of the sampled hypothesis and of the predicted-vs-measured
+# comparison; absorbs rounding, not structure
 HYPOTHESIS_SLACK = 1e-9
 
 DEFAULT_SAMPLES = 200
@@ -96,8 +100,8 @@ class StabilityVerdict:
     ``frame_claim`` is True when the hypothesis held and the predicted
     lower bound is positive, i.e. the theorem actually asserts that the
     perturbed family is a frame.  ``consistent`` compares measured
-    against predicted bounds with 1e-9 slack, vacuously True when no
-    claim is made.
+    against predicted bounds with relative slack HYPOTHESIS_SLACK,
+    vacuously True when no claim is made.
     """
 
     theorem: int
@@ -113,13 +117,8 @@ class StabilityVerdict:
     note: str = ""
 
     def to_record(self) -> dict:
-        if isinstance(self.params, Theorem1Params):
-            params = {
-                "lambda1": self.params.lambda1,
-                "lambda2": self.params.lambda2,
-                "mu": self.params.mu,
-            }
-        else:
+        params = asdict(self.params)
+        if isinstance(self.params, Theorem2Params):
             params = {"lambda": self.params.lam, "mu": self.params.mu}
         record = {
             "theorem": self.theorem,
@@ -146,12 +145,10 @@ def difference_frame(f: OperatorFrame, r: OperatorFrame) -> OperatorFrame:
     return OperatorFrame(f.space_dim, [t - s for t, s in zip(f.members, r.members)])
 
 
-def _difference_gram(f: OperatorFrame, r: OperatorFrame) -> QMatrix:
-    return op_frame_operator(difference_frame(f, r))
-
-
-def _top_eigenvalue_sqrt(gram: QMatrix) -> float:
-    top = hermitian_eigenvalues(gram)[-1]
+def _difference_norm(f: OperatorFrame, r: OperatorFrame) -> float:
+    """||A_F - A_R||, the square root of the top eigenvalue of the Gram
+    operator of the differences."""
+    top = hermitian_eigenvalues(op_frame_operator(difference_frame(f, r)))[-1]
     # the Gram operator is positive; tiny negatives are rounding
     return sqrt(max(top, 0.0))
 
@@ -160,20 +157,16 @@ def fit_params_t1(f: OperatorFrame, r: OperatorFrame) -> Theorem1Params:
     """Simplest admissible constants: lambda1 = lambda2 = 0 and mu the
     operator norm of the stacked difference, so the hypothesis holds for
     every x, not just sampled ones."""
-    return Theorem1Params(0.0, 0.0, _top_eigenvalue_sqrt(_difference_gram(f, r)))
+    return Theorem1Params(0.0, 0.0, _difference_norm(f, r))
 
 
 def fit_params_t2(f: OperatorFrame, r: OperatorFrame) -> Theorem2Params:
-    """Synthesis-side analogue of fit_params_t1.
-
-    The norm of the difference synthesis operator equals the square root
-    of the top eigenvalue of the same Gram operator, so lambda = 0 with
-    that mu makes the hypothesis hold for every block vector.  The
-    admissibility condition (lambda + mu/sqrt(r1)) < 1 may still fail
-    for violent perturbations of badly conditioned frames; the checker
-    reports that rather than this fitter.
+    """Synthesis-side analogue of fit_params_t1: the difference synthesis
+    operator is the adjoint of the stacked difference, with the same norm.
+    The admissibility condition (lambda + mu/sqrt(r1)) < 1 may still fail
+    for violent perturbations; the checker reports that, not this fitter.
     """
-    return Theorem2Params(0.0, _top_eigenvalue_sqrt(_difference_gram(f, r)))
+    return Theorem2Params(0.0, _difference_norm(f, r))
 
 
 def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
@@ -183,129 +176,89 @@ def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
     return bounds
 
 
-def _quadratic_forms(s: QMatrix, x: QMatrix) -> np.ndarray:
-    # <x, Sx> of every column; real for self-adjoint S, and the real part
-    # of conj(x_k) y_k is the dot product of their components
-    forms = np.einsum("kpc,kpc->p", x.data, (s @ x).data)
-    # clamp rounding from below
-    return np.maximum(forms, 0.0)
+def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
+                   mu: float, adjoint: bool, seed: int, samples: int) -> bool:
+    """||D x|| <= sum_k c_k ||M_k x|| + mu ||x|| with D = A_F - A_R and
+    M = (A_F, A_R) cut to the constants c given, or all their adjoints.
+
+    With every c_k = 0 this is ||D|| <= mu (||D*|| = ||D||), decided
+    exactly; otherwise it is tested on ``samples`` seeded random columns.
+    """
+    if not any(constants):
+        return _difference_norm(f, r) <= mu
+    families = (difference_frame(f, r), f, r)[:1 + len(constants)]
+    ops = [g.analysis_matrix() for g in families]
+    if adjoint:
+        ops = [m.adjoint() for m in ops]
+    x = random_columns(np.random.default_rng(seed), ops[0].cols, samples)
+    lhs, *norms = [(m @ x).column_norms() for m in ops]
+    rhs = mu * x.column_norms() + sum(c * n for c, n in zip(constants, norms))
+    return bool(np.all(lhs <= rhs * (1.0 + HYPOTHESIS_SLACK)))
 
 
-def _signed_square(scale: float, factor: float) -> float:
-    return scale * factor * abs(factor)
+def _verdict(theorem: int, params, seed: int, hypothesis_ok: bool,
+             frame_bounds: tuple[float, float], measured: tuple[float, float],
+             lower_factor: float, upper_factor: float,
+             note: str = "") -> StabilityVerdict:
+    """The verdict on predicted bounds r1 * lower_factor^2 (signed) and
+    r2 * upper_factor^2 against the measured bounds of R."""
+    r1, r2 = frame_bounds
+    predicted_lower = r1 * lower_factor * abs(lower_factor)
+    predicted_upper = r2 * upper_factor ** 2
+    claim = predicted_lower > 0.0
+    if not claim:
+        note = "; ".join(filter(None, (note, NO_CLAIM_NOTE)))
+    consistent = not claim or (
+        measured[0] >= predicted_lower * (1.0 - HYPOTHESIS_SLACK)
+        and measured[1] <= predicted_upper * (1.0 + HYPOTHESIS_SLACK))
+    return StabilityVerdict(
+        theorem=theorem, params=params, hypothesis_ok=hypothesis_ok,
+        frame_claim=hypothesis_ok and claim,
+        predicted_lower=predicted_lower, predicted_upper=predicted_upper,
+        measured_lower=measured[0], measured_upper=measured[1],
+        consistent=consistent, seed=seed, note=note)
 
 
-def _consistent(predicted_lower: float, predicted_upper: float,
-                measured_lower: float, measured_upper: float) -> bool:
-    if predicted_lower <= 0.0:
-        return True
-    return (measured_lower >= predicted_lower - 1e-9
-            and measured_upper <= predicted_upper + 1e-9)
-
-
-def check_stability_t1(
-    f: OperatorFrame,
-    r: OperatorFrame,
-    params: Theorem1Params,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-) -> StabilityVerdict:
+def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Params,
+                       seed: int = 0,
+                       samples: int = DEFAULT_SAMPLES) -> StabilityVerdict:
     """Test the analysis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
-    The hypothesis is sampled on ``samples`` seeded unit vectors via the
-    batched quadratic forms of the three Gram operators involved.  When
-    lambda1 = lambda2 = 0 the inequality reduces to an operator-norm
-    bound and is additionally checked exactly.
+    With lambda1 = lambda2 = 0 the hypothesis is decided exactly;
+    otherwise it is sampled on ``samples`` seeded random vectors.
     """
     params.validate()
-    r1, r2 = _frame_bounds_of(f)
-    measured_lower, measured_upper = extremal_eigenvalues(op_frame_operator(r))
-
-    s_f = op_frame_operator(f)
-    s_r = op_frame_operator(r)
-    gram = _difference_gram(f, r)
-
-    x = random_columns(np.random.default_rng(seed), f.space_dim, samples)
-    x = QMatrix(x.data / x.column_norms()[None, :, None])
-    lhs = np.sqrt(_quadratic_forms(gram, x))
-    rhs = (params.lambda1 * np.sqrt(_quadratic_forms(s_f, x))
-           + params.lambda2 * np.sqrt(_quadratic_forms(s_r, x))
-           + params.mu)
-    hypothesis_ok = bool(np.all(lhs <= rhs + HYPOTHESIS_SLACK * np.maximum(1.0, rhs)))
-    if hypothesis_ok and params.lambda1 == 0.0 and params.lambda2 == 0.0:
-        hypothesis_ok = _top_eigenvalue_sqrt(gram) <= params.mu
-
-    shift = (params.lambda1 + params.lambda2 + params.mu / sqrt(r1))
-    predicted_lower = _signed_square(r1, 1.0 - shift / (1.0 + params.lambda2))
-    predicted_upper = r2 * (1.0 + shift / (1.0 - params.lambda2)) ** 2
-
-    consistent = _consistent(predicted_lower, predicted_upper,
-                             measured_lower, measured_upper)
-    return StabilityVerdict(
-        theorem=1,
-        params=params,
-        hypothesis_ok=hypothesis_ok,
-        frame_claim=hypothesis_ok and predicted_lower > 0.0,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        measured_lower=measured_lower,
-        measured_upper=measured_upper,
-        consistent=consistent,
-        seed=seed,
-        note="" if predicted_lower > 0.0 else NO_CLAIM_NOTE,
-    )
+    bounds = _frame_bounds_of(f)
+    measured = extremal_eigenvalues(op_frame_operator(r))
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2),
+                                   params.mu, False, seed, samples)
+    shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
+    return _verdict(1, params, seed, hypothesis_ok, bounds, measured,
+                    1.0 - shift / (1.0 + params.lambda2),
+                    1.0 + shift / (1.0 - params.lambda2))
 
 
-def check_stability_t2(
-    f: OperatorFrame,
-    r: OperatorFrame,
-    params: Theorem2Params,
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-) -> StabilityVerdict:
+def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Params,
+                       seed: int = 0,
+                       samples: int = DEFAULT_SAMPLES) -> StabilityVerdict:
     """Test the synthesis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     Raises ConditionViolated when (lambda + mu/sqrt(r1)) >= 1, in which
-    case the theorem is silent.  The hypothesis is sampled on ``samples``
-    seeded random block vectors.
+    case the theorem is silent.  With lambda = 0 the hypothesis is
+    decided exactly; otherwise it is sampled on ``samples`` seeded random
+    block vectors.
     """
     params.validate()
-    r1, r2 = _frame_bounds_of(f)
-    if params.lam + params.mu / sqrt(r1) >= 1.0:
+    r1, r2 = bounds = _frame_bounds_of(f)
+    shift = params.lam + params.mu / sqrt(r1)
+    if shift >= 1.0:
         raise ConditionViolated(
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
-    measured_lower, measured_upper = extremal_eigenvalues(op_frame_operator(r))
-
-    diff = difference_frame(f, r)
-
-    # each column is one block vector, its blocks in member order
-    x = random_columns(np.random.default_rng(seed), sum(f.codomain_dims), samples)
-    lhs = (diff.analysis_matrix().adjoint() @ x).column_norms()
-    rhs = (params.lam * (f.analysis_matrix().adjoint() @ x).column_norms()
-           + params.mu * x.column_norms())
-    hypothesis_ok = bool(np.all(lhs <= rhs + HYPOTHESIS_SLACK * np.maximum(1.0, rhs)))
-
-    shift = (params.lam + params.mu)
-    predicted_lower = _signed_square(r1, 1.0 - shift / sqrt(r1))
-    predicted_upper = r2 * (1.0 + shift / sqrt(r2)) ** 2
-
-    consistent = _consistent(predicted_lower, predicted_upper,
-                             measured_lower, measured_upper)
-    note = T2_NOTE
-    if predicted_lower <= 0.0:
-        note = T2_NOTE + "; " + NO_CLAIM_NOTE
-    return StabilityVerdict(
-        theorem=2,
-        params=params,
-        hypothesis_ok=hypothesis_ok,
-        frame_claim=hypothesis_ok and predicted_lower > 0.0,
-        predicted_lower=predicted_lower,
-        predicted_upper=predicted_upper,
-        measured_lower=measured_lower,
-        measured_upper=measured_upper,
-        consistent=consistent,
-        seed=seed,
-        note=note,
-    )
+    measured = extremal_eigenvalues(op_frame_operator(r))
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True,
+                                   seed, samples)
+    return _verdict(2, params, seed, hypothesis_ok, bounds, measured,
+                    1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2),
+                    T2_NOTE)

@@ -3,10 +3,13 @@ determinism, and the exit-code contract."""
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import (
     coordinate_functional_frame,
+    random_operator_frame,
+    random_qmatrix,
     shifted_basis_operator_frame,
     shifted_basis_vector_frame,
     standard_basis,
@@ -176,19 +179,30 @@ def test_frame_with_entries_near_overflow_runs_every_command(capsys, tmp_path):
     assert code == 0 and err == "" and doc["max_residual"] < 1e-12
 
 
-@pytest.mark.filterwarnings("error")
-def test_fusion_with_huge_basis_vectors_is_parseval(capsys, tmp_path):
-    # the subspaces spanned by e1*1e160 and e2*1e160 are those of the
-    # standard basis; Gram-Schmidt must not square the entries to inf
-    path = str(tmp_path / "huge_fusion.json")
+def assert_scaled_basis_fusion_is_parseval(capsys, tmp_path, scale):
+    # the subspaces spanned by e1*scale and e2*scale are those of the
+    # standard basis, whatever the scale
+    path = str(tmp_path / "scaled_fusion.json")
     write_document(path, {
         "kind": "fusion", "dim": 2, "weights": [1.0, 1.0],
-        "subspaces": [[vector_obj(b * 1e160)] for b in standard_basis(2)],
+        "subspaces": [[vector_obj(b * scale)] for b in standard_basis(2)],
     })
     code, doc, err = run_json(capsys, "analyze", path)
     assert code == 0 and err == "" and doc["bounds"] == [1, 1]
     assert doc["classification"] == ["bessel", "frame", "tight", "parseval",
                                      "exact"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_fusion_with_huge_basis_vectors_is_parseval(capsys, tmp_path):
+    # Gram-Schmidt must not square the entries to inf
+    assert_scaled_basis_fusion_is_parseval(capsys, tmp_path, 1e160)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fusion_with_tiny_basis_vectors_is_parseval(capsys, tmp_path):
+    # Gram-Schmidt drops a vector only relative to its own norm
+    assert_scaled_basis_fusion_is_parseval(capsys, tmp_path, 1e-11)
 
 
 def test_analyze_is_deterministic(files, capsys):
@@ -343,6 +357,38 @@ def test_stability_flag_validation(files, capsys):
     code, _, err = run(capsys, "stability", files["shifted_op"],
                        files["quasi"])
     assert code == 2 and "operator_frame" in err
+
+
+def write_pair(tmp_path, f, r):
+    paths = str(tmp_path / "f.json"), str(tmp_path / "r.json")
+    for path, frame in zip(paths, (f, r)):
+        write_document(path, operator_frame_obj(frame))
+    return paths
+
+
+@pytest.mark.parametrize("c, attained", [(0.5, 0), (1.5, 1)])
+def test_stability_t2_bounds_with_lower_bound_off_one(capsys, tmp_path, c, attained):
+    # R = c F meets the synthesis hypothesis with lambda = |1 - c| exactly,
+    # and r1 (1 - lambda)^2 or r2 (1 + lambda)^2 is attained; r1 is near 352
+    f = random_operator_frame(np.random.default_rng(0), 3, [2] * 4, scale=6.0)
+    paths = write_pair(tmp_path, f, OperatorFrame(3, [m * c for m in f.members]))
+    code, doc, _ = run_json(capsys, "stability", *paths, "--theorem", "2",
+                            "--lambda", "0.5", "--mu", "0")
+    assert code == 0 and doc["frame_claim"] is True and doc["consistent"] is True
+    assert doc["measured"][attained] == pytest.approx(doc["predicted"][attained],
+                                                      rel=1e-10)
+
+
+def test_stability_t2_refuses_undersized_mu(capsys, tmp_path):
+    gen = np.random.default_rng(31)
+    f = random_operator_frame(gen, 6, [2] * 6)
+    r = OperatorFrame(6, [m + random_qmatrix(gen, 2, 6) * 0.01 for m in f.members])
+    paths = write_pair(tmp_path, f, r)
+    code, doc, _ = run_json(capsys, "stability", *paths, "--theorem", "2", "--fit")
+    assert code == 0
+    code, doc, _ = run_json(capsys, "stability", *paths, "--theorem", "2", "--lambda",
+                            "0", "--mu", repr(0.9 * doc["params"]["mu"]))
+    assert code == 1 and doc["hypothesis_ok"] is False
 
 
 def test_stability_seed_echoed(files, capsys):

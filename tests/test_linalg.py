@@ -417,7 +417,8 @@ def reference_orthonormalize(vectors, drop_tol=1e-10):
                 coeff = _mul4(_conj4(b), cand).sum(axis=0)
                 cand = cand - _mul4(b, coeff[None, :])
         norm = np.linalg.norm(cand)
-        if norm >= drop_tol:
+        # relative cut-off: the residual against the vector's own norm
+        if norm > drop_tol * np.linalg.norm(vec):
             basis.append(cand / norm)
     return basis
 

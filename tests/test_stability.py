@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_operator_frame,
@@ -12,6 +14,7 @@ from conftest import (
     random_unit_qvector,
     shifted_basis_operator_frame,
 )
+from quatframes import operator_frames
 from quatframes.errors import (
     ConditionViolated,
     DimensionMismatch,
@@ -119,6 +122,20 @@ def test_t1_detects_hypothesis_violation():
     assert not v.hypothesis_ok
 
 
+def test_t1_builds_each_gram_once(monkeypatch):
+    calls = []
+    real = operator_frames.gram
+    monkeypatch.setattr(operator_frames, "gram", lambda a: calls.append(a) or real(a))
+    f = shifted_basis_operator_frame(4)
+    r = scaled(f, 0.9)
+    # S_F, S_R and, for the exact route, the Gram of the differences
+    check_stability_t1(f, r, Theorem1Params(0.0, 0.0, 0.2))
+    assert len(calls) == 3
+    calls.clear()
+    check_stability_t1(f, r, Theorem1Params(0.2, 0.0, 0.0))
+    assert len(calls) == 2
+
+
 def test_t1_invalid_params():
     f = shifted_basis_operator_frame(4)
     with pytest.raises(InvalidParams):
@@ -183,6 +200,17 @@ def test_t2_detects_hypothesis_violation():
     assert not v.hypothesis_ok
 
 
+def test_t2_detects_undersized_mu():
+    # the difference is one entry of H^6, so random block vectors almost
+    # never point along it; only the exact route refuses mu = 0.9 ||D||
+    delta = 0.37
+    eye = QMatrix.identity(6)
+    f = OperatorFrame(6, [eye])
+    r = OperatorFrame(6, [eye - QMatrix.from_real(np.diag([delta] + [0.0] * 5))])
+    assert not check_stability_t2(f, r, Theorem2Params(0.0, 0.9 * delta)).hypothesis_ok
+    assert check_stability_t2(f, r, fit_params_t2(f, r)).hypothesis_ok
+
+
 def test_t2_interval_widens_with_constants():
     f = shifted_basis_operator_frame(5)
     r = scaled(f, 0.9)
@@ -223,6 +251,23 @@ def test_scaled_pairs_consistent_under_both_fits():
         produced_t2 += 1
         assert v2.hypothesis_ok and v2.consistent
     assert produced_t2 >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.floats(0.05, 1.95, exclude_min=True, exclude_max=True),
+       st.integers(-6, 6))
+def test_scaled_pairs_hold_and_stay_consistent_at_any_scale(seed, c, k):
+    # R = c F meets theorem 1 with lambda1 = 1 - c (c < 1) and theorem 2
+    # with lambda = |1 - c| exactly, each attaining a predicted bound, on
+    # a random frame with r1 != 1 whose entries are scaled by 10^k
+    f = random_operator_frame(np.random.default_rng(seed), 3, [2] * 4, scale=10.0 ** k)
+    r = scaled(f, c)
+    if c < 1.0:
+        v1 = check_stability_t1(f, r, Theorem1Params(1.0 - c, 0.0, 0.0))
+        assert v1.hypothesis_ok and v1.consistent
+    v2 = check_stability_t2(f, r, Theorem2Params(abs(1.0 - c), 0.0))
+    assert v2.hypothesis_ok and v2.consistent
 
 
 def test_measured_bounds_agree_with_rayleigh_sampling():
