@@ -24,7 +24,7 @@ from quatframes.fileio import (
     vector_obj,
     write_document,
 )
-from quatframes.linalg import outer
+from quatframes.linalg import QVector, outer
 from quatframes.operator_frames import OperatorFrame
 from quatframes.vector_frames import VectorFrame
 
@@ -125,6 +125,19 @@ def test_analyze_pseudo_checks(files, capsys):
     assert doc["checks"]["holds"] is True
     assert doc["checks"]["max_residual"] == 0
     assert doc["seed"] == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_pseudo_residual_exits_two(capsys, tmp_path):
+    # the residual of x = e_1 is 1e400 e_1, refused before LAPACK sees it
+    basis = [vector_obj(b * 1e200) for b in standard_basis(4)]
+    path = str(tmp_path / "huge_pseudo.json")
+    write_document(path, {"kind": "pseudo", "dim": 4, "analyzers": basis,
+                          "synthesizers": basis,
+                          "subspace": [vector_obj(standard_basis(4)[0])]})
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_nonframe_still_reports(files, capsys):
@@ -418,6 +431,21 @@ def test_reconstruct_supplied_vector(files, capsys):
     code, doc, _ = run_json(capsys, "reconstruct", files["coords"],
                             "--vector", files["probe"])
     assert code == 0 and doc["vector_count"] == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e8, 1e300])
+def test_reconstruct_verdict_is_relative_to_the_vector(capsys, tmp_path, scale):
+    # the residual is round-off relative to ||x||, so ok at any scale; at
+    # 1e300 the norms must not square the entries to inf
+    gen = np.random.default_rng(0)
+    frame = VectorFrame(4, [QVector(m) for m in gen.standard_normal((8, 4, 4))])
+    frame_path, vector_path = str(tmp_path / "vf.json"), str(tmp_path / "x.json")
+    write_document(frame_path, vector_frame_obj(frame))
+    write_document(vector_path, vector_obj(QVector(gen.standard_normal((4, 4)) * scale)))
+    code, doc, err = run_json(capsys, "reconstruct", frame_path, "--vector", vector_path)
+    assert code == 0 and err == "" and doc["ok"] is True
+    assert 0 < doc["max_residual"] <= 1e-12 * scale
 
 
 def test_reconstruct_vector_dim_mismatch(files, capsys, tmp_path):

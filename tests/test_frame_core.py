@@ -25,12 +25,14 @@ from quatframes.operator_frames import (
     BlockVector,
     OperatorFrame,
     op_analysis,
+    op_dual,
     op_frame_operator,
+    op_parseval,
     op_report,
     op_synthesis,
 )
 from quatframes.quaternion import Quaternion
-from quatframes.reporting import FRAME_TOL
+from quatframes.reporting import FRAME_TOL, extremal_eigenvalues
 from quatframes.vector_frames import VectorFrame, frame_operator, report
 
 # rounding of sums of at most a few dozen products, relative to the
@@ -38,6 +40,9 @@ from quatframes.vector_frames import VectorFrame, frame_operator, report
 SUM_RTOL = 1e-13
 
 EXAMPLES = settings(max_examples=60, deadline=None)
+# round-off of a dual or a Parseval normalization, relative to the frame's
+# condition number r2/r1 and the norm of the result
+DUAL_RTOL = 1e-13
 
 
 @st.composite
@@ -173,3 +178,39 @@ def test_flags_invariant_under_unitaries(f, seed):
     u = QMatrix.from_columns(orthonormalize(
         [QVector(gen.standard_normal((n, 4))) for _ in range(n)]))
     assert flags(rotated(f, u)) == flags(f)
+
+
+@st.composite
+def operator_frames(draw):
+    """A random frame of operators on H^n, n <= 24, with mixed codomain
+    dimensions, at least n + 1 rows in all, and entries scaled by 10^k."""
+    n = draw(st.integers(1, 24))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    if sum(dims) <= n:
+        dims.append(n + 1 - sum(dims))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    return OperatorFrame(n, [QMatrix(gen.standard_normal((d, n, 4)) * scale)
+                             for d in dims])
+
+
+def condition(f):
+    lower, upper = extremal_eigenvalues(op_frame_operator(f))
+    return upper / lower
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_frames())
+def test_dual_of_dual_recovers_the_frame(f):
+    a = f.analysis_matrix()
+    back = op_dual(op_dual(f)).analysis_matrix()
+    assert frobenius_distance(back, a) <= DUAL_RTOL * condition(f) * a.frobenius()
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_frames())
+def test_parseval_normalization_is_idempotent(f):
+    p = op_parseval(f)
+    again = op_parseval(p).analysis_matrix()
+    a = p.analysis_matrix()
+    assert frobenius_distance(again, a) <= DUAL_RTOL * condition(f) * a.frobenius()

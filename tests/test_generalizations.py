@@ -22,6 +22,7 @@ from quatframes.generalizations import (
     quasi_projector_check,
     quasi_to_op_frame,
 )
+from quatframes import linalg
 from quatframes.linalg import QMatrix, QVector, frobenius_distance, inner, outer
 from quatframes.operator_frames import op_analysis, op_frame_operator, op_report
 from quatframes.quaternion import I, Quaternion
@@ -37,6 +38,20 @@ def shifted_subspaces(dim):
 def coordinate_projectors(dim):
     basis = standard_basis(dim)
     return [outer(b, b) for b in basis]
+
+
+@pytest.fixture
+def gram_schmidt_calls(monkeypatch):
+    """A list that grows by one entry per call of linalg._gram_schmidt."""
+    calls = []
+    inner_gs = linalg._gram_schmidt
+
+    def counted(*args):
+        calls.append(args)
+        return inner_gs(*args)
+
+    monkeypatch.setattr(linalg, "_gram_schmidt", counted)
+    return calls
 
 
 # ====== fusion frames ======
@@ -98,6 +113,17 @@ def test_fusion_conversion_preserves_energies():
                               fusion_frame_operator(f)) <= 1e-12
 
 
+def test_fusion_conversion_reuses_the_orthonormal_bases(gram_schmidt_calls):
+    gen = np.random.default_rng(SEED)
+    f = FusionFrame(5, [[random_qvector(gen, 5) for _ in range(2)], [],
+                        [random_qvector(gen, 5)]], [1.0, 2.0, 0.5])
+    del gram_schmidt_calls[:]
+    g = fusion_to_op_frame(f)
+    assert gram_schmidt_calls == []
+    # the empty subspace contributes the zero map
+    assert not g.members[1].data.any()
+
+
 # ====== pseudo-frame pairs ======
 
 def odd_shift_pair(dim, members):
@@ -142,6 +168,18 @@ def test_doubled_synthesizers_fail_with_unit_residual():
     check = pseudo_frame_check(pair)
     assert not check.holds
     assert abs(check.max_residual - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n, defect", [(64, 3e-9), (16, 2e-9)])
+def test_pseudo_check_finds_the_worst_residual(n, defect):
+    # synthesizers e_i + c e_1 give Psi Phi = I + D with D = c e_1 (1, ..., 1),
+    # ||D|| = c sqrt(n) = defect, attained at (1, ..., 1) / sqrt(n)
+    basis = standard_basis(n)
+    c = defect / np.sqrt(n)
+    pair = PseudoFramePair(n, basis, [b + basis[0] * c for b in basis], basis)
+    check = pseudo_frame_check(pair)
+    assert not check.holds
+    assert abs(check.max_residual - defect) <= 1e-6 * defect
 
 
 def test_pseudo_conversion_on_first_coordinate_is_parseval():
@@ -235,6 +273,22 @@ def test_quasi_conversion_of_coordinate_projectors_is_parseval():
         x = random_qvector(gen, 6)
         direct = sum((p @ x).norm_sq() for p in system.projectors)
         assert abs(direct - op_analysis(g, x).norm_sq()) <= 1e-12 * max(1.0, direct)
+
+
+def test_quasi_check_orthonormalizes_each_range_once(gram_schmidt_calls):
+    gen = np.random.default_rng(SEED)
+    u = QMatrix.from_columns(linalg.orthonormalize(
+        [random_qvector(gen, 4) for _ in range(4)]))
+    # projectors onto the lines of a random orthonormal basis
+    system = QuasiProjectorSystem(4, [outer(u.column(c), u.column(c))
+                                      for c in range(4)])
+    del gram_schmidt_calls[:]
+    check = quasi_projector_check(system)
+    assert check.compatible and check.resolution_ok and check.self_adjoint
+    assert len(gram_schmidt_calls) == 4
+    del gram_schmidt_calls[:]
+    quasi_to_op_frame(system)
+    assert gram_schmidt_calls == []
 
 
 def test_decomposition_drives_compatibility():
