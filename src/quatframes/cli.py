@@ -259,7 +259,11 @@ def cmd_reconstruct(args) -> int:
         x = random_columns(np.random.default_rng(args.seed), frame.space_dim,
                            args.random)
 
-    residuals = (dual_synthesis @ (analysis @ x) - x).column_norms()
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = (dual_synthesis @ (analysis @ x) - x).column_norms()
+    if not np.isfinite(residuals).all():
+        raise NonFinite("reconstruction residual is inf or nan, such as from "
+                        "an overflow; rescale the input")
     doc = _head("reconstruct", args.path)
     doc["kind"] = kind
     doc["seed"] = args.seed

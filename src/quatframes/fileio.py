@@ -253,14 +253,14 @@ def load_vector(path: str) -> QVector:
 # ====== serialization ======
 
 def vector_obj(v: QVector) -> dict:
-    return {"dim": v.dim, "data": v.data.tolist()}
+    return {"dim": v.dim, "data": v.data}
 
 
 def matrix_obj(m: QMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "data": m.data.tolist(),
+        "data": m.data,
     }
 
 
@@ -282,12 +282,6 @@ def operator_frame_obj(f: OperatorFrame) -> dict:
 
 # ====== deterministic 12-digit JSON ======
 
-def _format_real(x: float) -> str:
-    if x == 0.0:
-        return "0"  # avoid the "-0" spelling
-    return f"{x:.12g}"
-
-
 def _scalar(value: Any) -> str | None:
     if value is None:
         return "null"
@@ -296,10 +290,24 @@ def _scalar(value: Any) -> str | None:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_real(value)
+        # adding 0.0 turns -0.0 into 0.0, so zero is always spelled "0";
+        # _array_text spells payload numbers the same way
+        return "%.12g" % (value + 0.0)
     if isinstance(value, str):
         return json.dumps(value)
     return None
+
+
+def _array_text(a: np.ndarray, pad: str) -> str:
+    """A rank-1 or rank-2 float array laid out as the list walk lays out
+    its .tolist(), from one "%.12g" template: a row inline, rows one per
+    line."""
+    text = "[" + ", ".join(["%.12g"] * a.shape[-1]) + "]"
+    if a.ndim == 2:
+        if not len(a):
+            return "[]"
+        text = "[\n" + ",\n".join([pad + "  " + text] * len(a)) + "\n" + pad + "]"
+    return text % tuple((a + 0.0).ravel().tolist())
 
 
 def _emit(value: Any, indent: int, out: list[str]) -> None:
@@ -319,8 +327,11 @@ def _emit(value: Any, indent: int, out: list[str]) -> None:
             out.append(",\n" if k + 1 < len(value) else "\n")
         out.append(pad + "}")
         return
-    if isinstance(value, (list, tuple)):
-        if not value:
+    if isinstance(value, np.ndarray) and value.ndim in (1, 2):
+        out.append(_array_text(value, pad))
+        return
+    if isinstance(value, (list, tuple, np.ndarray)):
+        if not len(value):
             out.append("[]")
             return
         parts = [_scalar(entry) for entry in value]

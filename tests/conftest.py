@@ -6,6 +6,8 @@ diag(2, 1, ..., 1), bounds 1 and 2), the coordinate functionals (Parseval),
 and the coordinate projectors (a resolution of the identity).
 """
 
+import json
+
 import numpy as np
 
 from quatframes.linalg import QMatrix, QVector
@@ -24,6 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def json_doc(obj):
+    """A written document as json.loads reads it back: the writer's
+    float64 payload arrays become nested lists of floats."""
+    return json.loads(json.dumps(obj, default=np.ndarray.tolist))
 
 
 def standard_basis(dim):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     coordinate_functional_frame,
+    json_doc,
     random_operator_frame,
     random_qmatrix,
     shifted_basis_operator_frame,
@@ -448,6 +449,20 @@ def test_reconstruct_verdict_is_relative_to_the_vector(capsys, tmp_path, scale):
     assert 0 < doc["max_residual"] <= 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error")
+def test_reconstruct_overflow_is_nonfinite(capsys, tmp_path):
+    # A x overflows: one error line and exit 2, not "max_residual": NaN
+    gen = np.random.default_rng(0)
+    members = gen.standard_normal((8, 4, 4)) * 1e10
+    frame = VectorFrame(4, [QVector(m) for m in members])
+    frame_path, vector_path = str(tmp_path / "vf.json"), str(tmp_path / "x.json")
+    write_document(frame_path, vector_frame_obj(frame))
+    write_document(vector_path, vector_obj(QVector(gen.standard_normal((4, 4)) * 1e300)))
+    code, out, err = run(capsys, "reconstruct", frame_path, "--vector", vector_path)
+    assert code == cli.EXIT_CODES[errors.NonFinite] == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reconstruct_vector_dim_mismatch(files, capsys, tmp_path):
     path = str(tmp_path / "short.json")
     write_document(path, vector_obj(standard_basis(2)[0]))
@@ -500,14 +515,15 @@ def test_usage_error_from_argparse(files):
 def test_nonfinite_number_is_parse_error(capsys, tmp_path, kind, field, value):
     basis = standard_basis(4)
     if kind == "vector_frame":
-        obj = vector_frame_obj(VectorFrame(4, basis))
+        obj = json_doc(vector_frame_obj(VectorFrame(4, basis)))
         obj["members"][1]["data"][2][3] = value
     elif kind == "operator_frame":
-        obj = operator_frame_obj(coordinate_functional_frame(4))
+        obj = json_doc(operator_frame_obj(coordinate_functional_frame(4)))
         obj["members"][3]["data"][0][2][0] = value
     else:
         obj = {"kind": "fusion", "dim": 4, "weights": [1.0, value],
-               "subspaces": [[vector_obj(basis[0])], [vector_obj(basis[1])]]}
+               "subspaces": json_doc([[vector_obj(basis[0])],
+                                      [vector_obj(basis[1])]])}
     path = tmp_path / "nonfinite.json"
     # json.dumps spells the value as the NaN or Infinity token
     path.write_text(json.dumps(obj))
@@ -518,7 +534,7 @@ def test_nonfinite_number_is_parse_error(capsys, tmp_path, kind, field, value):
 
 def test_overlong_integer_literal_is_parse_error(capsys, tmp_path):
     # json.loads refuses integer literals beyond Python's digit limit
-    obj = vector_frame_obj(VectorFrame(2, standard_basis(2)))
+    obj = json_doc(vector_frame_obj(VectorFrame(2, standard_basis(2))))
     text = json.dumps(obj).replace("1.0", "1" + "0" * 4999, 1)
     path = tmp_path / "long.json"
     path.write_text(text)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import shifted_basis_vector_frame, standard_basis
+from conftest import json_doc, shifted_basis_vector_frame, standard_basis
 from quatframes.errors import ParseError, ValidationError
 from quatframes.fileio import (
     dumps12,
@@ -127,8 +128,8 @@ def test_quasi_square_check():
 def test_all_kinds_dispatch():
     basis = standard_basis(2)
     z = vec_obj(basis[0])
-    p = matrix_obj(outer(basis[0], basis[0]))
-    eye = matrix_obj(QMatrix.identity(2))
+    p = json_doc(matrix_obj(outer(basis[0], basis[0])))
+    eye = json_doc(matrix_obj(QMatrix.identity(2)))
     cases = [
         ({"kind": "vector_frame", "dim": 2, "members": [z]}, VectorFrame),
         ({"kind": "operator_frame", "dim": 2, "members": [eye]}, OperatorFrame),
@@ -205,7 +206,75 @@ def test_operator_frame_round_trip(tmp_path):
 def test_vector_obj_matches_format():
     v = standard_basis(2)[1]
     obj = vector_obj(v)
-    assert obj == {"dim": 2, "data": [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
+    assert list(obj) == ["dim", "data"] and obj["dim"] == 2
+    assert obj["data"].tolist() == [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+
+GOLDEN_OPERATOR_FRAME = """{
+  "kind": "operator_frame",
+  "dim": 2,
+  "members": [
+    {
+      "rows": 1,
+      "cols": 2,
+      "data": [
+        [
+          [1, 0, 0.5, 1.5e-300],
+          [0, 0, 0, 0]
+        ]
+      ]
+    },
+    {
+      "rows": 2,
+      "cols": 2,
+      "data": [
+        [
+          [0, 0.333333333333, 0, 0],
+          [-2, 0, 0, 0]
+        ],
+        [
+          [0, 0, 0, 0],
+          [0, 0, 1e+20, -1.25]
+        ]
+      ]
+    }
+  ]
+}"""
+
+
+def test_operator_frame_layout_is_pinned():
+    frame = OperatorFrame(2, [
+        QMatrix(np.array([[[1.0, -0.0, 0.5, 1.5e-300], [0.0, 0.0, 0.0, 0.0]]])),
+        QMatrix(np.array([[[0.0, 1 / 3, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0]],
+                          [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1e20, -1.25]]])),
+    ])
+    obj = operator_frame_obj(frame)
+    # the array payloads and the same numbers as nested lists
+    assert dumps12(obj) == GOLDEN_OPERATOR_FRAME
+    assert dumps12(json_doc(obj)) == GOLDEN_OPERATOR_FRAME
+
+
+# any finite float, with -0.0, the smallest subnormal and the largest
+# float drawn often
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                               -1.7976931348623157e308])
+PAYLOAD_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           EDGE_FLOATS)
+PAYLOAD_SHAPES = st.one_of(
+    st.just((4,)),
+    st.tuples(st.integers(0, 5), st.just(4)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(arrays(np.float64, PAYLOAD_SHAPES, elements=PAYLOAD_FLOATS),
+                max_size=3))
+def test_array_payloads_write_as_their_lists(payloads):
+    doc = {"dim": 4, "members": [{"dim": 4, "data": p} for p in payloads],
+           "last": payloads[-1] if payloads else []}
+    listed = {"dim": 4, "members": [{"dim": 4, "data": p.tolist()} for p in payloads],
+              "last": payloads[-1].tolist() if payloads else []}
+    assert dumps12(doc) == dumps12(listed)
 
 
 # ====== the array path against the per-entry walk ======

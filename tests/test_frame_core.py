@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analysis_row
+from quatframes.cli import RECONSTRUCT_TOL
 from quatframes.generalizations import (
     FusionFrame,
     fusion_frame_operator,
@@ -32,7 +33,8 @@ from quatframes.operator_frames import (
     op_synthesis,
 )
 from quatframes.quaternion import Quaternion
-from quatframes.reporting import FRAME_TOL, extremal_eigenvalues
+from quatframes.reporting import FRAME_TOL, dual_rows, extremal_eigenvalues
+from quatframes.sampling import random_columns
 from quatframes.vector_frames import VectorFrame, frame_operator, report
 
 # rounding of sums of at most a few dozen products, relative to the
@@ -214,3 +216,24 @@ def test_parseval_normalization_is_idempotent(f):
     again = op_parseval(p).analysis_matrix()
     a = p.analysis_matrix()
     assert frobenius_distance(again, a) <= DUAL_RTOL * condition(f) * a.frobenius()
+
+
+@st.composite
+def vector_frames(draw):
+    """A random frame of n + 1 to n + 6 vectors in H^n, n <= 24, with
+    entries scaled by 10^k."""
+    n = draw(st.integers(1, 24))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = n + draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    return VectorFrame(n, [QVector(gen.standard_normal((n, 4)) * scale)
+                           for _ in range(m)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(vector_frames(), operator_frames()), st.integers(0, 2**32 - 1))
+def test_reconstruction_through_the_dual_returns_the_input(f, seed):
+    a = f.analysis_matrix()
+    x = random_columns(np.random.default_rng(seed), f.space_dim, 3)
+    back = dual_rows(a).adjoint() @ (a @ x)
+    assert ((back - x).column_norms() <= RECONSTRUCT_TOL * x.column_norms()).all()

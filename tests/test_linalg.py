@@ -458,3 +458,27 @@ def test_orthonormalize_matches_modified_gram_schmidt(vecs):
         b = QMatrix.from_columns(basis)
         gram = (b.adjoint() @ b).data - QMatrix.identity(len(basis)).data
         assert np.abs(gram).max() <= 1e-12
+
+
+# ====== the chi homomorphism at n = 24 ======
+
+# rounding of a product or an inverse of 48 x 48 complex matrices, relative
+# to the norms of the factors (times the condition number for an inverse)
+CHI_RTOL = 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-8, 8))
+def test_chi_is_multiplicative_and_inverts_at_n24(seed, k):
+    gen = np.random.default_rng(seed)
+    scale = 10.0 ** k
+    a = random_qmatrix(gen, 24, 24, scale)
+    b = random_qmatrix(gen, 24, 24, 1.0 / scale)
+    ha, hb = complex_adjoint_rep(a), complex_adjoint_rep(b)
+    product = complex_adjoint_rep(a @ b)
+    assert (np.linalg.norm(product - ha @ hb)
+            <= CHI_RTOL * np.linalg.norm(ha) * np.linalg.norm(hb))
+    inv = complex_adjoint_rep(inverse_matrix(a))
+    expected = np.linalg.inv(ha)
+    assert (np.linalg.norm(inv - expected)
+            <= CHI_RTOL * np.linalg.cond(ha) * np.linalg.norm(expected))
