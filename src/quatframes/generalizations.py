@@ -27,6 +27,7 @@ from .linalg import (
     QMatrix,
     _conj4,
     _finite_chi,
+    _projection,
     frobenius_distance,
     orthonormalize,
 )
@@ -45,12 +46,6 @@ from .vector_frames import VectorFrame, synthesis_matrix
 STRUCTURE_TOL = 1e-10
 # reconstruction residual under which a pseudo-frame pair counts as working
 PSEUDO_TOL = 1e-9
-
-
-def _projection(space_dim: int, basis) -> QMatrix:
-    """B B*, the orthogonal projection onto the span of the orthonormal
-    basis B; the zero map when B is empty."""
-    return gram(stack_rows(space_dim, [_conj4(b.data)[None] for b in basis]))
 
 
 # ====== fusion frames ======

@@ -40,7 +40,7 @@ from .quaternion import Quaternion
 
 # relative self-adjointness tolerance for spectral routines
 HERMITIAN_RTOL = 1e-9
-# eigenvalues of nominally positive operators in [-CLAMP, 0) are clamped to 0
+# eigenvalues of chi(S) in [-CLAMP * max |eigenvalue|, 0) are clamped to 0
 EIGENVALUE_CLAMP = 1e-10
 # solve and inverse refuse a matrix whose smallest singular value is not
 # above this fraction of ||A||_F; LAPACK itself only stops on exact zeros
@@ -70,16 +70,15 @@ def _join(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
 
 
-def _norm(a: np.ndarray) -> float:
-    """2-norm of all entries.  They are scaled by the power of two nearest
-    the largest magnitude before squaring, so that squares of entries
-    above 1e154 do not overflow (nor those below 1e-154 underflow); a
-    power of two scales exactly, so in between the digits are unchanged."""
-    top = float(np.abs(a).max(initial=0.0))
-    if top == 0.0 or not np.isfinite(top):
-        return top
-    _, exp = np.frexp(top)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -exp)), exp))
+def _norm(a: np.ndarray, axis=None):
+    """2-norm of all entries, or of each slice along axis.  Each slice is
+    scaled by the power of two nearest its largest magnitude before
+    squaring, so that squares of entries above 1e154 do not overflow (nor
+    those below 1e-154 underflow); a power of two scales exactly, so in
+    between the digits are unchanged."""
+    _, exp = np.frexp(np.abs(a).max(axis=axis, initial=0.0, keepdims=True))
+    scaled = np.linalg.norm(np.ldexp(a, -exp), axis=axis)
+    return np.ldexp(scaled, exp.squeeze(axis))
 
 
 def _as_qarray(data, ndim: int) -> np.ndarray:
@@ -149,7 +148,7 @@ class QVector:
         return NotImplemented
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return float(_norm(self.data))
 
     def norm_sq(self) -> float:
         return float(np.sum(self.data * self.data))
@@ -232,13 +231,11 @@ class QMatrix:
         return QMatrix(_conj4(np.swapaxes(self.data, 0, 1)))
 
     def frobenius(self) -> float:
-        return _norm(self.data)
+        return float(_norm(self.data))
 
     def column_norms(self) -> np.ndarray:
-        """2-norm of each column, scaled per column as _norm scales."""
-        _, exp = np.frexp(np.abs(self.data).max(axis=(0, 2), initial=0.0))
-        scaled = np.linalg.norm(np.ldexp(self.data, -exp[:, None]), axis=(0, 2))
-        return np.ldexp(scaled, exp)
+        """2-norm of each column."""
+        return _norm(self.data, axis=(0, 2))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         self._check_shape(other)
@@ -291,7 +288,7 @@ def outer(u: QVector, v: QVector) -> QMatrix:
 
 
 def frobenius_distance(a: QMatrix, b: QMatrix) -> float:
-    return _norm(a.data - b.data)
+    return float(_norm(a.data - b.data))
 
 
 # ====== complex adjoint representation ======
@@ -424,12 +421,14 @@ def hermitian_spectrum(s: QMatrix) -> Spectrum:
 def positive_sqrt(s: QMatrix) -> QMatrix:
     """Principal square root of a positive self-adjoint matrix.
 
-    Eigenvalues in [-EIGENVALUE_CLAMP, 0) are clamped to zero; anything
+    Negative eigenvalues of chi(S) down to -EIGENVALUE_CLAMP times its
+    largest |eigenvalue| are clamped to zero, at any scale of S; anything
     below that raises NotPositive.
     """
     w, v = np.linalg.eigh(_hermitian_chi(s))
-    if w.min(initial=0.0) < -EIGENVALUE_CLAMP:
-        raise NotPositive(f"eigenvalue {w.min():.3e} below -{EIGENVALUE_CLAMP:.0e}")
+    floor = -EIGENVALUE_CLAMP * np.abs(w).max(initial=0.0)
+    if w.min(initial=0.0) < floor:
+        raise NotPositive(f"eigenvalue {w.min():.3e} below the relative floor {floor:.3e}")
     w = np.where(w < 0.0, 0.0, w)
     root = (v * np.sqrt(w)[None, :]) @ v.conj().T
     root = (root + root.conj().T) / 2.0
@@ -487,11 +486,27 @@ def orthonormalize(vectors) -> list[QVector]:
     return [basis.column(c) for c in range(basis.cols)]
 
 
+def gram(a: QMatrix) -> QMatrix:
+    """A* A, pinned to exact self-adjointness.
+
+    Entries that overflow become inf or nan here without a warning; the
+    spectral routines refuse them with NonFinite before LAPACK runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (a.adjoint() @ a).data
+        return QMatrix((s + _conj4(np.swapaxes(s, 0, 1))) / 2.0)
+
+
+def _projection(space_dim: int, basis) -> QMatrix:
+    """B B*, the orthogonal projection onto the span of the orthonormal
+    basis B; the zero map when B is empty."""
+    rows = np.concatenate([np.zeros((0, space_dim, 4)), *(b.data[None] for b in basis)])
+    return gram(QMatrix(_conj4(rows)))
+
+
 def projection(vectors) -> QMatrix:
     """Orthogonal projection onto the right span of the given vectors."""
-    basis = orthonormalize(vectors)
-    if not basis:
-        dim = next(iter(vectors)).dim
-        return QMatrix.zeros(dim, dim)
-    b = QMatrix.from_columns(basis)
-    return b @ b.adjoint()
+    vectors = list(vectors)
+    if not vectors:
+        raise DimensionMismatch("projection needs a vector to fix the space dimension")
+    return _projection(vectors[0].dim, orthonormalize(vectors))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import QMatrix, QVector, _conj4
+from .linalg import QMatrix, QVector, _conj4, _norm
 from .reporting import (
     FrameReport,
     build_report,
@@ -73,11 +73,16 @@ class BlockVector:
     def __init__(self, blocks):
         self.blocks = list(blocks)
 
+    @property
+    def data(self) -> np.ndarray:
+        """The blocks one below the other, as one (sum_i d_i, 4) array."""
+        return np.concatenate([np.zeros((0, 4))] + [b.data for b in self.blocks])
+
     def norm_sq(self) -> float:
         return float(sum(b.norm_sq() for b in self.blocks))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
+        return float(_norm(self.data))
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -114,8 +119,7 @@ def op_synthesis(f: OperatorFrame, x: BlockVector) -> QVector:
     if dims != f.codomain_dims:
         raise DimensionMismatch(
             f"block dims {dims} vs codomain dims {f.codomain_dims}")
-    x_data = np.concatenate([np.zeros((0, 4))] + [b.data for b in x.blocks])
-    return f.analysis_matrix().adjoint() @ QVector(x_data)
+    return f.analysis_matrix().adjoint() @ QVector(x.data)
 
 
 @dataclass(frozen=True)

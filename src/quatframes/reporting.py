@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFrame
-from .linalg import QMatrix, _conj4, hermitian_eigenvalues, inverse_matrix, positive_sqrt
+from .linalg import QMatrix, gram, hermitian_eigenvalues, inverse_matrix, positive_sqrt
 
 # a family is a frame when the smallest eigenvalue of S clears this
 # fraction of the largest, so the verdict does not depend on the scale
@@ -60,17 +60,6 @@ def split_rows(data: np.ndarray, dims) -> list[np.ndarray]:
     """The row blocks of a stacked array, d_i rows for member i."""
     stops = np.cumsum(dims, dtype=int)
     return [data[stop - d:stop] for d, stop in zip(dims, stops)]
-
-
-def gram(a: QMatrix) -> QMatrix:
-    """A* A, pinned to exact self-adjointness.
-
-    Entries that overflow become inf or nan here without a warning; the
-    spectral routines refuse them with NonFinite before LAPACK runs.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = (a.adjoint() @ a).data
-        return QMatrix((s + _conj4(np.swapaxes(s, 0, 1))) / 2.0)
 
 
 def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:

@@ -9,16 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import QMatrix, QVector
-from .operator_frames import BlockVector, OperatorFrame
+from .operator_frames import BlockVector
 from .quaternion import Quaternion
 
+# random_unit_qvector redraws a standard normal vector whose norm is at most
+# this, so that its normalization is not dominated by rounding
+UNIT_REDRAW_NORM = 1e-6
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_components(rng.standard_normal(4) * scale)
+
+def random_quaternion(rng: np.random.Generator) -> Quaternion:
+    return Quaternion.from_components(rng.standard_normal(4))
 
 
-def random_qvector(rng: np.random.Generator, dim: int, scale: float = 1.0) -> QVector:
-    return QVector(rng.standard_normal((dim, 4)) * scale)
+def random_qvector(rng: np.random.Generator, dim: int) -> QVector:
+    return QVector(rng.standard_normal((dim, 4)))
 
 
 def random_columns(rng: np.random.Generator, dim: int, count: int) -> QMatrix:
@@ -31,19 +35,12 @@ def random_unit_qvector(rng: np.random.Generator, dim: int) -> QVector:
     while True:
         data = rng.standard_normal((dim, 4))
         norm = np.linalg.norm(data)
-        if norm > 1e-6:
+        if norm > UNIT_REDRAW_NORM:
             return QVector(data / norm)
 
 
-def random_qmatrix(rng: np.random.Generator, rows: int, cols: int,
-                   scale: float = 1.0) -> QMatrix:
-    return QMatrix(rng.standard_normal((rows, cols, 4)) * scale)
-
-
-def random_operator_frame(rng: np.random.Generator, dim: int,
-                          codomain_dims, scale: float = 1.0) -> OperatorFrame:
-    return OperatorFrame(dim, [random_qmatrix(rng, d, dim, scale)
-                               for d in codomain_dims])
+def random_qmatrix(rng: np.random.Generator, rows: int, cols: int) -> QMatrix:
+    return QMatrix(rng.standard_normal((rows, cols, 4)))
 
 
 def random_block_vector(rng: np.random.Generator, dims) -> BlockVector:

@@ -177,12 +177,12 @@ def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
 
 
 def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
-                   mu: float, adjoint: bool, seed: int, samples: int) -> bool:
+                   mu: float, adjoint: bool, seed: int) -> bool:
     """||D x|| <= sum_k c_k ||M_k x|| + mu ||x|| with D = A_F - A_R and
     M = (A_F, A_R) cut to the constants c given, or all their adjoints.
 
     With every c_k = 0 this is ||D|| <= mu (||D*|| = ||D||), decided
-    exactly; otherwise it is tested on ``samples`` seeded random columns.
+    exactly; otherwise it is tested on DEFAULT_SAMPLES seeded random columns.
     """
     if not any(constants):
         return _difference_norm(f, r) <= mu
@@ -190,7 +190,7 @@ def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
     ops = [g.analysis_matrix() for g in families]
     if adjoint:
         ops = [m.adjoint() for m in ops]
-    x = random_columns(np.random.default_rng(seed), ops[0].cols, samples)
+    x = random_columns(np.random.default_rng(seed), ops[0].cols, DEFAULT_SAMPLES)
     lhs, *norms = [(m @ x).column_norms() for m in ops]
     rhs = mu * x.column_norms() + sum(c * n for c, n in zip(constants, norms))
     return bool(np.all(lhs <= rhs * (1.0 + HYPOTHESIS_SLACK)))
@@ -220,19 +220,18 @@ def _verdict(theorem: int, params, seed: int, hypothesis_ok: bool,
 
 
 def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Params,
-                       seed: int = 0,
-                       samples: int = DEFAULT_SAMPLES) -> StabilityVerdict:
+                       seed: int = 0) -> StabilityVerdict:
     """Test the analysis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     With lambda1 = lambda2 = 0 the hypothesis is decided exactly;
-    otherwise it is sampled on ``samples`` seeded random vectors.
+    otherwise it is sampled on DEFAULT_SAMPLES seeded random vectors.
     """
     params.validate()
     bounds = _frame_bounds_of(f)
     measured = extremal_eigenvalues(op_frame_operator(r))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2),
-                                   params.mu, False, seed, samples)
+                                   params.mu, False, seed)
     shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
     return _verdict(1, params, seed, hypothesis_ok, bounds, measured,
                     1.0 - shift / (1.0 + params.lambda2),
@@ -240,15 +239,14 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
 
 
 def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Params,
-                       seed: int = 0,
-                       samples: int = DEFAULT_SAMPLES) -> StabilityVerdict:
+                       seed: int = 0) -> StabilityVerdict:
     """Test the synthesis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     Raises ConditionViolated when (lambda + mu/sqrt(r1)) >= 1, in which
     case the theorem is silent.  With lambda = 0 the hypothesis is
-    decided exactly; otherwise it is sampled on ``samples`` seeded random
-    block vectors.
+    decided exactly; otherwise it is sampled on DEFAULT_SAMPLES seeded
+    random block vectors.
     """
     params.validate()
     r1, r2 = bounds = _frame_bounds_of(f)
@@ -257,8 +255,7 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
         raise ConditionViolated(
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
     measured = extremal_eigenvalues(op_frame_operator(r))
-    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True,
-                                   seed, samples)
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
     return _verdict(2, params, seed, hypothesis_ok, bounds, measured,
                     1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2),
                     T2_NOTE)

@@ -20,6 +20,7 @@ from quatframes.linalg import (
     QVector,
     complex_adjoint_rep,
     frobenius_distance,
+    gram,
     hermitian_eigenvalues,
     hermitian_spectrum,
     inner,
@@ -341,6 +342,70 @@ def test_positive_sqrt_clamps_roundoff_negatives():
     assert qclose(r[1, 1], Quaternion(), tol=1e-5)
 
 
+def test_positive_sqrt_refuses_tiny_indefinite():
+    # an absolute clamp would take -1e-12 for round-off and root diag(1e-12, 0)
+    with pytest.raises(NotPositive):
+        positive_sqrt(QMatrix.from_real(np.diag([1e-12, -1e-12])))
+
+
+def test_positive_sqrt_accepts_huge_semidefinite():
+    # rank 3 of 6 at 1e20: round-off leaves eigenvalues near -1e5 < -1e-10
+    b = QMatrix(np.random.default_rng(0).standard_normal((6, 3, 4)) * 1e10)
+    s = gram(b.adjoint())
+    r = positive_sqrt(s)
+    assert frobenius_distance(r @ r, s) <= 1e-12 * s.frobenius()
+
+
+def _psd_parts(seed, n, rank):
+    """(U, e, C): an orthonormal n x rank matrix U, a unit vector e
+    orthogonal to its columns, and a random rank x 2n matrix C, so that
+    B = U C has range(B) = range(U) whenever rank < n."""
+    gen = np.random.default_rng(seed)
+    basis = orthonormalize([random_qvector(gen, n) for _ in range(n)])
+    u = QMatrix.from_columns(basis[:rank])
+    return u, basis[-1], random_qmatrix(gen, rank, 2 * n)
+
+
+def _scaled(s, k):
+    return QMatrix(s.data * 10.0 ** k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(-100, 100))
+def test_positive_sqrt_is_homogeneous(seed, n, k):
+    u, _, c = _psd_parts(seed, n, n)
+    s = gram((u @ c).adjoint())
+    expected = positive_sqrt(s) * 10.0 ** (k / 2)
+    assert (frobenius_distance(positive_sqrt(_scaled(s, k)), expected)
+            <= 1e-10 * expected.frobenius())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data(), st.integers(-100, 100))
+def test_positive_sqrt_accepts_rank_deficient_at_every_scale(seed, n, data, k):
+    u, _, c = _psd_parts(seed, n, data.draw(st.integers(1, n - 1)))
+    s = _scaled(gram((u @ c).adjoint()), k)
+    r = positive_sqrt(s)
+    assert frobenius_distance(r @ r, s) <= 1e-12 * s.frobenius()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data(),
+       st.floats(1e-6, 1.0), st.integers(-100, 100))
+def test_positive_sqrt_refuses_negative_direction_at_every_scale(seed, n, data, delta, k):
+    u, e, c = _psd_parts(seed, n, data.draw(st.integers(1, n - 1)))
+    bb = gram((u @ c).adjoint())
+    s = bb - outer(e, e) * (delta * bb.frobenius())
+    with pytest.raises(NotPositive):
+        positive_sqrt(_scaled(s, k))
+
+
+def test_norms_do_not_overflow():
+    v = QVector([[1e200, 0, 0, 0], [0, 0, 0, 0]])
+    assert v.norm() == 1e200
+    assert QMatrix(v.data[:, None]).column_norms()[0] == 1e200
+
+
 # ====== orthonormalization and projections ======
 
 def test_gram_schmidt_simple():
@@ -379,6 +444,11 @@ def test_projection_is_idempotent_selfadjoint():
     # projecting a member of the span is the identity on it
     w = vecs[0] * Quaternion(0.2, 1.0, -0.4, 0.1) + vecs[1] * Quaternion(0, 2, 0, 1)
     assert (p @ w - w).norm() <= 1e-9 * w.norm()
+
+
+def test_projection_of_no_vectors_is_refused():
+    with pytest.raises(DimensionMismatch):
+        projection([])
 
 
 def test_projection_onto_first_coordinate():

@@ -217,3 +217,7 @@ def test_reconstruct_validates_shapes():
 def test_member_domain_validated():
     with pytest.raises(DimensionMismatch):
         OperatorFrame(4, [QMatrix.zeros(2, 3)])
+
+
+def test_block_vector_norm_does_not_overflow():
+    assert BlockVector([QVector([[1e200, 0, 0, 0], [0, 0, 0, 0]])]).norm() == 1e200
