@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -84,80 +85,77 @@ def parse_quaternion(obj: Any, where: str) -> Quaternion:
     return Quaternion(*(_as_real(c, f"{where}[{k}]") for k, c in enumerate(obj)))
 
 
-def _finite_array(data: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """`data` as a float64 array when it has `shape` and only finite
-    values, else None.  numpy also reads True, None and "1.5" as floats,
-    so the caller still checks the type of every leaf."""
+def _walk(data: Any, axes: tuple[str, ...], shape: tuple[int, ...], where: str) -> None:
+    """Raise at the first entry of `data`, depth first, that is not an
+    array of the declared length along `axes` or a quaternion."""
+    if not axes:
+        parse_quaternion(data, where)
+        return
+    if not isinstance(data, list):
+        raise ParseError(f"{where}: expected an array")
+    if len(data) != shape[0]:
+        raise ValidationError(
+            f"{where}: declared {axes[0]} {shape[0]} but has {len(data)} entries")
+    for k, entry in enumerate(data):
+        _walk(entry, axes[1:], shape[1:], f"{where}[{k}]")
+
+
+def _payload(obj: Any, axes: tuple[str, ...], where: str) -> np.ndarray:
+    """The (..., 4) float64 array of a vector (axes ("dim",)) or matrix
+    (axes ("rows", "cols")) payload, accepted when it has the declared
+    axis lengths and only finite values.  numpy also reads True, None and
+    "1.5" as floats, so the type of every leaf is checked as well.  A
+    refused payload is walked to report the first bad entry."""
+    shape = tuple([_as_count(_require(obj, axis, where), f"{where}.{axis}")
+                   for axis in axes])
+    data = _require(obj, "data", where)
     try:
         arr = np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.shape != shape or not np.isfinite(arr).all():
-        return None
+        arr = None
+    quaternions = data
+    for _ in axes[1:]:
+        quaternions = chain.from_iterable(quaternions)
+    if (arr is None or arr.shape != shape + (4,) or not np.isfinite(arr).all()
+            or not all(map(_is_real_type, {type(c) for q in quaternions for c in q}))):
+        _walk(data, axes, shape, f"{where}.data")
     return arr
 
 
-def _all_real(types: set[type]) -> bool:
-    return all(map(_is_real_type, types))
-
-
 def parse_vector(obj: Any, where: str) -> QVector:
-    dim = _as_count(_require(obj, "dim", where), f"{where}.dim")
-    data = _require(obj, "data", where)
-    if not isinstance(data, list):
-        raise ParseError(f"{where}.data: expected an array")
-    if len(data) != dim:
-        raise ValidationError(
-            f"{where}: declared dim {dim} but data has {len(data)} entries")
-    arr = _finite_array(data, (dim, 4))
-    if arr is None or not _all_real({type(c) for q in data for c in q}):
-        # the walk raises on the first entry the array checks refused
-        for k, c in enumerate(data):
-            parse_quaternion(c, f"{where}.data[{k}]")
-    return QVector(arr)
+    return QVector(_payload(obj, ("dim",), where))
 
 
 def parse_matrix(obj: Any, where: str) -> QMatrix:
-    rows = _as_count(_require(obj, "rows", where), f"{where}.rows")
-    cols = _as_count(_require(obj, "cols", where), f"{where}.cols")
-    data = _require(obj, "data", where)
-    if not isinstance(data, list):
-        raise ParseError(f"{where}.data: expected an array")
-    if len(data) != rows:
-        raise ValidationError(
-            f"{where}: declared rows {rows} but data has {len(data)} rows")
-    arr = _finite_array(data, (rows, cols, 4))
-    if arr is None or not _all_real(
-            {type(c) for row in data for q in row for c in q}):
-        # the walk raises on the first row or entry the array checks refused
-        for r, row in enumerate(data):
-            if not isinstance(row, list):
-                raise ParseError(f"{where}.data[{r}]: expected an array")
-            if len(row) != cols:
-                raise ValidationError(
-                    f"{where}.data[{r}]: declared cols {cols} but row has {len(row)}")
-            for k, c in enumerate(row):
-                parse_quaternion(c, f"{where}.data[{r}][{k}]")
-    return QMatrix(arr)
+    return QMatrix(_payload(obj, ("rows", "cols"), where))
 
 
-def _vector_list(obj: Any, dim: int, where: str) -> list[QVector]:
+def _list(obj: Any, parse, mismatch, where: str) -> list:
+    """Each entry of the array `obj` read by `parse`; `mismatch(entry)` is
+    the message for an entry whose dimensions the frame refuses, and
+    false otherwise."""
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array")
     out = []
     for k, entry in enumerate(obj):
-        v = parse_vector(entry, f"{where}[{k}]")
-        if v.dim != dim:
-            raise ValidationError(
-                f"{where}[{k}]: dimension {v.dim} does not match frame dim {dim}")
-        out.append(v)
+        out.append(parse(entry, f"{where}[{k}]"))
+        problem = mismatch(out[-1])
+        if problem:
+            raise ValidationError(f"{where}[{k}]: {problem}")
     return out
+
+
+def _vectors(obj: Any, dim: int, where: str) -> list[QVector]:
+    return _list(obj, parse_vector, lambda v: v.dim != dim and
+                 f"dimension {v.dim} does not match frame dim {dim}", where)
 
 
 def parse_frame(obj: Any):
     """Dispatch a parsed frame file on its kind.
 
     Returns (kind, frame) where frame is the matching library object.
+    A file that holds no vector or matrix is refused: nothing in it
+    fixes the declared dim.
     """
     kind = _require(obj, "kind", "frame")
     if kind not in FRAME_KINDS:
@@ -166,25 +164,16 @@ def parse_frame(obj: Any):
     dim = _as_count(_require(obj, "dim", "frame"), "frame.dim")
 
     if kind == "vector_frame":
-        members = _vector_list(_require(obj, "members", "frame"), dim,
-                               "frame.members")
-        return kind, VectorFrame(dim, members)
+        held = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
+        frame = VectorFrame(dim, held)
 
-    if kind == "operator_frame":
-        raw = _require(obj, "members", "frame")
-        if not isinstance(raw, list):
-            raise ParseError("frame.members: expected an array")
-        members = []
-        for k, entry in enumerate(raw):
-            m = parse_matrix(entry, f"frame.members[{k}]")
-            if m.cols != dim:
-                raise ValidationError(
-                    f"frame.members[{k}]: domain dimension {m.cols} "
-                    f"does not match frame dim {dim}")
-            members.append(m)
-        return kind, OperatorFrame(dim, members)
+    elif kind == "operator_frame":
+        held = _list(_require(obj, "members", "frame"), parse_matrix,
+                     lambda m: m.cols != dim and f"domain dimension {m.cols} "
+                     f"does not match frame dim {dim}", "frame.members")
+        frame = OperatorFrame(dim, held)
 
-    if kind == "fusion":
+    elif kind == "fusion":
         weights_raw = _require(obj, "weights", "frame")
         if not isinstance(weights_raw, list):
             raise ParseError("frame.weights: expected an array")
@@ -196,35 +185,35 @@ def parse_frame(obj: Any):
         if len(weights) != len(subs_raw):
             raise ValidationError(
                 f"frame: {len(weights)} weights for {len(subs_raw)} subspaces")
-        subspaces = [_vector_list(s, dim, f"frame.subspaces[{k}]")
+        subspaces = [_vectors(s, dim, f"frame.subspaces[{k}]")
                      for k, s in enumerate(subs_raw)]
-        return kind, FusionFrame(dim, subspaces, weights)
+        held = any(subspaces)
+        frame = FusionFrame(dim, subspaces, weights)
 
-    if kind == "pseudo":
-        analyzers = _vector_list(_require(obj, "analyzers", "frame"), dim,
-                                 "frame.analyzers")
-        synthesizers = _vector_list(_require(obj, "synthesizers", "frame"), dim,
-                                    "frame.synthesizers")
+    elif kind == "pseudo":
+        analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,
+                             "frame.analyzers")
+        synthesizers = _vectors(_require(obj, "synthesizers", "frame"), dim,
+                                "frame.synthesizers")
         if len(analyzers) != len(synthesizers):
             raise ValidationError(
                 f"frame: {len(analyzers)} analyzers for "
                 f"{len(synthesizers)} synthesizers")
-        subspace = _vector_list(_require(obj, "subspace", "frame"), dim,
-                                "frame.subspace")
-        return kind, PseudoFramePair(dim, analyzers, synthesizers, subspace)
+        subspace = _vectors(_require(obj, "subspace", "frame"), dim,
+                            "frame.subspace")
+        held = analyzers or subspace
+        frame = PseudoFramePair(dim, analyzers, synthesizers, subspace)
 
-    raw = _require(obj, "projectors", "frame")
-    if not isinstance(raw, list):
-        raise ParseError("frame.projectors: expected an array")
-    projectors = []
-    for k, entry in enumerate(raw):
-        m = parse_matrix(entry, f"frame.projectors[{k}]")
-        if m.rows != dim or m.cols != dim:
-            raise ValidationError(
-                f"frame.projectors[{k}]: shape {m.rows}x{m.cols} "
-                f"is not {dim}x{dim}")
-        projectors.append(m)
-    return kind, QuasiProjectorSystem(dim, projectors)
+    else:
+        held = _list(_require(obj, "projectors", "frame"), parse_matrix,
+                     lambda m: m.shape != (dim, dim) and
+                     f"shape {m.rows}x{m.cols} is not {dim}x{dim}", "frame.projectors")
+        frame = QuasiProjectorSystem(dim, held)
+
+    if not held:
+        raise ValidationError(
+            f"frame.dim: the file holds no vector or matrix to fix dim {dim}")
+    return kind, frame
 
 
 def _load_json(path: str) -> Any:

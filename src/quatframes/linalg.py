@@ -81,30 +81,63 @@ def _norm(a: np.ndarray, axis=None):
     return np.ldexp(scaled, exp.squeeze(axis))
 
 
-def _as_qarray(data, ndim: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != ndim or arr.shape[-1] != 4:
-        raise DimensionMismatch(
-            f"expected an array of shape {'(n, 4)' if ndim == 2 else '(m, n, 4)'},"
-            f" got {arr.shape}")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+# ====== quaternion arrays ======
+
+class _QArray:
+    """Quaternion entries stored as a read-only contiguous float64 array
+    of rank _NDIM whose last axis holds the four components, with the
+    real linear-space operations that QVector and QMatrix share."""
+
+    __slots__ = ("data",)
+    _NDIM: int
+
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim != self._NDIM or arr.shape[-1] != 4:
+            raise DimensionMismatch(
+                f"expected an array of shape {'(n, 4)' if self._NDIM == 2 else '(m, n, 4)'},"
+                f" got {arr.shape}")
+        self.data = np.ascontiguousarray(arr)
+        self.data.setflags(write=False)
+
+    @classmethod
+    def zeros(cls, *shape: int):
+        return cls(np.zeros(shape + (4,)))
+
+    def __getitem__(self, index) -> Quaternion:
+        return Quaternion.from_components(self.data[index])
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return type(self)(self.data + other.data)
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return type(self)(self.data - other.data)
+
+    def __neg__(self):
+        return type(self)(-self.data)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, (int, float)):
+            return type(self)(self.data * float(scalar))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _check_shape(self, other: "_QArray"):
+        if self.data.shape != other.data.shape:
+            raise DimensionMismatch(f"{type(self).__name__} shapes "
+                                    f"{self.data.shape[:-1]} and {other.data.shape[:-1]}")
 
 
 # ====== vectors ======
 
-class QVector:
+class QVector(_QArray):
     """Element of H^n; scalars multiply from the right."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = _as_qarray(data, 2)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "QVector":
-        return cls(np.zeros((dim, 4)))
+    __slots__ = ()
+    _NDIM = 2
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "QVector":
@@ -120,32 +153,11 @@ class QVector:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def __getitem__(self, k: int) -> Quaternion:
-        return Quaternion.from_components(self.data[k])
-
-    def __add__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(self.data + other.data)
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._check_dim(other)
-        return QVector(self.data - other.data)
-
-    def __neg__(self) -> "QVector":
-        return QVector(-self.data)
-
     def __mul__(self, scalar) -> "QVector":
         """Right scalar action u * q, entrywise u_k * q."""
-        if isinstance(scalar, (int, float)):
-            return QVector(self.data * float(scalar))
         if isinstance(scalar, Quaternion):
             return (_column(self) @ QMatrix([[scalar.components]])).column(0)
-        return NotImplemented
-
-    def __rmul__(self, scalar) -> "QVector":
-        if isinstance(scalar, (int, float)):
-            return QVector(self.data * float(scalar))
-        return NotImplemented
+        return super().__mul__(scalar)
 
     def norm(self) -> float:
         return float(_norm(self.data))
@@ -153,33 +165,23 @@ class QVector:
     def norm_sq(self) -> float:
         return float(np.sum(self.data * self.data))
 
-    def _check_dim(self, other: "QVector"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"vector dims {self.dim} and {other.dim}")
-
     def __repr__(self):
         return f"QVector(dim={self.dim})"
 
 
 def inner(u: QVector, v: QVector) -> Quaternion:
     """<u|v> = sum_k conj(u_k) v_k, the 1 x 1 product u* v."""
-    u._check_dim(v)
+    u._check_shape(v)
     return (_column(u).adjoint() @ _column(v))[0, 0]
 
 
 # ====== matrices ======
 
-class QMatrix:
+class QMatrix(_QArray):
     """Dense m x n quaternion matrix acting on H^n from the left."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = _as_qarray(data, 3)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(np.zeros((rows, cols, 4)))
+    __slots__ = ()
+    _NDIM = 3
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -216,10 +218,6 @@ class QMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __getitem__(self, rc) -> Quaternion:
-        r, c = rc
-        return Quaternion.from_components(self.data[r, c])
-
     def column(self, c: int) -> QVector:
         return QVector(self.data[:, c, :])
 
@@ -237,24 +235,6 @@ class QMatrix:
         """2-norm of each column."""
         return _norm(self.data, axis=(0, 2))
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix(self.data + other.data)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other)
-        return QMatrix(self.data - other.data)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.data)
-
-    def __mul__(self, scalar) -> "QMatrix":
-        if isinstance(scalar, (int, float)):
-            return QMatrix(self.data * float(scalar))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if isinstance(other, QVector):
             return (self @ _column(other)).column(0)
@@ -268,10 +248,6 @@ class QMatrix:
         b1, b2 = _split(other.data)
         return QMatrix(_join(a1 @ b1 - a2 @ np.conj(b2),
                              a1 @ b2 + a2 @ np.conj(b1)))
-
-    def _check_shape(self, other: "QMatrix"):
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"matrix shapes {self.shape} and {other.shape}")
 
     def __repr__(self):
         return f"QMatrix(shape={self.shape})"

@@ -13,10 +13,6 @@ from __future__ import annotations
 
 import math
 
-# A quaternion whose modulus falls below this is treated as zero for the
-# purpose of inversion; see Quaternion.inverse().
-ZERO_THRESHOLD = 1e-300
-
 
 class Quaternion:
     """Immutable quaternion with float64 components.
@@ -61,11 +57,12 @@ class Quaternion:
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse conj(q)/|q|^2.
 
-        Raises ZeroDivisionError when |q| < ZERO_THRESHOLD.
+        Raises ZeroDivisionError when |q| is 0 or 1/|q| is not finite:
+        below about 5.6e-309 it overflows.
         """
         m = abs(self)
-        if m < ZERO_THRESHOLD:
-            raise ZeroDivisionError("quaternion modulus below zero threshold")
+        if m == 0.0 or not math.isfinite(1.0 / m):
+            raise ZeroDivisionError(f"quaternion modulus {m!r} has no finite inverse")
         c = self.conjugate()
         # divide by the modulus twice instead of by its square so that
         # moduli near the underflow boundary stay representable

@@ -40,7 +40,7 @@ as a negative number instead of a silently squared positive one.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -62,6 +62,12 @@ T2_NOTE = ("mu term of the synthesis hypothesis read as "
 NO_CLAIM_NOTE = "predicted lower bound is not positive; no frame guarantee"
 
 
+def _check_constants(*constants: float) -> None:
+    # NaN fails every comparison, so test for what is admissible
+    if not all(isfinite(c) and c >= 0.0 for c in constants):
+        raise InvalidParams("perturbation constants must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class Theorem1Params:
     """Constants (lambda1, lambda2, mu) for the analysis-side hypothesis."""
@@ -71,8 +77,7 @@ class Theorem1Params:
     mu: float
 
     def validate(self) -> None:
-        if min(self.lambda1, self.lambda2, self.mu) < 0.0:
-            raise InvalidParams("perturbation constants must be nonnegative")
+        _check_constants(self.lambda1, self.lambda2, self.mu)
         if self.lambda2 >= 1.0:
             raise InvalidParams(
                 "lambda2 must be < 1 for the (1 - lambda2) denominator")
@@ -89,8 +94,7 @@ class Theorem2Params:
     mu: float
 
     def validate(self) -> None:
-        if min(self.lam, self.mu) < 0.0:
-            raise InvalidParams("perturbation constants must be nonnegative")
+        _check_constants(self.lam, self.mu)
 
 
 @dataclass(frozen=True)

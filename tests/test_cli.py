@@ -373,6 +373,18 @@ def test_stability_flag_validation(files, capsys):
     assert code == 2 and "operator_frame" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flags", [
+    ["--lambda1"], ["--lambda2"], ["--mu"],
+    ["--theorem", "2", "--lambda"], ["--theorem", "2", "--mu"],
+], ids=lambda flags: " ".join(flags))
+def test_stability_refuses_nonfinite_constants(files, capsys, flags, value):
+    code, out, err = run(capsys, "stability", files["shifted_op"],
+                         files["scaled_op"], *flags, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite" in err
+
+
 def write_pair(tmp_path, f, r):
     paths = str(tmp_path / "f.json"), str(tmp_path / "r.json")
     for path, frame in zip(paths, (f, r)):
@@ -489,6 +501,26 @@ def test_malformed_file_reports_location(capsys, tmp_path):
     path.write_text('{"kind": "vector_frame",')
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2 and "line 1" in err
+
+
+# families that hold no vector or matrix, so nothing fixes the dimension;
+# tested at a tiny dim and at 10^30 only: were the refusal missing, a
+# mid-size dim would allocate a dim x dim Gram matrix
+@pytest.mark.parametrize("dim", [3, 10**30], ids=["dim3", "dim10e30"])
+@pytest.mark.parametrize("family", [
+    {"kind": "vector_frame", "members": []},
+    {"kind": "operator_frame", "members": []},
+    {"kind": "fusion", "weights": [1.0], "subspaces": [[]]},
+    {"kind": "pseudo", "analyzers": [], "synthesizers": [], "subspace": []},
+    {"kind": "quasi", "projectors": []},
+], ids=lambda family: family["kind"])
+def test_file_without_vector_or_matrix_is_refused(capsys, tmp_path, dim, family):
+    path = str(tmp_path / "empty.json")
+    write_document(path, {**family, "dim": dim})
+    for argv in (["analyze", path], ["parseval", path, "--out", path + ".out"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: frame.dim: ") and err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):

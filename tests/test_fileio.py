@@ -125,6 +125,19 @@ def test_quasi_square_check():
         parse_frame(obj)
 
 
+def test_a_file_needs_one_vector_or_matrix():
+    with pytest.raises(ValidationError, match=r"^frame\.dim: "):
+        parse_frame({"kind": "vector_frame", "dim": 3, "members": []})
+    # the library still builds an empty family
+    assert len(VectorFrame(3, [])) == 0
+    # one vector anywhere in the file fixes the dim
+    z = vec_obj(standard_basis(2)[0])
+    for obj in ({"kind": "fusion", "dim": 2, "weights": [1, 1], "subspaces": [[], [z]]},
+                {"kind": "pseudo", "dim": 2, "analyzers": [], "synthesizers": [],
+                 "subspace": [z]}):
+        assert parse_frame(obj)[0] == obj["kind"]
+
+
 def test_all_kinds_dispatch():
     basis = standard_basis(2)
     z = vec_obj(basis[0])
@@ -339,6 +352,47 @@ def test_bad_leaf_is_refused_at_its_path(doc, data):
         row[k][c] = bad
         where = f"{where}[{c}]"
     with pytest.raises(ParseError) as info:
+        parse_frame(doc)
+    assert str(info.value).startswith(f"{where}: ")
+
+
+def payload_arrays(doc):
+    """(list, field path) of the data array of every member and of every
+    row of a matrix member."""
+    arrays = []
+    for i, member in enumerate(doc["members"]):
+        where = f"frame.members[{i}].data"
+        arrays.append((member["data"], where))
+        if "rows" in member:
+            arrays += [(row, f"{where}[{r}]") for r, row in enumerate(member["data"])]
+    return arrays
+
+
+# what may stand where a quaternion belongs
+BAD_QUATERNIONS = [[1, 2, 3], [1, 2, 3, 4, 5], {"r0": 1}, 1.5, None, "1,2,3,4"]
+
+
+@EXAMPLES
+@given(documents(), st.data())
+def test_bad_entry_or_array_is_refused_at_its_path(doc, data):
+    # the same contract as test_bad_leaf_is_refused_at_its_path, one level
+    # up: a bad quaternion, a dict leaf, or an array of the wrong length
+    target = data.draw(st.sampled_from(["quaternion", "leaf", "shorter", "longer"]))
+    if target in ("quaternion", "leaf"):
+        row, k, where = data.draw(st.sampled_from(quaternion_slots(doc)))
+        if target == "quaternion":
+            row[k] = data.draw(st.sampled_from(BAD_QUATERNIONS))
+        else:
+            c = data.draw(st.integers(0, 3))
+            row[k][c] = {"value": 1.0}
+            where = f"{where}[{c}]"
+    else:
+        array, where = data.draw(st.sampled_from(payload_arrays(doc)))
+        if target == "shorter":
+            array.pop()
+        else:
+            array.append(array[0])
+    with pytest.raises((ParseError, ValidationError)) as info:
         parse_frame(doc)
     assert str(info.value).startswith(f"{where}: ")
 

@@ -78,11 +78,19 @@ def test_inverse_of_one_plus_i_plus_j_plus_k():
 def test_inverse_of_tiny_quaternion_raises():
     with pytest.raises(ZeroDivisionError):
         Quaternion(0, 0, 0, 0).inverse()
+    # 1/|q| overflows for the smallest subnormal modulus
     with pytest.raises(ZeroDivisionError):
-        Quaternion(1e-301, 0, 0, 0).inverse()
-    # just above the threshold still inverts
+        Quaternion(5e-324, 0, 0, 0).inverse()
     q = Quaternion(0, 1e-200, 0, 0)
     assert qclose(q * q.inverse(), ONE)
+
+
+@pytest.mark.parametrize("modulus", [1e-301, 1e-305])
+def test_inverse_of_tiny_quaternion_is_finite(modulus):
+    assert Quaternion(modulus, 0, 0, 0).inverse() == Quaternion(1 / modulus, 0, 0, 0)
+    q = Quaternion(modulus, -modulus / 3, modulus / 7, modulus / 2)
+    assert qclose(q * q.inverse(), ONE, tol=1e-15)
+    assert qclose(q.inverse() * q, ONE, tol=1e-15)
 
 
 # ====== ring axioms on random samples ======
