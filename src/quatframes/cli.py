@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fileio import (
+    MAX_DIM,
     file_digest,
     dumps12,
     load_frame,
@@ -64,7 +65,7 @@ from .stability import (
     fit_params_t1,
     fit_params_t2,
 )
-from .vector_frames import canonical_dual, parseval, report
+from .vector_frames import VectorFrame, canonical_dual, parseval, report
 
 # a reconstruction is ok when each residual is at most this times its vector's norm
 RECONSTRUCT_TOL = 1e-8
@@ -79,10 +80,6 @@ def _head(command: str, path: str) -> dict:
     }
 
 
-def _bounds(frame) -> list[float]:
-    return list(extremal_eigenvalues(gram(frame.analysis_matrix())))
-
-
 def _classification(rep) -> list[str]:
     labels = []
     for label, flag in (("bessel", rep.is_bessel), ("frame", rep.is_frame),
@@ -93,9 +90,8 @@ def _classification(rep) -> list[str]:
     return labels
 
 
-def _report_payload(rep, member_count: int) -> dict:
+def _report_payload(rep) -> dict:
     return {
-        "member_count": member_count,
         "bounds": [rep.lower, rep.upper],
         "is_bessel": rep.is_bessel,
         "is_frame": rep.is_frame,
@@ -111,15 +107,15 @@ def cmd_analyze(args) -> int:
     doc = _head("analyze", args.path)
     doc["kind"] = kind
     doc["seed"] = args.seed
+    doc["member_count"] = len(frame)
     if kind == "vector_frame":
-        doc.update(_report_payload(report(frame), len(frame.members)))
+        doc.update(_report_payload(report(frame)))
     elif kind == "operator_frame":
-        doc.update(_report_payload(op_report(frame), len(frame.members)))
+        doc.update(_report_payload(op_report(frame)))
     elif kind == "fusion":
-        doc.update(_report_payload(fusion_report(frame), len(frame.subspaces)))
+        doc.update(_report_payload(fusion_report(frame)))
     elif kind == "quasi":
         check = quasi_projector_check(frame)
-        doc["member_count"] = len(frame.projectors)
         doc["checks"] = {
             "resolution_ok": check.resolution_ok,
             "bessel_bound": check.bessel_bound,
@@ -128,7 +124,6 @@ def cmd_analyze(args) -> int:
         }
     else:
         check = pseudo_frame_check(frame)
-        doc["member_count"] = len(frame.analyzers)
         doc["checks"] = {
             "holds": check.holds,
             "max_residual": check.max_residual,
@@ -137,7 +132,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_summary(command: str, args, obj: dict, bounds: list[float]) -> None:
+def _write_summary(command: str, args, frame) -> None:
+    bounds = list(extremal_eigenvalues(gram(frame.analysis_matrix())))
+    obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
     write_document(args.out, obj)
     doc = _head(command, args.path)
     doc["output_kind"] = obj["kind"]
@@ -150,15 +147,13 @@ def cmd_dual(args) -> int:
     kind, frame = load_frame(args.path)
     if kind == "vector_frame":
         dual = canonical_dual(frame)
-        obj = vector_frame_obj(dual)
     elif kind == "operator_frame":
         dual = op_dual(frame)
-        obj = operator_frame_obj(dual)
     else:
         raise ValidationError(
             "dual requires a vector_frame or operator_frame file; "
             "run convert first")
-    _write_summary("dual", args, obj, _bounds(dual))
+    _write_summary("dual", args, dual)
     return 0
 
 
@@ -174,13 +169,11 @@ def cmd_parseval(args) -> int:
     kind, frame = load_frame(args.path)
     if kind == "vector_frame":
         result = parseval(frame)
-        obj = vector_frame_obj(result)
     else:
         if kind != "operator_frame":
             frame = _to_operator_frame(kind, frame)
         result = op_parseval(frame)
-        obj = operator_frame_obj(result)
-    _write_summary("parseval", args, obj, _bounds(result))
+    _write_summary("parseval", args, result)
     return 0
 
 
@@ -188,9 +181,7 @@ def cmd_convert(args) -> int:
     kind, frame = load_frame(args.path)
     if kind not in ("fusion", "pseudo", "quasi"):
         raise ValidationError("convert requires a fusion, pseudo, or quasi file")
-    result = _to_operator_frame(kind, frame)
-    obj = operator_frame_obj(result)
-    _write_summary("convert", args, obj, _bounds(result))
+    _write_summary("convert", args, _to_operator_frame(kind, frame))
     return 0
 
 
@@ -256,6 +247,8 @@ def cmd_reconstruct(args) -> int:
     else:
         if args.random < 1:
             raise ValidationError("--random needs a positive count")
+        if args.random > MAX_DIM:
+            raise ValidationError(f"--random needs a count of at most {MAX_DIM}")
         x = random_columns(np.random.default_rng(args.seed), frame.space_dim,
                            args.random)
 

@@ -26,18 +26,23 @@ import hashlib
 import json
 import math
 from itertools import chain
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .generalizations import FusionFrame, PseudoFramePair, QuasiProjectorSystem
-from .linalg import QMatrix, QVector
+from .linalg import QMatrix, QVector, _conj4
 from .operator_frames import OperatorFrame
 from .quaternion import Quaternion
+from .reporting import split_rows
 from .vector_frames import VectorFrame
 
 FRAME_KINDS = ("vector_frame", "operator_frame", "fusion", "pseudo", "quasi")
+
+# the largest frame dim a file may declare and the largest `reconstruct
+# --random` count: chi(S) of an n x n S takes 64 n^2 bytes, 1 GiB at 4096
+MAX_DIM = 4096
 
 _REAL = (int, float)
 
@@ -100,78 +105,94 @@ def _walk(data: Any, axes: tuple[str, ...], shape: tuple[int, ...], where: str) 
         _walk(entry, axes[1:], shape[1:], f"{where}[{k}]")
 
 
-def _payload(obj: Any, axes: tuple[str, ...], where: str) -> np.ndarray:
-    """The (..., 4) float64 array of a vector (axes ("dim",)) or matrix
-    (axes ("rows", "cols")) payload, accepted when it has the declared
-    axis lengths and only finite values.  numpy also reads True, None and
-    "1.5" as floats, so the type of every leaf is checked as well.  A
-    refused payload is walked to report the first bad entry."""
-    shape = tuple([_as_count(_require(obj, axis, where), f"{where}.{axis}")
-                   for axis in axes])
-    data = _require(obj, "data", where)
+def _refuse(entries: list, axes: tuple[str, ...], mismatch, at) -> NoReturn:
+    """Raise the first error of the entries: fields, payload, dimensions."""
+    for k, entry in enumerate(entries):
+        where = at(k)
+        shape = tuple([_as_count(_require(entry, axis, where), f"{where}.{axis}")
+                       for axis in axes])
+        _walk(_require(entry, "data", where), axes, shape, f"{where}.data")
+        if mismatch and mismatch(shape):
+            raise ValidationError(f"{where}: {mismatch(shape)}")
+    raise ValidationError(f"{at(0)}: entries of different dimensions")
+
+
+def _stack(entries: list, axes: tuple[str, ...], mismatch, at) -> tuple[np.ndarray, list[int]]:
+    """All rows of a list of vectors (axes ("dim",)) or matrices (axes
+    ("rows", "cols")) as one float64 array, and each entry's first count.
+    `mismatch(shape)` is the message for a shape the frame refuses, else
+    false; numpy also reads True, None and "1.5", so leaf types are checked
+    too.  Anything refused is walked by _refuse, entry k at `at(k)`."""
     try:
-        arr = np.array(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        shapes = [tuple([entry[axis] for axis in axes]) for entry in entries]
+        data = [entry["data"] for entry in entries]
+        rows = data if len(axes) == 1 else list(chain.from_iterable(data))
+        arr = np.array(rows, dtype=np.float64)
+    except (TypeError, KeyError, ValueError, OverflowError):
         arr = None
-    quaternions = data
-    for _ in axes[1:]:
-        quaternions = chain.from_iterable(quaternions)
-    if (arr is None or arr.shape != shape + (4,) or not np.isfinite(arr).all()
-            or not all(map(_is_real_type, {type(c) for q in quaternions for c in q}))):
-        _walk(data, axes, shape, f"{where}.data")
-    return arr
+    if (arr is None or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                               for v in chain.from_iterable(shapes))
+            or (mismatch and any(map(mismatch, set(shapes))))
+            or (rows and arr.shape != (len(rows), shapes[0][-1], 4))
+            or list(map(len, data)) != [s[0] for s in shapes]
+            or not np.isfinite(arr).all()
+            or not all(map(_is_real_type, {type(c) for row in rows for q in row for c in q}))):
+        _refuse(entries, axes, mismatch, at)
+    return arr, [s[0] for s in shapes]
 
 
 def parse_vector(obj: Any, where: str) -> QVector:
-    return QVector(_payload(obj, ("dim",), where))
+    return QVector(_stack([obj], ("dim",), None, lambda k: where)[0][0])
 
 
 def parse_matrix(obj: Any, where: str) -> QMatrix:
-    return QMatrix(_payload(obj, ("rows", "cols"), where))
+    return QMatrix(_stack([obj], ("rows", "cols"), None, lambda k: where)[0])
 
 
-def _list(obj: Any, parse, mismatch, where: str) -> list:
-    """Each entry of the array `obj` read by `parse`; `mismatch(entry)` is
-    the message for an entry whose dimensions the frame refuses, and
-    false otherwise."""
+def _list(obj: Any, axes: tuple[str, ...], mismatch, where: str) -> tuple[np.ndarray, list[int]]:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array")
-    out = []
-    for k, entry in enumerate(obj):
-        out.append(parse(entry, f"{where}[{k}]"))
-        problem = mismatch(out[-1])
-        if problem:
-            raise ValidationError(f"{where}[{k}]: {problem}")
-    return out
+    return _stack(obj, axes, mismatch, lambda k: f"{where}[{k}]")
 
 
-def _vectors(obj: Any, dim: int, where: str) -> list[QVector]:
-    return _list(obj, parse_vector, lambda v: v.dim != dim and
-                 f"dimension {v.dim} does not match frame dim {dim}", where)
+def _vectors(obj: Any, dim: int, where: str) -> np.ndarray:
+    return _list(obj, ("dim",), lambda s: s != (dim,) and
+                 f"dimension {s[0]} does not match frame dim {dim}", where)[0]
+
+
+def _held(count: int, dim: int) -> None:
+    if not count:
+        raise ValidationError(
+            f"frame.dim: the file holds no vector or matrix to fix dim {dim}")
 
 
 def parse_frame(obj: Any):
     """Dispatch a parsed frame file on its kind.
 
     Returns (kind, frame) where frame is the matching library object.
-    A file that holds no vector or matrix is refused: nothing in it
-    fixes the declared dim.
+    A file that declares a dim above MAX_DIM is refused before any payload
+    is read, and one that holds no vector or matrix before its frame is
+    built: nothing in it fixes the declared dim.
     """
     kind = _require(obj, "kind", "frame")
     if kind not in FRAME_KINDS:
         raise ParseError(
             f"frame.kind: unknown kind {kind!r}; expected one of {', '.join(FRAME_KINDS)}")
     dim = _as_count(_require(obj, "dim", "frame"), "frame.dim")
+    if dim > MAX_DIM:
+        raise ValidationError(f"frame.dim: must be <= {MAX_DIM}")
 
     if kind == "vector_frame":
-        held = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
-        frame = VectorFrame(dim, held)
+        data = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
+        _held(len(data), dim)
+        frame = VectorFrame.from_analysis(QMatrix(_conj4(data)), [1] * len(data))
 
     elif kind == "operator_frame":
-        held = _list(_require(obj, "members", "frame"), parse_matrix,
-                     lambda m: m.cols != dim and f"domain dimension {m.cols} "
-                     f"does not match frame dim {dim}", "frame.members")
-        frame = OperatorFrame(dim, held)
+        data, dims = _list(_require(obj, "members", "frame"), ("rows", "cols"),
+                           lambda s: s[1] != dim and f"domain dimension {s[1]} "
+                           f"does not match frame dim {dim}", "frame.members")
+        _held(len(dims), dim)
+        frame = OperatorFrame.from_analysis(QMatrix(data), dims)
 
     elif kind == "fusion":
         weights_raw = _require(obj, "weights", "frame")
@@ -187,8 +208,8 @@ def parse_frame(obj: Any):
                 f"frame: {len(weights)} weights for {len(subs_raw)} subspaces")
         subspaces = [_vectors(s, dim, f"frame.subspaces[{k}]")
                      for k, s in enumerate(subs_raw)]
-        held = any(subspaces)
-        frame = FusionFrame(dim, subspaces, weights)
+        _held(sum(map(len, subspaces)), dim)
+        frame = FusionFrame(dim, [map(QVector, s) for s in subspaces], weights)
 
     elif kind == "pseudo":
         analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,
@@ -201,18 +222,19 @@ def parse_frame(obj: Any):
                 f"{len(synthesizers)} synthesizers")
         subspace = _vectors(_require(obj, "subspace", "frame"), dim,
                             "frame.subspace")
-        held = analyzers or subspace
-        frame = PseudoFramePair(dim, analyzers, synthesizers, subspace)
+        _held(len(analyzers) + len(subspace), dim)
+        frame = PseudoFramePair(dim, list(map(QVector, analyzers)),
+                                list(map(QVector, synthesizers)),
+                                list(map(QVector, subspace)))
 
     else:
-        held = _list(_require(obj, "projectors", "frame"), parse_matrix,
-                     lambda m: m.shape != (dim, dim) and
-                     f"shape {m.rows}x{m.cols} is not {dim}x{dim}", "frame.projectors")
-        frame = QuasiProjectorSystem(dim, held)
+        data, dims = _list(_require(obj, "projectors", "frame"), ("rows", "cols"),
+                           lambda s: s != (dim, dim) and
+                           f"shape {s[0]}x{s[1]} is not {dim}x{dim}", "frame.projectors")
+        _held(len(dims), dim)
+        frame = QuasiProjectorSystem(
+            dim, OperatorFrame.from_analysis(QMatrix(data), dims).members)
 
-    if not held:
-        raise ValidationError(
-            f"frame.dim: the file holds no vector or matrix to fix dim {dim}")
     return kind, frame
 
 
@@ -257,15 +279,18 @@ def vector_frame_obj(f: VectorFrame) -> dict:
     return {
         "kind": "vector_frame",
         "dim": f.space_dim,
-        "members": [vector_obj(v) for v in f.members],
+        "members": [{"dim": f.space_dim, "data": row}
+                    for row in _conj4(f.analysis_matrix().data)],
     }
 
 
 def operator_frame_obj(f: OperatorFrame) -> dict:
+    dims = f.codomain_dims
     return {
         "kind": "operator_frame",
         "dim": f.space_dim,
-        "members": [matrix_obj(m) for m in f.members],
+        "members": [{"rows": d, "cols": f.space_dim, "data": block}
+                    for d, block in zip(dims, split_rows(f.analysis_matrix().data, dims))],
     }
 
 

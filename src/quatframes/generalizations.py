@@ -34,11 +34,11 @@ from .linalg import (
 from .operator_frames import OperatorFrame
 from .reporting import (
     FrameReport,
+    _FrameCore,
     build_report,
     extremal_eigenvalues,
     gram,
     has_frame_bounds,
-    stack_rows,
 )
 from .vector_frames import VectorFrame, synthesis_matrix
 
@@ -50,14 +50,15 @@ PSEUDO_TOL = 1e-9
 
 # ====== fusion frames ======
 
-class FusionFrame:
+class FusionFrame(_FrameCore):
     """Weighted family of subspaces W_i with weights v_i > 0.
 
     Subspace bases are orthonormalized on construction; the energy of u
-    is sum_i v_i^2 ||P_{W_i} u||^2.
+    is sum_i v_i^2 ||P_{W_i} u||^2.  Its analysis matrix has one row
+    v_i <b| for each vector b of the orthonormal basis B_i of W_i.
     """
 
-    __slots__ = ("space_dim", "subspaces", "weights")
+    __slots__ = ("subspaces", "weights")
 
     def __init__(self, space_dim: int, subspaces, weights):
         subspaces = [list(basis) for basis in subspaces]
@@ -73,25 +74,13 @@ class FusionFrame:
                 if v.dim != space_dim:
                     raise DimensionMismatch(
                         f"basis vector dim {v.dim} vs space dim {space_dim}")
-        self.space_dim = int(space_dim)
         self.subspaces = [orthonormalize(basis) for basis in subspaces]
         self.weights = weights
-
-    def __len__(self) -> int:
-        return len(self.subspaces)
-
-    def analysis_matrix(self) -> QMatrix:
-        """The stacked analysis matrix v_i B_i*: one row v_i <b| for each
-        vector b of the orthonormal basis B_i of W_i."""
-        return stack_rows(self.space_dim, [
-            w * _conj4(b.data)[None]
-            for w, basis in zip(self.weights, self.subspaces) for b in basis])
+        super().__init__(space_dim, [VectorFrame(space_dim, basis).analysis_matrix().data * w
+                                     for w, basis in zip(weights, self.subspaces)])
 
     def projections(self) -> list[QMatrix]:
         return [_projection(self.space_dim, basis) for basis in self.subspaces]
-
-    def __repr__(self):
-        return f"FusionFrame(space_dim={self.space_dim}, subspaces={len(self)})"
 
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:
@@ -101,7 +90,7 @@ def fusion_frame_operator(f: FusionFrame) -> QMatrix:
 
 def fusion_report(f: FusionFrame) -> FrameReport:
     """Bounds are the extremal eigenvalues of sum_i v_i^2 P_{W_i}."""
-    return build_report(f.analysis_matrix(), [len(b) for b in f.subspaces])
+    return build_report(f.analysis_matrix(), f.codomain_dims)
 
 
 def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
@@ -113,11 +102,13 @@ def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
 
 # ====== pseudo-frame pairs ======
 
-class PseudoFramePair:
+class PseudoFramePair(_FrameCore):
     """Analysis family {x_i}, synthesis family {x_i+}, and the subspace
-    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed."""
+    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed.  The frame
+    core stores the analyzers' analysis matrix, whose rows are the <x_i|."""
 
-    __slots__ = ("space_dim", "analyzers", "synthesizers", "subspace")
+    __slots__ = ("synthesizers", "subspace")
+    analyzers = VectorFrame.members
 
     def __init__(self, space_dim: int, analyzers, synthesizers, subspace):
         analyzers = list(analyzers)
@@ -129,17 +120,9 @@ class PseudoFramePair:
             if v.dim != space_dim:
                 raise DimensionMismatch(
                     f"vector dim {v.dim} vs space dim {space_dim}")
-        self.space_dim = int(space_dim)
-        self.analyzers = analyzers
+        super().__init__(space_dim, [_conj4(v.data)[None] for v in analyzers])
         self.synthesizers = synthesizers
         self.subspace = orthonormalize(subspace)
-
-    def __len__(self) -> int:
-        return len(self.analyzers)
-
-    def __repr__(self):
-        return (f"PseudoFramePair(space_dim={self.space_dim},"
-                f" members={len(self)}, subspace_dim={len(self.subspace)})")
 
 
 @dataclass(frozen=True)
@@ -157,10 +140,9 @@ def pseudo_frame_check(pair: PseudoFramePair) -> PseudoCheck:
     if not basis:
         return PseudoCheck(holds=True, max_residual=0.0)
     b = QMatrix.from_columns(basis)
-    analysis = VectorFrame(pair.space_dim, pair.analyzers).analysis_matrix()
     synthesis = synthesis_matrix(VectorFrame(pair.space_dim, pair.synthesizers))
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = synthesis @ (analysis @ b) - b
+        residual = synthesis @ (pair.analysis_matrix() @ b) - b
     max_residual = float(np.linalg.norm(_finite_chi(residual), 2))
     return PseudoCheck(holds=max_residual <= PSEUDO_TOL,
                        max_residual=max_residual)
@@ -174,32 +156,31 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     frame inequality on the subspace.
     """
     basis = pair.subspace
-    s = len(basis)
-    if s == 0:
+    if not basis:
         raise NotAFrameOnSubspace("subspace is trivial")
     # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the row
     # of entries <x_a|b_k> acting from the left
-    rows = (VectorFrame(pair.space_dim, pair.analyzers).analysis_matrix()
-            @ QMatrix.from_columns(basis))
-    frame = OperatorFrame(s, [QMatrix(row[None]) for row in rows.data])
+    rows = pair.analysis_matrix() @ QMatrix.from_columns(basis)
     if not has_frame_bounds(*extremal_eigenvalues(gram(rows))):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
-    return frame
+    return OperatorFrame.from_analysis(rows, [1] * rows.rows)
 
 
 # ====== quasi-projector systems ======
 
-class QuasiProjectorSystem:
+class QuasiProjectorSystem(_FrameCore):
     """Family {P_j} meant to resolve the identity, sum_j P_j = I, with a
     finite Bessel-type energy bound.
 
     `decomposition`, when given, is a pair (d_ops, w0_basis): bounded
     operators D_j and a base subspace with W_j = D_j(W_0); compatibility
-    is then checked against those subspaces instead of range(P_j).
+    is then checked against those subspaces instead of range(P_j).  The
+    frame core stores the P_j stacked one below the other.
     """
 
-    __slots__ = ("space_dim", "projectors", "decomposition")
+    __slots__ = ("decomposition",)
+    projectors = OperatorFrame.members
 
     def __init__(self, space_dim: int, projectors, decomposition=None):
         projectors = list(projectors)
@@ -216,16 +197,8 @@ class QuasiProjectorSystem:
                     f"{len(d_ops)} displacement operators vs"
                     f" {len(projectors)} projectors")
             decomposition = (d_ops, w0)
-        self.space_dim = int(space_dim)
-        self.projectors = projectors
+        super().__init__(space_dim, [p.data for p in projectors])
         self.decomposition = decomposition
-
-    def __len__(self) -> int:
-        return len(self.projectors)
-
-    def __repr__(self):
-        return (f"QuasiProjectorSystem(space_dim={self.space_dim},"
-                f" projectors={len(self)})")
 
 
 @dataclass(frozen=True)
@@ -259,8 +232,7 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     """
     n = system.space_dim
     resolution_ok, self_adjoint = _resolution_and_self_adjoint(system)
-    _, bessel_bound = extremal_eigenvalues(
-        gram(stack_rows(n, [p.data for p in system.projectors])))
+    _, bessel_bound = extremal_eigenvalues(gram(system.analysis_matrix()))
     if system.decomposition is not None:
         d_ops, w0 = system.decomposition
         spanning = [[d @ w for w in w0] for d in d_ops]
@@ -285,4 +257,4 @@ def quasi_to_op_frame(system: QuasiProjectorSystem) -> OperatorFrame:
         raise HypothesisViolated("projectors are not all self-adjoint")
     if not resolution_ok:
         raise HypothesisViolated("projectors do not sum to the identity")
-    return OperatorFrame(system.space_dim, list(system.projectors))
+    return OperatorFrame.from_analysis(system.analysis_matrix(), system.codomain_dims)

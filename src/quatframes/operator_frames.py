@@ -9,36 +9,36 @@ its frame operator is S = sum_i T_i* T_i, and the optimal bounds are the
 extremal eigenvalues of S.  Every member T_i decomposes into the rows
 x_k^i = T_i*(e_k^i); the flat list of those vectors is an ordinary vector
 frame with the same frame operator and the same bounds.  That induced
-sequence is the representation the code uses: stacking the T_i gives the
-analysis matrix A whose rows are the <x_k^i|, and the core in reporting
+sequence is the representation the code uses: an OperatorFrame stores,
+once, the analysis matrix A that stacks the T_i, whose rows are the
+<x_k^i|; its members are the row blocks of A, and the core in reporting
 computes S = A* A, analysis, synthesis, duals and the Parseval
-normalization from it.
+normalization from it.  A file's member list is read into A as one array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import QMatrix, QVector, _conj4, _norm
+from .linalg import QMatrix, QVector, _norm
 from .reporting import (
     FrameReport,
+    _FrameCore,
     build_report,
     dual_rows,
     gram,
     parseval_rows,
     split_rows,
-    stack_rows,
 )
 from .vector_frames import VectorFrame
 
 
-class OperatorFrame:
-    """Finite ordered family of operators with a common domain H^n."""
+class OperatorFrame(_FrameCore):
+    """Finite ordered family of operators with a common domain H^n, stored
+    as the members stacked one below the other."""
 
-    __slots__ = ("space_dim", "members")
+    __slots__ = ()
 
     def __init__(self, space_dim: int, members):
         members = list(members)
@@ -46,23 +46,13 @@ class OperatorFrame:
             if m.cols != space_dim:
                 raise DimensionMismatch(
                     f"member domain {m.cols} does not match space dim {space_dim}")
-        self.space_dim = int(space_dim)
-        self.members = members
+        super().__init__(space_dim, [m.data for m in members])
 
     @property
-    def codomain_dims(self) -> list[int]:
-        return [m.rows for m in self.members]
-
-    def analysis_matrix(self) -> QMatrix:
-        """The stacked analysis matrix: the members one below the other."""
-        return stack_rows(self.space_dim, [m.data for m in self.members])
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self):
-        return (f"OperatorFrame(space_dim={self.space_dim},"
-                f" members={len(self)})")
+    def members(self) -> list[QMatrix]:
+        """The operators T_i, the row blocks of A."""
+        return list(map(QMatrix, split_rows(self.analysis_matrix().data,
+                                            self.codomain_dims)))
 
 
 class BlockVector:
@@ -89,10 +79,6 @@ class BlockVector:
 
     def __repr__(self):
         return f"BlockVector(blocks={[b.dim for b in self.blocks]})"
-
-
-def _from_rows(f: OperatorFrame, a: QMatrix) -> OperatorFrame:
-    return OperatorFrame(f.space_dim, map(QMatrix, split_rows(a.data, f.codomain_dims)))
 
 
 def op_frame_operator(f: OperatorFrame) -> QMatrix:
@@ -122,23 +108,22 @@ def op_synthesis(f: OperatorFrame, x: BlockVector) -> QVector:
     return f.analysis_matrix().adjoint() @ QVector(x.data)
 
 
-@dataclass(frozen=True)
-class InducedSequence:
+class InducedSequence(VectorFrame):
     """The row vectors of an operator frame, flattened in (member, basis
-    index) order; together they form a vector frame with the same frame
-    operator."""
+    index) order: the vector frame whose analysis matrix is the frame's,
+    so with the same frame operator."""
 
-    space_dim: int
-    vectors: list[QVector]
+    __slots__ = ()
+    vectors = VectorFrame.members
 
     def to_vector_frame(self) -> VectorFrame:
-        return VectorFrame(self.space_dim, self.vectors)
+        return VectorFrame.from_analysis(self.analysis_matrix(), self.codomain_dims)
 
 
 def induced_sequence(f: OperatorFrame) -> InducedSequence:
     """x_k^i = T_i*(e_k^i) for the standard basis of each codomain."""
-    return InducedSequence(
-        f.space_dim, list(map(QVector, _conj4(f.analysis_matrix().data))))
+    a = f.analysis_matrix()
+    return InducedSequence.from_analysis(a, [1] * a.rows)
 
 
 def op_dual(f: OperatorFrame) -> OperatorFrame:
@@ -148,7 +133,7 @@ def op_dual(f: OperatorFrame) -> OperatorFrame:
     order, its frame operator is S^-1, and pairing it with f reconstructs
     every vector.
     """
-    return _from_rows(f, dual_rows(f.analysis_matrix()))
+    return OperatorFrame.from_analysis(dual_rows(f.analysis_matrix()), f.codomain_dims)
 
 
 def op_parseval(f: OperatorFrame) -> OperatorFrame:
@@ -157,7 +142,8 @@ def op_parseval(f: OperatorFrame) -> OperatorFrame:
     S^-1/2 is computed as the inverse of the positive square root; the
     resulting family has frame operator equal to the identity.
     """
-    return _from_rows(f, parseval_rows(f.analysis_matrix()))
+    return OperatorFrame.from_analysis(parseval_rows(f.analysis_matrix()),
+                                       f.codomain_dims)
 
 
 def reconstruct(f: OperatorFrame, g: OperatorFrame, u: QVector) -> QVector:

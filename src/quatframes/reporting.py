@@ -13,6 +13,8 @@ A family satisfies r1 ||u||^2 <= ||A u||^2 <= r2 ||u||^2 with optimal
 bounds the extremal eigenvalues of S.  Finite families always satisfy
 the upper inequality, so is_bessel is true by construction; the other
 flags are decided numerically.
+
+Every family kind stores A once, in the frame core below.
 """
 
 from __future__ import annotations
@@ -50,16 +52,41 @@ def has_frame_bounds(lower: float, upper: float) -> bool:
     return lower > FRAME_TOL * upper
 
 
-def stack_rows(space_dim: int, blocks) -> QMatrix:
-    """The stacked analysis matrix whose row blocks are the given
-    (d_i, n, 4) arrays, in member order."""
-    return QMatrix(np.concatenate([np.zeros((0, space_dim, 4)), *blocks]))
-
-
 def split_rows(data: np.ndarray, dims) -> list[np.ndarray]:
     """The row blocks of a stacked array, d_i rows for member i."""
     stops = np.cumsum(dims, dtype=int)
     return [data[stop - d:stop] for d, stop in zip(dims, stops)]
+
+
+class _FrameCore:
+    """A family stored as its read-only stacked analysis matrix A and the
+    codomain dimension d_i of each member, both fixed at construction."""
+
+    __slots__ = ("space_dim", "_analysis", "codomain_dims")
+
+    def __init__(self, space_dim: int, blocks):
+        """The family whose member i has the (d_i, n, 4) block blocks[i] of A."""
+        blocks = list(blocks)
+        self.space_dim = int(space_dim)
+        self._analysis = QMatrix(np.concatenate([np.zeros((0, space_dim, 4)), *blocks]))
+        self.codomain_dims = [len(b) for b in blocks]
+
+    @classmethod
+    def from_analysis(cls, a: QMatrix, codomain_dims):
+        """The family of this kind with stacked analysis matrix a, for a kind
+        that holds nothing besides A (vector and operator frames)."""
+        frame = cls.__new__(cls)
+        frame.space_dim, frame._analysis, frame.codomain_dims = a.cols, a, list(codomain_dims)
+        return frame
+
+    def analysis_matrix(self) -> QMatrix:
+        return self._analysis
+
+    def __len__(self) -> int:
+        return len(self.codomain_dims)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(space_dim={self.space_dim}, members={len(self)})"
 
 
 def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:

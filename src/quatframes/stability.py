@@ -140,13 +140,14 @@ class StabilityVerdict:
 
 
 def difference_frame(f: OperatorFrame, r: OperatorFrame) -> OperatorFrame:
-    """Memberwise differences {T_i - R_i} as an operator family."""
+    """Memberwise differences {T_i - R_i}, the family with A = A_F - A_R."""
     if f.space_dim != r.space_dim:
         raise DimensionMismatch("families act on different spaces")
     if f.codomain_dims != r.codomain_dims:
         raise DimensionMismatch(
             "families differ in member count or codomain dimensions")
-    return OperatorFrame(f.space_dim, [t - s for t, s in zip(f.members, r.members)])
+    return OperatorFrame.from_analysis(f.analysis_matrix() - r.analysis_matrix(),
+                                       f.codomain_dims)
 
 
 def _difference_norm(f: OperatorFrame, r: OperatorFrame) -> float:

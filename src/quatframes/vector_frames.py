@@ -8,8 +8,8 @@ for some 0 < r1 <= r2.  Synthesis applies right coefficients,
 T({q_i}) = sum_i u_i q_i, analysis takes inner products against the
 members, and the frame operator S = sum_i u_i <u_i|.|> is their
 composition.  A vector frame is the frame of operators whose members are
-the 1 x n functionals <u_i|; its stacked analysis matrix has those rows,
-and everything here is computed from it by the core in reporting.
+the 1 x n functionals <u_i|; it stores the analysis matrix with those
+rows, and everything here is computed from it by the core in reporting.
 """
 
 from __future__ import annotations
@@ -19,13 +19,21 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import QMatrix, QVector, _conj4
 from .quaternion import Quaternion
-from .reporting import FrameReport, build_report, dual_rows, gram, parseval_rows
+from .reporting import (
+    FrameReport,
+    _FrameCore,
+    build_report,
+    dual_rows,
+    gram,
+    parseval_rows,
+)
 
 
-class VectorFrame:
-    """Finite ordered family of vectors in a common H^n."""
+class VectorFrame(_FrameCore):
+    """Finite ordered family of vectors in a common H^n, stored as its
+    analysis matrix, whose rows are the <u_i|."""
 
-    __slots__ = ("space_dim", "members")
+    __slots__ = ()
 
     def __init__(self, space_dim: int, members):
         members = list(members)
@@ -33,26 +41,20 @@ class VectorFrame:
             if m.dim != space_dim:
                 raise DimensionMismatch(
                     f"member dim {m.dim} does not match space dim {space_dim}")
-        self.space_dim = int(space_dim)
-        self.members = members
+        super().__init__(space_dim, [_conj4(m.data)[None] for m in members])
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def analysis_matrix(self) -> QMatrix:
-        """The stacked analysis matrix, whose rows are the <u_i|."""
-        return synthesis_matrix(self).adjoint()
-
-    def __repr__(self):
-        return f"VectorFrame(space_dim={self.space_dim}, members={len(self)})"
+    @property
+    def members(self) -> list[QVector]:
+        """The vectors u_i, read off the rows <u_i| of A."""
+        return list(map(QVector, _conj4(self.analysis_matrix().data)))
 
 
 def synthesis(f: VectorFrame, coefficients) -> QVector:
     """sum_i u_i * q_i with the coefficients acting from the right."""
     coefficients = list(coefficients)
-    if len(coefficients) != len(f.members):
+    if len(coefficients) != len(f):
         raise DimensionMismatch(
-            f"{len(coefficients)} coefficients for {len(f.members)} members")
+            f"{len(coefficients)} coefficients for {len(f)} members")
     q = np.array([c.components for c in coefficients], dtype=np.float64)
     return synthesis_matrix(f) @ QVector(q.reshape(-1, 4))
 
@@ -67,14 +69,7 @@ def analysis(f: VectorFrame, u: QVector) -> list[Quaternion]:
 
 def synthesis_matrix(f: VectorFrame) -> QMatrix:
     """Matrix whose columns are the members; synthesis is its action."""
-    if not f.members:
-        return QMatrix.zeros(f.space_dim, 0)
-    return QMatrix.from_columns(f.members)
-
-
-def _from_rows(space_dim: int, a: QMatrix) -> VectorFrame:
-    # row i of a stacked analysis matrix is <u_i|
-    return VectorFrame(space_dim, map(QVector, _conj4(a.data)))
+    return f.analysis_matrix().adjoint()
 
 
 def frame_operator(f: VectorFrame) -> QMatrix:
@@ -84,15 +79,15 @@ def frame_operator(f: VectorFrame) -> QMatrix:
 
 def report(f: VectorFrame) -> FrameReport:
     """Optimal bounds (extremal eigenvalues of S) and classification."""
-    return build_report(f.analysis_matrix(), [1] * len(f))
+    return build_report(f.analysis_matrix(), f.codomain_dims)
 
 
 def canonical_dual(f: VectorFrame) -> VectorFrame:
     """The frame {S^-1 u_i}; raises NotAFrame when S fails the frame test."""
-    return _from_rows(f.space_dim, dual_rows(f.analysis_matrix()))
+    return VectorFrame.from_analysis(dual_rows(f.analysis_matrix()), f.codomain_dims)
 
 
 def parseval(f: VectorFrame) -> VectorFrame:
     """The Parseval frame {S^-1/2 u_i}; raises NotAFrame when S fails
     the frame test."""
-    return _from_rows(f.space_dim, parseval_rows(f.analysis_matrix()))
+    return VectorFrame.from_analysis(parseval_rows(f.analysis_matrix()), f.codomain_dims)

@@ -18,6 +18,7 @@ from conftest import (
 from quatframes import cli, errors
 from quatframes.cli import main
 from quatframes.fileio import (
+    MAX_DIM,
     load_frame,
     matrix_obj,
     operator_frame_obj,
@@ -494,6 +495,17 @@ def test_reconstruct_needs_positive_count(files, capsys):
     assert code == 2
 
 
+# counts above MAX_DIM only: one at or just below it would allocate a
+# matrix of that many columns
+@pytest.mark.parametrize("count", [MAX_DIM + 1, 10**12])
+def test_reconstruct_refuses_a_count_above_max_dim(capsys, tmp_path, count):
+    path = str(tmp_path / "vf.json")
+    write_document(path, vector_frame_obj(VectorFrame(2, standard_basis(2))))
+    code, out, err = run(capsys, "reconstruct", path, "--random", str(count))
+    assert code == 2 and out == ""
+    assert err == f"error: --random needs a count of at most {MAX_DIM}\n"
+
+
 # ====== common ======
 
 def test_malformed_file_reports_location(capsys, tmp_path):
@@ -521,6 +533,37 @@ def test_file_without_vector_or_matrix_is_refused(capsys, tmp_path, dim, family)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: frame.dim: ") and err.count("\n") == 1
+
+
+# MAX_DIM with no payload reaches the payload refusal, so nothing is
+# allocated; MAX_DIM + 1 is refused by the bound before the payload is read
+@pytest.mark.parametrize("dim, message", [
+    (MAX_DIM, f"the file holds no vector or matrix to fix dim {MAX_DIM}"),
+    (MAX_DIM + 1, f"must be <= {MAX_DIM}"),
+    (10**30, f"must be <= {MAX_DIM}"),
+], ids=["max", "max+1", "10e30"])
+@pytest.mark.parametrize("family", [
+    {"kind": "vector_frame", "members": []},
+    {"kind": "operator_frame", "members": []},
+    {"kind": "fusion", "weights": [1.0], "subspaces": [[]]},
+    {"kind": "pseudo", "analyzers": [], "synthesizers": [], "subspace": []},
+    {"kind": "quasi", "projectors": []},
+], ids=lambda family: family["kind"])
+def test_frame_dim_is_bounded_before_any_payload(capsys, tmp_path, dim, message, family):
+    path = str(tmp_path / "big.json")
+    write_document(path, {**family, "dim": dim})
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err == f"error: frame.dim: {message}\n"
+
+
+def test_dim_bound_precedes_the_payload(capsys, tmp_path):
+    # a bad payload behind an oversized dim is never read
+    path = str(tmp_path / "big.json")
+    write_document(path, {"kind": "vector_frame", "dim": MAX_DIM + 1,
+                          "members": [{"dim": 1, "data": [[True, 0, 0, 0]]}]})
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 2 and err == f"error: frame.dim: must be <= {MAX_DIM}\n"
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):

@@ -304,30 +304,74 @@ NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 BAD_LEAVES = [True, "1.5", None, float("nan"), float("inf"), 10**400, [1]]
 
 
+# numbers of the vectors that a frame orthonormalizes on construction
+# (fusion subspaces, the pseudo subspace), small enough that Gram-Schmidt
+# cannot overflow
+SPAN_NUMBERS = st.floats(-1e6, 1e6)
+
+PLAIN_KINDS = ("vector_frame", "operator_frame")
+ALL_KINDS = PLAIN_KINDS + ("fusion", "pseudo", "quasi")
+
+
 @st.composite
-def documents(draw):
-    """A vector_frame or operator_frame document as json.loads returns it."""
+def documents(draw, kinds=ALL_KINDS):
+    """A frame document of one of `kinds` as json.loads returns it, with
+    one vector or matrix at least."""
     n = draw(st.integers(1, 5))
-    entries = st.lists(st.lists(NUMBERS, min_size=4, max_size=4),
-                       min_size=n, max_size=n)
-    count = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        members = [{"dim": n, "data": draw(entries)} for _ in range(count)]
-        return {"kind": "vector_frame", "dim": n, "members": members}
-    members = []
-    for _ in range(count):
-        rows = draw(st.lists(entries, min_size=1, max_size=3))
-        members.append({"rows": len(rows), "cols": n, "data": rows})
-    return {"kind": "operator_frame", "dim": n, "members": members}
+
+    def row(numbers=NUMBERS):
+        return st.lists(st.lists(numbers, min_size=4, max_size=4), min_size=n, max_size=n)
+
+    def vectors(low, numbers=NUMBERS):
+        return [{"dim": n, "data": draw(row(numbers))} for _ in range(draw(st.integers(low, 4)))]
+
+    def matrices(square):
+        out = []
+        for _ in range(draw(st.integers(1, 4))):
+            rows = draw(st.lists(row(), min_size=n if square else 1,
+                                 max_size=n if square else 3))
+            out.append({"rows": len(rows), "cols": n, "data": rows})
+        return out
+
+    kind = draw(st.sampled_from(kinds))
+    if kind == "vector_frame":
+        return {"kind": kind, "dim": n, "members": vectors(1)}
+    if kind == "operator_frame":
+        return {"kind": kind, "dim": n, "members": matrices(False)}
+    if kind == "quasi":
+        return {"kind": kind, "dim": n, "projectors": matrices(True)}
+    if kind == "fusion":
+        subspaces = [vectors(1, SPAN_NUMBERS)]
+        subspaces += [vectors(0, SPAN_NUMBERS) for _ in range(draw(st.integers(0, 2)))]
+        weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(subspaces),
+                                max_size=len(subspaces)))
+        return {"kind": kind, "dim": n, "weights": weights, "subspaces": subspaces}
+    analyzers = vectors(0)
+    return {"kind": kind, "dim": n, "analyzers": analyzers,
+            "synthesizers": [{"dim": n, "data": draw(row())} for _ in analyzers],
+            "subspace": vectors(1, SPAN_NUMBERS)}
+
+
+def entries(doc):
+    """(vector or matrix entry, field path) of every entry of every list
+    the reader serves, in reading order."""
+    if doc["kind"] == "fusion":
+        lists = [(s, f"frame.subspaces[{k}]") for k, s in enumerate(doc["subspaces"])]
+    else:
+        lists = [(doc[key], f"frame.{key}") for key in
+                 ("members", "analyzers", "synthesizers", "subspace", "projectors")
+                 if key in doc]
+    return [(entry, f"{where}[{i}]") for entries_, where in lists
+            for i, entry in enumerate(entries_)]
 
 
 def quaternion_slots(doc):
-    """(list, index, field path) of every quaternion in the members."""
+    """(list, index, field path) of every quaternion in the entries."""
     slots = []
-    for i, member in enumerate(doc["members"]):
-        where = f"frame.members[{i}].data"
-        rows = ([(where, member["data"])] if "dim" in member else
-                [(f"{where}[{r}]", row) for r, row in enumerate(member["data"])])
+    for entry, where in entries(doc):
+        where = f"{where}.data"
+        rows = ([(where, entry["data"])] if "dim" in entry else
+                [(f"{where}[{r}]", row) for r, row in enumerate(entry["data"])])
         for prefix, row in rows:
             slots += [(row, k, f"{prefix}[{k}]") for k in range(len(row))]
     return slots
@@ -357,15 +401,38 @@ def test_bad_leaf_is_refused_at_its_path(doc, data):
 
 
 def payload_arrays(doc):
-    """(list, field path) of the data array of every member and of every
-    row of a matrix member."""
+    """(list, field path) of the data array of every entry and of every
+    row of a matrix entry."""
     arrays = []
-    for i, member in enumerate(doc["members"]):
-        where = f"frame.members[{i}].data"
-        arrays.append((member["data"], where))
-        if "rows" in member:
-            arrays += [(row, f"{where}[{r}]") for r, row in enumerate(member["data"])]
+    for entry, where in entries(doc):
+        where = f"{where}.data"
+        arrays.append((entry["data"], where))
+        if "rows" in entry:
+            arrays += [(row, f"{where}[{r}]") for r, row in enumerate(entry["data"])]
     return arrays
+
+
+def mutate_count(entry, where, field, change):
+    """Apply `change` to the count `field` of the entry at `where`; return
+    the path of the error that the reader must raise first."""
+    if change == "removed":
+        del entry[field]
+        return where
+    if change in (0, True):
+        entry[field] = change
+        return f"{where}.{field}"
+    entry[field] += 1
+    if change == "off by one":
+        # the payload no longer has the declared length
+        return f"{where}.data[0]" if field == "cols" else f"{where}.data"
+    # "off by one with its payload": the payload grows with the count, so
+    # only the check against the frame dim refuses it
+    if field == "rows":
+        entry["data"].append(entry["data"][0])
+    else:
+        for row in [entry["data"]] if field == "dim" else entry["data"]:
+            row.append(row[0])
+    return where
 
 
 # what may stand where a quaternion belongs
@@ -377,8 +444,19 @@ BAD_QUATERNIONS = [[1, 2, 3], [1, 2, 3, 4, 5], {"r0": 1}, 1.5, None, "1,2,3,4"]
 def test_bad_entry_or_array_is_refused_at_its_path(doc, data):
     # the same contract as test_bad_leaf_is_refused_at_its_path, one level
     # up: a bad quaternion, a dict leaf, or an array of the wrong length
-    target = data.draw(st.sampled_from(["quaternion", "leaf", "shorter", "longer"]))
-    if target in ("quaternion", "leaf"):
+    target = data.draw(st.sampled_from(["quaternion", "leaf", "shorter", "longer",
+                                        "count"]))
+    if target == "count":
+        # a structural error in the fields: a count that is missing, not an
+        # integer >= 1, or one more than the frame dim
+        entry, where = data.draw(st.sampled_from(entries(doc)))
+        field = data.draw(st.sampled_from(["dim"] if "dim" in entry else ["rows", "cols"]))
+        changes = ["removed", 0, True, "off by one"]
+        # an operator member's rows are free, so only the payload can refuse them
+        if not (field == "rows" and doc["kind"] == "operator_frame"):
+            changes.append("off by one with its payload")
+        where = mutate_count(entry, where, field, data.draw(st.sampled_from(changes)))
+    elif target in ("quaternion", "leaf"):
         row, k, where = data.draw(st.sampled_from(quaternion_slots(doc)))
         if target == "quaternion":
             row[k] = data.draw(st.sampled_from(BAD_QUATERNIONS))
@@ -397,14 +475,36 @@ def test_bad_entry_or_array_is_refused_at_its_path(doc, data):
     assert str(info.value).startswith(f"{where}: ")
 
 
+# the list of each kind whose entries are its members
+MEMBER_LISTS = {"vector_frame": "members", "operator_frame": "members",
+                "fusion": "subspaces", "pseudo": "analyzers", "quasi": "projectors"}
+
+
+def kept_lists(doc, frame):
+    """(entries, parsed objects) of each list the frame keeps as read;
+    fusion subspaces and the pseudo subspace are orthonormalized instead."""
+    kind = doc["kind"]
+    if kind in PLAIN_KINDS:
+        return [(doc["members"], frame.members)]
+    if kind == "pseudo":
+        return [(doc["analyzers"], frame.analyzers),
+                (doc["synthesizers"], frame.synthesizers)]
+    if kind == "quasi":
+        return [(doc["projectors"], frame.projectors)]
+    return []
+
+
 @EXAMPLES
 @given(documents())
 def test_clean_document_parses_to_its_numbers(doc):
     _, frame = parse_frame(doc)
-    for member, parsed in zip(doc["members"], frame.members):
-        expected = np.asarray(as_floats(member["data"]))
-        assert parsed.data.shape == expected.shape
-        assert parsed.data.tobytes() == expected.tobytes()
+    for listed, parsed in kept_lists(doc, frame):
+        assert len(parsed) == len(listed)
+        for member, got in zip(listed, parsed):
+            expected = np.asarray(as_floats(member["data"]))
+            assert got.data.shape == expected.shape
+            assert got.data.tobytes() == expected.tobytes()
+    assert len(frame) == len(doc[MEMBER_LISTS[doc["kind"]]])
 
 
 # half a unit in the 12th significant digit, relative, plus the rounding
@@ -413,7 +513,7 @@ DIGITS12_RTOL = 5e-12 + 1e-15
 
 
 @EXAMPLES
-@given(documents())
+@given(documents(PLAIN_KINDS))
 def test_clean_document_round_trips_at_12_digits(doc):
     kind, frame = parse_frame(doc)
     to_obj = vector_frame_obj if kind == "vector_frame" else operator_frame_obj

@@ -3,6 +3,7 @@ frames of operators and fusion frames, against per-member loops kept
 here as the reference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,13 @@ from quatframes.operator_frames import (
 from quatframes.quaternion import Quaternion
 from quatframes.reporting import FRAME_TOL, dual_rows, extremal_eigenvalues
 from quatframes.sampling import random_columns
-from quatframes.vector_frames import VectorFrame, frame_operator, report
+from quatframes.vector_frames import (
+    VectorFrame,
+    canonical_dual,
+    frame_operator,
+    parseval,
+    report,
+)
 
 # rounding of sums of at most a few dozen products, relative to the
 # scale sum_i ||T_i||_F^2 of the frame operator
@@ -237,3 +244,30 @@ def test_reconstruction_through_the_dual_returns_the_input(f, seed):
     x = random_columns(np.random.default_rng(seed), f.space_dim, 3)
     back = dual_rows(a).adjoint() @ (a @ x)
     assert ((back - x).column_norms() <= RECONSTRUCT_TOL * x.column_norms()).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(vector_frames(), operator_frames()))
+def test_members_view_rebuilds_the_stored_analysis_matrix(f):
+    # the frame, its canonical dual and its Parseval normalization, each
+    # built again from its members, store the same A to the last bit
+    if isinstance(f, VectorFrame):
+        derived = (f, canonical_dual(f), parseval(f))
+    else:
+        derived = (f, op_dual(f), op_parseval(f))
+    for g in derived:
+        back = type(g)(g.space_dim, g.members)
+        assert back.analysis_matrix().data.tobytes() == g.analysis_matrix().data.tobytes()
+        assert back.codomain_dims == g.codomain_dims and len(back) == len(g)
+
+
+def test_members_view_and_stored_matrix_are_read_only():
+    gen = np.random.default_rng(3)
+    frames = [VectorFrame(3, []), VectorFrame(3, [QVector(gen.standard_normal((3, 4)))]),
+              OperatorFrame(3, [QMatrix(gen.standard_normal((d, 3, 4))) for d in (1, 3, 2)])]
+    for f in frames:
+        with pytest.raises(AttributeError):
+            f.members = f.members
+        with pytest.raises(ValueError):
+            f.analysis_matrix().data[...] = 0.0
+    assert frames[2].codomain_dims == [1, 3, 2]
