@@ -18,23 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConditionViolated,
-    DimensionMismatch,
-    HypothesisViolated,
-    InvalidParams,
-    InvalidWeight,
-    NonFinite,
-    NotAFrame,
-    NotAFrameOnSubspace,
-    NotHermitian,
-    NotPositive,
-    ParseError,
-    PullbackFailed,
-    QuatFramesError,
-    Singular,
-    ValidationError,
-)
+from .errors import NonFinite, QuatFramesError, ValidationError
 from .fileio import (
     MAX_DIM,
     file_digest,
@@ -328,26 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exit code of each error class: 1 for a mathematical failure of valid
-# input, 2 for input that is malformed or outside the admissible range
-EXIT_CODES = {
-    NotAFrame: 1,
-    NotAFrameOnSubspace: 1,
-    HypothesisViolated: 1,
-    Singular: 1,
-    NotHermitian: 1,
-    NotPositive: 1,
-    PullbackFailed: 1,
-    ParseError: 2,
-    ValidationError: 2,
-    InvalidParams: 2,
-    ConditionViolated: 2,
-    DimensionMismatch: 2,
-    InvalidWeight: 2,
-    NonFinite: 2,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first call, not at import; parse_args leaves it unchanged
@@ -362,7 +326,7 @@ def main(argv=None) -> int:
         return command(args)
     except QuatFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES[type(exc)]
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ identity by a sum of bounded self-adjoint operators.  All three embed
 into frames of operators: fusion frames and quasi-projector systems are
 encoded as stacked analysis matrices for the core in reporting, and a
 pseudo-frame pair reconstructs through the analysis matrix of its
-analyzers and the synthesis matrix of its synthesizers.
+analyzers and the synthesis matrix of its synthesizers.  A subspace is
+stored as an orthonormal basis matrix, made once on construction.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
-    _conj4,
+    _columns,
     _finite_chi,
+    _orthonormal_basis,
     _projection,
     frobenius_distance,
-    orthonormalize,
 )
 from .operator_frames import OperatorFrame
 from .reporting import (
@@ -40,7 +41,7 @@ from .reporting import (
     gram,
     has_frame_bounds,
 )
-from .vector_frames import VectorFrame, synthesis_matrix
+from .vector_frames import VectorFrame
 
 # residual tolerance for resolution-of-identity and compatibility checks
 STRUCTURE_TOL = 1e-10
@@ -53,15 +54,15 @@ PSEUDO_TOL = 1e-9
 class FusionFrame(_FrameCore):
     """Weighted family of subspaces W_i with weights v_i > 0.
 
-    Subspace bases are orthonormalized on construction; the energy of u
-    is sum_i v_i^2 ||P_{W_i} u||^2.  Its analysis matrix has one row
-    v_i <b| for each vector b of the orthonormal basis B_i of W_i.
+    `bases` holds an n x k_i orthonormal basis matrix B_i of each W_i;
+    the energy of u is sum_i v_i^2 ||P_{W_i} u||^2, and the analysis
+    matrix has the block v_i B_i* for member i.
     """
 
-    __slots__ = ("subspaces", "weights")
+    __slots__ = ("bases", "weights")
 
     def __init__(self, space_dim: int, subspaces, weights):
-        subspaces = [list(basis) for basis in subspaces]
+        subspaces = list(subspaces)
         weights = [float(w) for w in weights]
         if len(subspaces) != len(weights):
             raise DimensionMismatch(
@@ -69,18 +70,13 @@ class FusionFrame(_FrameCore):
         for w in weights:
             if not w > 0.0:
                 raise InvalidWeight(f"weight {w} is not strictly positive")
-        for basis in subspaces:
-            for v in basis:
-                if v.dim != space_dim:
-                    raise DimensionMismatch(
-                        f"basis vector dim {v.dim} vs space dim {space_dim}")
-        self.subspaces = [orthonormalize(basis) for basis in subspaces]
+        self.bases = [_orthonormal_basis(_columns(space_dim, basis)) for basis in subspaces]
         self.weights = weights
-        super().__init__(space_dim, [VectorFrame(space_dim, basis).analysis_matrix().data * w
-                                     for w, basis in zip(weights, self.subspaces)])
+        super().__init__(space_dim, [b.adjoint().data * w
+                                     for w, b in zip(weights, self.bases)])
 
     def projections(self) -> list[QMatrix]:
-        return [_projection(self.space_dim, basis) for basis in self.subspaces]
+        return [_projection(b) for b in self.bases]
 
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:
@@ -104,10 +100,11 @@ def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
 
 class PseudoFramePair(_FrameCore):
     """Analysis family {x_i}, synthesis family {x_i+}, and the subspace
-    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed.  The frame
-    core stores the analyzers' analysis matrix, whose rows are the <x_i|."""
+    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed, stored as the
+    analyzers' analysis matrix Phi (rows <x_i|) in the frame core, the
+    synthesis matrix Psi (columns x_i+) and an orthonormal basis matrix B."""
 
-    __slots__ = ("synthesizers", "subspace")
+    __slots__ = ("synthesis", "basis")
     analyzers = VectorFrame.members
 
     def __init__(self, space_dim: int, analyzers, synthesizers, subspace):
@@ -116,13 +113,10 @@ class PseudoFramePair(_FrameCore):
         if len(analyzers) != len(synthesizers):
             raise DimensionMismatch(
                 f"{len(analyzers)} analyzers vs {len(synthesizers)} synthesizers")
-        for v in (*analyzers, *synthesizers, *subspace):
-            if v.dim != space_dim:
-                raise DimensionMismatch(
-                    f"vector dim {v.dim} vs space dim {space_dim}")
-        super().__init__(space_dim, [_conj4(v.data)[None] for v in analyzers])
-        self.synthesizers = synthesizers
-        self.subspace = orthonormalize(subspace)
+        # one block <x_i| per member: the rows of Phi = X*, X the analyzers' columns
+        super().__init__(space_dim, _columns(space_dim, analyzers).adjoint().data[:, None])
+        self.synthesis = _columns(space_dim, synthesizers)
+        self.basis = _orthonormal_basis(_columns(space_dim, subspace))
 
 
 @dataclass(frozen=True)
@@ -136,13 +130,11 @@ def pseudo_frame_check(pair: PseudoFramePair) -> PseudoCheck:
     subspace, exactly: with B its orthonormal basis, the operator norm of
     (Psi Phi - I) B, the largest singular value of its chi.  Holds iff it
     stays below PSEUDO_TOL; a residual that overflows raises NonFinite."""
-    basis = pair.subspace
-    if not basis:
+    b = pair.basis
+    if not b.cols:
         return PseudoCheck(holds=True, max_residual=0.0)
-    b = QMatrix.from_columns(basis)
-    synthesis = synthesis_matrix(VectorFrame(pair.space_dim, pair.synthesizers))
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = synthesis @ (pair.analysis_matrix() @ b) - b
+        residual = pair.synthesis @ (pair.analysis_matrix() @ b) - b
     max_residual = float(np.linalg.norm(_finite_chi(residual), 2))
     return PseudoCheck(holds=max_residual <= PSEUDO_TOL,
                        max_residual=max_residual)
@@ -155,12 +147,11 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     Raises NotAFrameOnSubspace when the restricted analyzers fail the
     frame inequality on the subspace.
     """
-    basis = pair.subspace
-    if not basis:
+    if not pair.basis.cols:
         raise NotAFrameOnSubspace("subspace is trivial")
     # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the row
     # of entries <x_a|b_k> acting from the left
-    rows = pair.analysis_matrix() @ QMatrix.from_columns(basis)
+    rows = pair.analysis_matrix() @ pair.basis
     if not has_frame_bounds(*extremal_eigenvalues(gram(rows))):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
@@ -174,9 +165,10 @@ class QuasiProjectorSystem(_FrameCore):
     finite Bessel-type energy bound.
 
     `decomposition`, when given, is a pair (d_ops, w0_basis): bounded
-    operators D_j and a base subspace with W_j = D_j(W_0); compatibility
-    is then checked against those subspaces instead of range(P_j).  The
-    frame core stores the P_j stacked one below the other.
+    operators D_j and a base subspace with W_j = D_j(W_0), stored with W_0
+    as the matrix of its spanning vectors; compatibility is then checked
+    against those subspaces instead of range(P_j).  The frame core stores
+    the P_j stacked one below the other.
     """
 
     __slots__ = ("decomposition",)
@@ -191,12 +183,11 @@ class QuasiProjectorSystem(_FrameCore):
         if decomposition is not None:
             d_ops, w0 = decomposition
             d_ops = list(d_ops)
-            w0 = list(w0)
             if len(d_ops) != len(projectors):
                 raise DimensionMismatch(
                     f"{len(d_ops)} displacement operators vs"
                     f" {len(projectors)} projectors")
-            decomposition = (d_ops, w0)
+            decomposition = (d_ops, _columns(space_dim, w0))
         super().__init__(space_dim, [p.data for p in projectors])
         self.decomposition = decomposition
 
@@ -230,18 +221,18 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     compatible:    P_j acts through its own subspace, P_j pi_{W_j} = P_j,
                    with W_j = D_j(W_0) or else the range of P_j.
     """
-    n = system.space_dim
     resolution_ok, self_adjoint = _resolution_and_self_adjoint(system)
     _, bessel_bound = extremal_eigenvalues(gram(system.analysis_matrix()))
+    projectors = system.projectors
     if system.decomposition is not None:
         d_ops, w0 = system.decomposition
-        spanning = [[d @ w for w in w0] for d in d_ops]
+        spanning = [d @ w0 for d in d_ops]
     else:
-        spanning = [[p.column(c) for c in range(n)] for p in system.projectors]
+        spanning = projectors
     compatible = all(
-        frobenius_distance(p @ _projection(n, orthonormalize(span)), p)
+        frobenius_distance(p @ _projection(_orthonormal_basis(span)), p)
         <= STRUCTURE_TOL * max(1.0, p.frobenius())
-        for p, span in zip(system.projectors, spanning))
+        for p, span in zip(projectors, spanning))
     return QuasiCheck(resolution_ok=resolution_ok, bessel_bound=bessel_bound,
                       self_adjoint=self_adjoint, compatible=compatible)
 

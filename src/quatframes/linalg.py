@@ -276,12 +276,12 @@ def complex_adjoint_rep(a: QMatrix) -> np.ndarray:
 
 
 def _finite_chi(a: QMatrix) -> np.ndarray:
-    """chi(A) for LAPACK, which cannot take inf or nan entries."""
-    h = complex_adjoint_rep(a)
-    if not np.isfinite(h).all():
+    """chi(A) for LAPACK, which cannot take inf or nan entries; they are
+    refused before chi is formed, where 1j * inf would warn."""
+    if not np.isfinite(a.data).all():
         raise NonFinite("matrix has inf or nan entries, such as from an "
                         "overflow; rescale the input")
-    return h
+    return complex_adjoint_rep(a)
 
 
 def _from_complex_blocks(c: np.ndarray) -> QMatrix:
@@ -421,7 +421,8 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
     [u2; conj(u1)] span the right multiples u*q.  Each candidate is
     projected twice off the kept columns and their partners, dropped when
     its residual norm is at most drop_tol times its norm before projection
-    and kept normalized otherwise.
+    and kept normalized otherwise: by the norm's exponent, exactly, then its
+    mantissa, so a subnormal norm, whose reciprocal overflows, works too.
     """
     rows = columns.shape[0]
     n = rows // 2
@@ -436,7 +437,8 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
         norm = _norm(c.view(np.float64))
         if norm <= floor:
             continue
-        c = c / norm
+        mantissa, exp = np.frexp(norm)
+        c = np.ldexp(c.view(np.float64), -exp).view(complex) / mantissa
         span[:, k] = c
         span[:, k + 1] = np.concatenate([-np.conj(c[n:]), np.conj(c[:n])])
         k += 2
@@ -444,6 +446,23 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
             break
     # kept columns, then their partners: chi of the basis
     return _from_complex_blocks(np.hstack([span[:, :k:2], span[:, 1:k:2]]))
+
+
+def _orthonormal_basis(a: QMatrix) -> QMatrix:
+    """The n x k orthonormal basis of the right span of a's columns that
+    Gram-Schmidt keeps, dropping each column whose residual norm is at most
+    GS_DROP_TOL times its own norm; n x 0 when a has no columns."""
+    return _gram_schmidt(complex_adjoint_rep(a)[:, :a.cols], GS_DROP_TOL)
+
+
+def _columns(space_dim: int, vectors) -> QMatrix:
+    """The n x m matrix whose columns are the given vectors of H^n."""
+    vectors = list(vectors)
+    for v in vectors:
+        if v.dim != space_dim:
+            raise DimensionMismatch(f"vector dim {v.dim} vs space dim {space_dim}")
+    return QMatrix(np.concatenate([np.zeros((space_dim, 0, 4)),
+                                   *(v.data[:, None] for v in vectors)], axis=1))
 
 
 def orthonormalize(vectors) -> list[QVector]:
@@ -457,8 +476,7 @@ def orthonormalize(vectors) -> list[QVector]:
     vectors = list(vectors)
     if not vectors:
         return []
-    chi = complex_adjoint_rep(QMatrix.from_columns(vectors))
-    basis = _gram_schmidt(chi[:, :len(vectors)], GS_DROP_TOL)
+    basis = _orthonormal_basis(QMatrix.from_columns(vectors))
     return [basis.column(c) for c in range(basis.cols)]
 
 
@@ -473,11 +491,10 @@ def gram(a: QMatrix) -> QMatrix:
         return QMatrix((s + _conj4(np.swapaxes(s, 0, 1))) / 2.0)
 
 
-def _projection(space_dim: int, basis) -> QMatrix:
-    """B B*, the orthogonal projection onto the span of the orthonormal
-    basis B; the zero map when B is empty."""
-    rows = np.concatenate([np.zeros((0, space_dim, 4)), *(b.data[None] for b in basis)])
-    return gram(QMatrix(_conj4(rows)))
+def _projection(basis: QMatrix) -> QMatrix:
+    """B B* = gram(B*), the orthogonal projection onto the span of the
+    orthonormal columns of B; the zero map when B has no columns."""
+    return gram(basis.adjoint())
 
 
 def projection(vectors) -> QMatrix:
@@ -485,4 +502,4 @@ def projection(vectors) -> QMatrix:
     vectors = list(vectors)
     if not vectors:
         raise DimensionMismatch("projection needs a vector to fix the space dimension")
-    return _projection(vectors[0].dim, orthonormalize(vectors))
+    return _projection(_orthonormal_basis(QMatrix.from_columns(vectors)))

@@ -74,7 +74,11 @@ class _FrameCore:
     @classmethod
     def from_analysis(cls, a: QMatrix, codomain_dims):
         """The family of this kind with stacked analysis matrix a, for a kind
-        that holds nothing besides A (vector and operator frames)."""
+        that holds nothing besides A (vector and operator frames); a kind
+        with slots of its own raises TypeError, as A alone cannot fill them."""
+        if cls.__slots__:
+            raise TypeError(f"{cls.__name__} holds more than its analysis matrix;"
+                            " build it through its constructor")
         frame = cls.__new__(cls)
         frame.space_dim, frame._analysis, frame.codomain_dims = a.cols, a, list(codomain_dims)
         return frame

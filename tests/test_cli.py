@@ -1,10 +1,14 @@
 """Command-line behavior: report content, artifact round trips,
 determinism, and the exit-code contract."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     coordinate_functional_frame,
@@ -218,6 +222,35 @@ def test_fusion_with_huge_basis_vectors_is_parseval(capsys, tmp_path):
 def test_fusion_with_tiny_basis_vectors_is_parseval(capsys, tmp_path):
     # Gram-Schmidt drops a vector only relative to its own norm
     assert_scaled_basis_fusion_is_parseval(capsys, tmp_path, 1e-11)
+
+
+# a vector of norm 1e-320, below the 5.6e-309 whose reciprocal overflows
+TINY = {"dim": 2, "data": [[1e-320, 0, 0, 0], [0, 0, 0, 0]]}
+E1 = {"dim": 2, "data": [[1, 0, 0, 0], [0, 0, 0, 0]]}
+E2 = {"dim": 2, "data": [[0, 0, 0, 0], [1, 0, 0, 0]]}
+# the subspace of TINY is that of E1, so each file has the answer it would
+# have with E1 in its place
+SUBNORMAL_DOCS = {
+    "fusion": {"kind": "fusion", "dim": 2, "weights": [1, 1], "subspaces": [[TINY], [E2]]},
+    "pseudo": {"kind": "pseudo", "dim": 2, "analyzers": [E1], "synthesizers": [E1],
+               "subspace": [TINY]},
+    "quasi": {"kind": "quasi", "dim": 2, "projectors": [
+        {"rows": 2, "cols": 2, "data": [TINY["data"], [[0, 0, 0, 0], [0, 0, 0, 0]]]}]},
+}
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("fusion", ["is_parseval"]),
+    ("pseudo", ["checks", "holds"]),
+    ("quasi", ["checks", "compatible"]),
+])
+def test_subnormal_basis_vector_normalizes(capsys, tmp_path, kind, keys):
+    path = str(tmp_path / f"{kind}.json")
+    write_document(path, SUBNORMAL_DOCS[kind])
+    code, doc, err = run_json(capsys, "analyze", path)
+    for key in keys:
+        doc = doc[key]
+    assert code == 0 and err == "" and doc is True
 
 
 def test_analyze_is_deterministic(files, capsys):
@@ -472,7 +505,7 @@ def test_reconstruct_overflow_is_nonfinite(capsys, tmp_path):
     write_document(frame_path, vector_frame_obj(frame))
     write_document(vector_path, vector_obj(QVector(gen.standard_normal((4, 4)) * 1e300)))
     code, out, err = run(capsys, "reconstruct", frame_path, "--vector", vector_path)
-    assert code == cli.EXIT_CODES[errors.NonFinite] == 2 and out == ""
+    assert code == errors.NonFinite.exit_code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -665,3 +698,72 @@ def test_each_error_class_exits_cleanly(files, capsys, monkeypatch, cls):
     code, out, err = run(capsys, "analyze", files["shifted_vec"])
     assert code == EXIT_CODES[cls]
     assert out == "" and err == "error: boom\n"
+
+
+# ====== no traceback ======
+
+# entries of the generated files: zero, units, subnormals, numbers near
+# overflow, and standard normal draws
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-320, -1e-320, 1e300, -1e300]),
+    st.integers(0, 2**32 - 1).map(lambda s: float(np.random.default_rng(s).standard_normal())))
+
+
+@st.composite
+def generalized_docs(draw):
+    """A fusion, pseudo or quasi file on H^n, n <= 4, with at most three
+    members and at most two vectors per subspace."""
+    n = draw(st.integers(1, 4))
+
+    def rows(count):
+        return [[draw(ENTRIES) for _ in range(4)] for _ in range(count)]
+
+    def vectors(low, high):
+        return [{"dim": n, "data": rows(n)} for _ in range(draw(st.integers(low, high)))]
+
+    kind = draw(st.sampled_from(["fusion", "pseudo", "quasi"]))
+    if kind == "fusion":
+        subspaces = [vectors(0, 2) for _ in range(draw(st.integers(1, 3)))]
+        return {"kind": kind, "dim": n, "weights": [draw(ENTRIES) for _ in subspaces],
+                "subspaces": subspaces}
+    if kind == "pseudo":
+        count = draw(st.integers(0, 3))
+        return {"kind": kind, "dim": n, "analyzers": vectors(count, count),
+                "synthesizers": vectors(count, count), "subspace": vectors(0, 2)}
+    return {"kind": kind, "dim": n, "projectors": [
+        {"rows": n, "cols": n, "data": [rows(n) for _ in range(n)]}
+        for _ in range(draw(st.integers(1, 3)))]}
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("no_traceback")
+
+
+@settings(max_examples=60, deadline=None)
+@given(generalized_docs())
+@example(SUBNORMAL_DOCS["fusion"])
+@example(SUBNORMAL_DOCS["pseudo"])
+@example(SUBNORMAL_DOCS["quasi"])
+def test_generalized_files_never_end_in_a_traceback(scratch, doc):
+    """Every command on a generalized file ends in a JSON report or one
+    error line; a RuntimeWarning is an error here, so numpy cannot
+    overflow silently on the way."""
+    path = str(scratch / "frame.json")
+    write_document(path, doc)
+    for argv in (["analyze", path], ["parseval", path, "-o", str(scratch / "out.json")],
+                 ["convert", path, "-o", str(scratch / "out.json")]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+            json.loads(out, parse_constant=refuse_constant)

@@ -488,7 +488,8 @@ def kept_lists(doc, frame):
         return [(doc["members"], frame.members)]
     if kind == "pseudo":
         return [(doc["analyzers"], frame.analyzers),
-                (doc["synthesizers"], frame.synthesizers)]
+                (doc["synthesizers"],
+                 [frame.synthesis.column(k) for k in range(frame.synthesis.cols)])]
     if kind == "quasi":
         return [(doc["projectors"], frame.projectors)]
     return []

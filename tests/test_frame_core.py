@@ -117,11 +117,15 @@ def flags(f):
     return r.is_frame, r.is_tight, r.is_exact
 
 
+def columns(b):
+    return [b.column(c) for c in range(b.cols)]
+
+
 def scaled(f, c):
     if isinstance(f, VectorFrame):
         return VectorFrame(f.space_dim, [u * c for u in f.members])
     if isinstance(f, FusionFrame):
-        return FusionFrame(f.space_dim, f.subspaces, [w * c for w in f.weights])
+        return FusionFrame(f.space_dim, map(columns, f.bases), [w * c for w in f.weights])
     return OperatorFrame(f.space_dim, [t * c for t in f.members])
 
 
@@ -132,8 +136,7 @@ def rotated(f, u):
     if isinstance(f, VectorFrame):
         return VectorFrame(f.space_dim, [back @ x for x in f.members])
     if isinstance(f, FusionFrame):
-        return FusionFrame(f.space_dim, [[back @ x for x in basis]
-                                         for basis in f.subspaces], f.weights)
+        return FusionFrame(f.space_dim, [columns(back @ b) for b in f.bases], f.weights)
     return OperatorFrame(f.space_dim, [t @ u for t in f.members])
 
 

@@ -79,10 +79,11 @@ def test_fusion_orthonormalizes_subspace_bases():
     gen = np.random.default_rng(SEED)
     v1, v2 = random_qvector(gen, 4), random_qvector(gen, 4)
     f = FusionFrame(4, [[v1, v2, v1 * Quaternion(0, 1, 0, 0)]], [1.0])
-    assert len(f.subspaces[0]) == 2
+    basis = f.bases[0]
+    assert basis.cols == 2
     for a in range(2):
         for b in range(2):
-            ip = inner(f.subspaces[0][a], f.subspaces[0][b])
+            ip = inner(basis.column(a), basis.column(b))
             expect = 1.0 if a == b else 0.0
             assert abs(ip.r0 - expect) <= 1e-12 and abs(ip) - abs(ip.r0) <= 1e-12
 
@@ -203,9 +204,9 @@ def test_pseudo_conversion_preserves_energies_on_subspace():
     for _ in range(100):
         coords = random_qvector(gen, 3)
         x_data = np.zeros((6, 4))
-        for b, k in zip(pair.subspace, range(3)):
+        for k in range(3):
             comp = Quaternion.from_components(coords.data[k])
-            x_data += (b * comp).data
+            x_data += (pair.basis.column(k) * comp).data
         x = QVector(x_data)
         direct = sum(abs(inner(a, x)) ** 2 for a in analyzers)
         via_ops = op_analysis(g, coords).norm_sq()
@@ -315,3 +316,11 @@ def test_rayleigh_quotients_respect_quasi_bessel_bound():
         x = random_unit_qvector(gen, 5)
         energy = sum((p @ x).norm_sq() for p in system.projectors)
         assert energy <= bound + 1e-9
+
+
+@pytest.mark.parametrize("kind", [FusionFrame, PseudoFramePair, QuasiProjectorSystem],
+                         ids=lambda kind: kind.__name__)
+def test_from_analysis_refuses_a_kind_with_slots_of_its_own(kind):
+    # A alone cannot fill the bases, the synthesis matrix or a decomposition
+    with pytest.raises(TypeError, match=kind.__name__):
+        kind.from_analysis(QMatrix.identity(2), [1, 1])

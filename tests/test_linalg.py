@@ -423,6 +423,14 @@ def test_gram_schmidt_drops_dependent_vectors():
     assert len(basis) == 1
 
 
+def test_gram_schmidt_normalizes_a_subnormal_vector():
+    # 1 / 1e-320 overflows, so a division through the reciprocal gives inf;
+    # e1 comes back to the round-off of that division at any scale
+    e1 = QVector.basis(3, 0)
+    basis = orthonormalize([e1 * 1e-320])
+    assert len(basis) == 1 and np.abs(basis[0].data - e1.data).max() <= 2.0**-52
+
+
 def test_gram_matrix_is_identity():
     gen = rng()
     vecs = [random_qvector(gen, 6) for _ in range(4)]
