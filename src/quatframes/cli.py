@@ -169,7 +169,13 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:  # numpy's generator takes no other seed
+        raise ValidationError("--seed must be nonnegative")
+
+
 def cmd_stability(args) -> int:
+    _check_seed(args)
     kind_f, f = load_frame(args.path_f)
     kind_r, r = load_frame(args.path_r)
     if kind_f != "operator_frame" or kind_r != "operator_frame":
@@ -212,6 +218,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    _check_seed(args)
     kind, frame = load_frame(args.path)
     if kind not in ("vector_frame", "operator_frame"):
         raise ValidationError(
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, metavar="X")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    metavar="X", help="theorem 2 lambda")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="nonnegative")
 
     p = sub.add_parser("reconstruct",
                        help="reconstruct vectors through the canonical dual "
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON vector file to reconstruct")
     group.add_argument("--random", type=int, metavar="K",
                        help="number of seeded random vectors")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="nonnegative")
 
     return parser
 

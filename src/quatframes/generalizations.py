@@ -28,9 +28,9 @@ from .linalg import (
     QMatrix,
     _columns,
     _finite_chi,
-    _orthonormal_basis,
-    _projection,
     frobenius_distance,
+    orthonormalize,
+    projection,
 )
 from .operator_frames import OperatorFrame
 from .reporting import (
@@ -70,13 +70,13 @@ class FusionFrame(_FrameCore):
         for w in weights:
             if not w > 0.0:
                 raise InvalidWeight(f"weight {w} is not strictly positive")
-        self.bases = [_orthonormal_basis(_columns(space_dim, basis)) for basis in subspaces]
+        self.bases = [orthonormalize(_columns(space_dim, basis)) for basis in subspaces]
         self.weights = weights
         super().__init__(space_dim, [b.adjoint().data * w
                                      for w, b in zip(weights, self.bases)])
 
     def projections(self) -> list[QMatrix]:
-        return [_projection(b) for b in self.bases]
+        return [gram(b.adjoint()) for b in self.bases]
 
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:
@@ -116,7 +116,7 @@ class PseudoFramePair(_FrameCore):
         # one block <x_i| per member: the rows of Phi = X*, X the analyzers' columns
         super().__init__(space_dim, _columns(space_dim, analyzers).adjoint().data[:, None])
         self.synthesis = _columns(space_dim, synthesizers)
-        self.basis = _orthonormal_basis(_columns(space_dim, subspace))
+        self.basis = orthonormalize(_columns(space_dim, subspace))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     else:
         spanning = projectors
     compatible = all(
-        frobenius_distance(p @ _projection(_orthonormal_basis(span)), p)
+        frobenius_distance(p @ projection(span), p)
         <= STRUCTURE_TOL * max(1.0, p.frobenius())
         for p, span in zip(projectors, spanning))
     return QuasiCheck(resolution_ok=resolution_ok, bessel_bound=bessel_bound,

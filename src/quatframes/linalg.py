@@ -25,6 +25,7 @@ quaternionic spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -221,9 +222,6 @@ class QMatrix(_QArray):
     def column(self, c: int) -> QVector:
         return QVector(self.data[:, c, :])
 
-    def row(self, r: int) -> QVector:
-        return QVector(self.data[r, :, :])
-
     def adjoint(self) -> "QMatrix":
         """Conjugate transpose; satisfies <A* u|v> = <u|A v>."""
         return QMatrix(_conj4(np.swapaxes(self.data, 0, 1)))
@@ -301,14 +299,18 @@ def _from_complex_blocks(c: np.ndarray) -> QMatrix:
 
 def _invertible_chi(a: QMatrix) -> np.ndarray:
     """chi(A) of a square A whose smallest singular value clears
-    SINGULAR_RTOL * ||A||_F; chi(A^-1) = chi(A)^-1."""
+    SINGULAR_RTOL * ||A||_F and whose inverse's norm, its reciprocal, is
+    finite; chi(A^-1) = chi(A)^-1."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"solve and inverse need a square matrix, got {a.shape}")
     h = _finite_chi(a)
     floor = SINGULAR_RTOL * a.frobenius()
-    smallest = np.linalg.svd(h, compute_uv=False)[-1]
+    smallest = float(np.linalg.svd(h, compute_uv=False)[-1])
     if smallest <= floor:
         raise Singular(f"smallest singular value {smallest:.3e} is not above {floor:.3e}")
+    if 1.0 / smallest == inf:
+        raise NonFinite(f"the inverse overflows: smallest singular value {smallest:.3e};"
+                        " rescale the input")
     return h
 
 
@@ -448,13 +450,6 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
     return _from_complex_blocks(np.hstack([span[:, :k:2], span[:, 1:k:2]]))
 
 
-def _orthonormal_basis(a: QMatrix) -> QMatrix:
-    """The n x k orthonormal basis of the right span of a's columns that
-    Gram-Schmidt keeps, dropping each column whose residual norm is at most
-    GS_DROP_TOL times its own norm; n x 0 when a has no columns."""
-    return _gram_schmidt(complex_adjoint_rep(a)[:, :a.cols], GS_DROP_TOL)
-
-
 def _columns(space_dim: int, vectors) -> QMatrix:
     """The n x m matrix whose columns are the given vectors of H^n."""
     vectors = list(vectors)
@@ -465,19 +460,11 @@ def _columns(space_dim: int, vectors) -> QMatrix:
                                    *(v.data[:, None] for v in vectors)], axis=1))
 
 
-def orthonormalize(vectors) -> list[QVector]:
-    """Right-quaternionic Gram-Schmidt, run on chi columns.
-
-    Projection coefficients <b|v> multiply on the right, v - b*<b|v>;
-    vectors whose residual norm is at most GS_DROP_TOL times their own
-    norm are dropped.
-    A second orthogonalization pass keeps the Gram matrix near identity.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    basis = _orthonormal_basis(QMatrix.from_columns(vectors))
-    return [basis.column(c) for c in range(basis.cols)]
+def orthonormalize(a: QMatrix) -> QMatrix:
+    """The n x k orthonormal basis of the right span of a's columns that
+    Gram-Schmidt keeps, dropping each column whose residual norm is at most
+    GS_DROP_TOL times its own norm; n x 0 when a has no columns."""
+    return _gram_schmidt(complex_adjoint_rep(a)[:, :a.cols], GS_DROP_TOL)
 
 
 def gram(a: QMatrix) -> QMatrix:
@@ -491,15 +478,7 @@ def gram(a: QMatrix) -> QMatrix:
         return QMatrix((s + _conj4(np.swapaxes(s, 0, 1))) / 2.0)
 
 
-def _projection(basis: QMatrix) -> QMatrix:
-    """B B* = gram(B*), the orthogonal projection onto the span of the
-    orthonormal columns of B; the zero map when B has no columns."""
-    return gram(basis.adjoint())
-
-
-def projection(vectors) -> QMatrix:
-    """Orthogonal projection onto the right span of the given vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        raise DimensionMismatch("projection needs a vector to fix the space dimension")
-    return _projection(_orthonormal_basis(QMatrix.from_columns(vectors)))
+def projection(a: QMatrix) -> QMatrix:
+    """B B* = gram(B*), B = orthonormalize(a): the orthogonal projection
+    onto the right span of a's columns; the zero map when that is {0}."""
+    return gram(orthonormalize(a).adjoint())

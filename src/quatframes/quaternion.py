@@ -126,7 +126,6 @@ class Quaternion:
         return f"{self.r0:g} + {self.r1:g}i + {self.r2:g}j + {self.r3:g}k"
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

@@ -30,7 +30,8 @@ D = A_F - A_R and M = A_F, A_R on the stacked analysis matrices for
 theorem 1 and their adjoints for theorem 2.  With every c_k = 0 that is
 ||A_F - A_R|| <= mu, decided exactly; otherwise it is tested on seeded
 random columns.  The predicted bounds are evaluated verbatim and
-compared with the measured bounds of R, both steps with relative slack.
+compared with the measured bounds of R, both steps with relative slack;
+a predicted bound that overflows is refused before the hypothesis is tested.
 A nonpositive predicted lower bound means the theorem makes no frame
 claim; consistency is then vacuous.  ``predicted_lower`` keeps the sign
 of the pre-square factor so that inadmissibly large constants surface
@@ -40,7 +41,7 @@ as a negative number instead of a silently squared positive one.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -201,15 +202,25 @@ def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
     return bool(np.all(lhs <= rhs * (1.0 + HYPOTHESIS_SLACK)))
 
 
+def _predicted(bounds, lower_factor: float, upper_factor: float) -> tuple[float, float]:
+    """The predicted bounds r1 * lower_factor^2 (signed) and
+    r2 * upper_factor^2; InvalidParams when either overflows."""
+    r1, r2 = bounds
+    try:  # float ** raises OverflowError where a product gives inf
+        predicted = r1 * lower_factor * abs(lower_factor), r2 * upper_factor ** 2
+    except OverflowError:
+        predicted = (inf,)
+    if not all(isfinite(b) for b in predicted):
+        raise InvalidParams("predicted frame bound overflows; the constants are "
+                            "too large for these frame bounds")
+    return predicted
+
+
 def _verdict(theorem: int, params, seed: int, hypothesis_ok: bool,
-             frame_bounds: tuple[float, float], measured: tuple[float, float],
-             lower_factor: float, upper_factor: float,
+             predicted: tuple[float, float], measured: tuple[float, float],
              note: str = "") -> StabilityVerdict:
-    """The verdict on predicted bounds r1 * lower_factor^2 (signed) and
-    r2 * upper_factor^2 against the measured bounds of R."""
-    r1, r2 = frame_bounds
-    predicted_lower = r1 * lower_factor * abs(lower_factor)
-    predicted_upper = r2 * upper_factor ** 2
+    """The verdict on the predicted bounds against the measured bounds of R."""
+    predicted_lower, predicted_upper = predicted
     claim = predicted_lower > 0.0
     if not claim:
         note = "; ".join(filter(None, (note, NO_CLAIM_NOTE)))
@@ -235,12 +246,12 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
     params.validate()
     bounds = _frame_bounds_of(f)
     measured = extremal_eigenvalues(op_frame_operator(r))
+    shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
+    predicted = _predicted(bounds, 1.0 - shift / (1.0 + params.lambda2),
+                           1.0 + shift / (1.0 - params.lambda2))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2),
                                    params.mu, False, seed)
-    shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
-    return _verdict(1, params, seed, hypothesis_ok, bounds, measured,
-                    1.0 - shift / (1.0 + params.lambda2),
-                    1.0 + shift / (1.0 - params.lambda2))
+    return _verdict(1, params, seed, hypothesis_ok, predicted, measured)
 
 
 def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Params,
@@ -260,7 +271,6 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
         raise ConditionViolated(
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
     measured = extremal_eigenvalues(op_frame_operator(r))
+    predicted = _predicted(bounds, 1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
-    return _verdict(2, params, seed, hypothesis_ok, bounds, measured,
-                    1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2),
-                    T2_NOTE)
+    return _verdict(2, params, seed, hypothesis_ok, predicted, measured, T2_NOTE)

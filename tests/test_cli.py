@@ -451,10 +451,52 @@ def test_stability_t2_refuses_undersized_mu(capsys, tmp_path):
     assert code == 1 and doc["hypothesis_ok"] is False
 
 
+# the identity as one 2 x 2 operator member
+IDENTITY_OP = {"kind": "operator_frame", "dim": 2, "members": [
+    {"rows": 2, "cols": 2, "data": [[[1, 0, 0, 0], [0, 0, 0, 0]],
+                                    [[0, 0, 0, 0], [1, 0, 0, 0]]]}]}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "1e200"], ["--lambda1", "0.5", "--mu", "1e300"],
+    ["--lambda1", "0.5", "--mu", "1e308"],
+], ids=" ".join)
+def test_stability_refuses_an_overflowing_predicted_bound(capsys, tmp_path, flags):
+    # r1 = r2 = 1, so the predicted bounds are about -mu^2 and mu^2; the
+    # refusal comes before the sampled test, whose mu * ||x|| would overflow
+    path = str(tmp_path / "op.json")
+    write_document(path, IDENTITY_OP)
+    code, out, err = run(capsys, "stability", path, path, *flags)
+    assert code == 2 and out == ""
+    assert err == ("error: predicted frame bound overflows; the constants are "
+                   "too large for these frame bounds\n")
+
+
 def test_stability_seed_echoed(files, capsys):
     code, doc, _ = run_json(capsys, "stability", files["shifted_op"],
                             files["scaled_op"], "--fit", "--seed", "42")
     assert code == 0 and doc["seed"] == 42
+
+
+# sampled and exact stability, reconstruct with and without random vectors
+@pytest.mark.parametrize("argv", [
+    ["stability", "shifted_op", "scaled_op", "--lambda1", "0.1"],
+    ["stability", "shifted_op", "scaled_op"],
+    ["stability", "shifted_op", "scaled_op", "--theorem", "2", "--lambda", "0.1"],
+    ["reconstruct", "shifted_vec", "--random", "2"],
+    ["reconstruct", "coords", "--vector", "probe"],
+], ids=" ".join)
+def test_negative_seed_is_refused(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be nonnegative\n"
+
+
+def test_analyze_records_a_negative_seed(files, capsys):
+    # the seed seeds nothing there
+    code, doc, _ = run_json(capsys, "analyze", files["pseudo"], "--seed", "-1")
+    assert code == 0 and doc["seed"] == -1
 
 
 # ====== reconstruct ======
@@ -507,6 +549,18 @@ def test_reconstruct_overflow_is_nonfinite(capsys, tmp_path):
     code, out, err = run(capsys, "reconstruct", frame_path, "--vector", vector_path)
     assert code == errors.NonFinite.exit_code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reconstruct_refuses_a_dual_that_overflows(capsys, tmp_path):
+    # S is near 1e-320, so S^-1 overflows; at this seed LU forms a nan on the
+    # way, which numpy raises as LinAlgError unless the inverse is refused first
+    path = str(tmp_path / "op.json")
+    members = np.random.default_rng(189).standard_normal((3, 3, 4)) * 1e-160
+    write_document(path, {"kind": "operator_frame", "dim": 3, "members": [
+        {"rows": 3, "cols": 3, "data": members}]})
+    code, out, err = run(capsys, "reconstruct", path, "--random", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the inverse overflows") and err.count("\n") == 1
 
 
 def test_reconstruct_vector_dim_mismatch(files, capsys, tmp_path):
@@ -739,6 +793,22 @@ def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def assert_ends_cleanly(argv, reports_failure=False):
+    """The command ends in exit 0 with a JSON report and empty stderr, or in
+    exit 1 or 2 with empty stdout and one error line; with reports_failure,
+    exit 1 may also come with a report, as a failed verdict does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0 or (reports_failure and code == 1 and out):
+        assert err == ""
+        json.loads(out, parse_constant=refuse_constant)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("no_traceback")
@@ -757,13 +827,49 @@ def test_generalized_files_never_end_in_a_traceback(scratch, doc):
     write_document(path, doc)
     for argv in (["analyze", path], ["parseval", path, "-o", str(scratch / "out.json")],
                  ["convert", path, "-o", str(scratch / "out.json")]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2)
-        if code:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        else:
-            assert err == ""
-            json.loads(out, parse_constant=refuse_constant)
+        assert_ends_cleanly(argv)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operator frames F, R on H^n, n <= 3, with the same one to three
+    member shapes of at most three rows: standard normal draws at a scale
+    from subnormal to near overflow, R being F, F perturbed or its own draw."""
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-320, 1e-160, 1e150, 1e300]))
+    f = gen.standard_normal((sum(dims), n, 4)) * scale
+    r = draw(st.sampled_from([f, f + 0.01 * scale * gen.standard_normal(f.shape),
+                              scale * gen.standard_normal(f.shape)]))
+
+    def frame(a):
+        return {"kind": "operator_frame", "dim": n, "members": [
+            {"rows": d, "cols": n, "data": block}
+            for d, block in zip(dims, np.split(a, np.cumsum(dims)[:-1]))]}
+
+    return frame(f), frame(r)
+
+
+# zero, subnormal, admissible, next to the lambda2 < 1 limit, and large
+CONSTANTS = st.sampled_from([0.0, 1e-320, 0.5, 0.999, 1e200, 1e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.tuples(CONSTANTS, CONSTANTS, CONSTANTS),
+       st.sampled_from([0, 2**32, -1]))
+@example((IDENTITY_OP, IDENTITY_OP), (0.0, 0.0, 1e200), 0)
+@example((IDENTITY_OP, IDENTITY_OP), (0.5, 0.0, 1e308), 0)
+@example((IDENTITY_OP, IDENTITY_OP), (0.1, 0.0, 0.0), -1)
+def test_stability_and_reconstruct_never_end_in_a_traceback(scratch, pair, constants, seed):
+    """Both stability theorems and reconstruct on a small operator-frame
+    pair end in a JSON report or one error line, at any constant and seed."""
+    paths = str(scratch / "f.json"), str(scratch / "r.json")
+    for path, doc in zip(paths, pair):
+        write_document(path, doc)
+    c1, c2, c3 = map(repr, constants)
+    seed = ["--seed", str(seed)]
+    for argv in (["stability", *paths, "--lambda1", c1, "--lambda2", c2, "--mu", c3, *seed],
+                 ["stability", *paths, "--theorem", "2", "--lambda", c1, "--mu", c3, *seed],
+                 ["reconstruct", paths[0], "--random", "2", *seed]):
+        assert_ends_cleanly(argv, reports_failure=True)

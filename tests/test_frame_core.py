@@ -187,7 +187,7 @@ def test_flags_invariant_under_scaling(f, k):
 def test_flags_invariant_under_unitaries(f, seed):
     gen = np.random.default_rng(seed)
     n = f.space_dim
-    u = QMatrix.from_columns(orthonormalize(
+    u = orthonormalize(QMatrix.from_columns(
         [QVector(gen.standard_normal((n, 4))) for _ in range(n)]))
     assert flags(rotated(f, u)) == flags(f)
 

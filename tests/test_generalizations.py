@@ -278,7 +278,7 @@ def test_quasi_conversion_of_coordinate_projectors_is_parseval():
 
 def test_quasi_check_orthonormalizes_each_range_once(gram_schmidt_calls):
     gen = np.random.default_rng(SEED)
-    u = QMatrix.from_columns(linalg.orthonormalize(
+    u = linalg.orthonormalize(QMatrix.from_columns(
         [random_qvector(gen, 4) for _ in range(4)]))
     # projectors onto the lines of a random orthonormal basis
     system = QuasiProjectorSystem(4, [outer(u.column(c), u.column(c))

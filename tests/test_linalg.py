@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quatframes.errors import (
     DimensionMismatch,
+    NonFinite,
     NotHermitian,
     NotPositive,
     Singular,
@@ -212,6 +213,18 @@ def test_singular_matrix_rejected():
         solve(nearly, random_qvector(gen, 6))
 
 
+@pytest.mark.parametrize("seed", [0, 189])
+def test_inverse_that_overflows_is_nonfinite(seed):
+    # S = A*A is near 1e-320 and well conditioned, but its inverse, near
+    # 1e320, overflows: LAPACK gives inf entries, or at seed 189 a nan on
+    # the way that numpy raises as LinAlgError
+    a = QMatrix(np.random.default_rng(seed).standard_normal((3, 3, 4)) * 1e-160)
+    with pytest.raises(NonFinite):
+        inverse_matrix(gram(a))
+    with pytest.raises(NonFinite):
+        solve(gram(a), QVector.basis(3, 0))
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         solve(QMatrix.zeros(2, 3), QVector.zeros(2))
@@ -274,9 +287,9 @@ def test_spectrum_residuals_with_degenerate_eigenvalues():
 
 def random_unitary(gen, n):
     """Quaternionic unitary: Gram-Schmidt on n random vectors of H^n."""
-    basis = orthonormalize([random_qvector(gen, n) for _ in range(n)])
-    assert len(basis) == n
-    return QMatrix.from_columns(basis)
+    basis = orthonormalize(QMatrix.from_columns([random_qvector(gen, n) for _ in range(n)]))
+    assert basis.cols == n
+    return basis
 
 
 @pytest.mark.parametrize("n", [8, 16, 24])
@@ -361,9 +374,9 @@ def _psd_parts(seed, n, rank):
     orthogonal to its columns, and a random rank x 2n matrix C, so that
     B = U C has range(B) = range(U) whenever rank < n."""
     gen = np.random.default_rng(seed)
-    basis = orthonormalize([random_qvector(gen, n) for _ in range(n)])
-    u = QMatrix.from_columns(basis[:rank])
-    return u, basis[-1], random_qmatrix(gen, rank, 2 * n)
+    basis = orthonormalize(QMatrix.from_columns([random_qvector(gen, n) for _ in range(n)]))
+    u = QMatrix(basis.data[:, :rank])
+    return u, basis.column(n - 1), random_qmatrix(gen, rank, 2 * n)
 
 
 def _scaled(s, k):
@@ -411,34 +424,35 @@ def test_norms_do_not_overflow():
 def test_gram_schmidt_simple():
     u = QVector.from_quaternions([ONE, Quaternion()])
     v = QVector.from_quaternions([ONE, ONE])
-    basis = orthonormalize([u, v])
-    assert len(basis) == 2
-    assert np.allclose(basis[0].data, QVector.basis(2, 0).data, atol=1e-12)
-    assert np.allclose(basis[1].data, QVector.basis(2, 1).data, atol=1e-12)
+    basis = orthonormalize(QMatrix.from_columns([u, v]))
+    assert basis.cols == 2
+    assert np.allclose(basis.column(0).data, QVector.basis(2, 0).data, atol=1e-12)
+    assert np.allclose(basis.column(1).data, QVector.basis(2, 1).data, atol=1e-12)
 
 
 def test_gram_schmidt_drops_dependent_vectors():
     u = QVector.from_quaternions([ONE, I])
-    basis = orthonormalize([u, u * Quaternion(0.5, 0.5, 0, 0), u * 1e-14])
-    assert len(basis) == 1
+    basis = orthonormalize(QMatrix.from_columns(
+        [u, u * Quaternion(0.5, 0.5, 0, 0), u * 1e-14]))
+    assert basis.cols == 1
 
 
 def test_gram_schmidt_normalizes_a_subnormal_vector():
     # 1 / 1e-320 overflows, so a division through the reciprocal gives inf;
     # e1 comes back to the round-off of that division at any scale
     e1 = QVector.basis(3, 0)
-    basis = orthonormalize([e1 * 1e-320])
-    assert len(basis) == 1 and np.abs(basis[0].data - e1.data).max() <= 2.0**-52
+    basis = orthonormalize(QMatrix.from_columns([e1 * 1e-320]))
+    assert basis.cols == 1 and np.abs(basis.column(0).data - e1.data).max() <= 2.0**-52
 
 
 def test_gram_matrix_is_identity():
     gen = rng()
     vecs = [random_qvector(gen, 6) for _ in range(4)]
-    basis = orthonormalize(vecs)
-    assert len(basis) == 4
+    basis = orthonormalize(QMatrix.from_columns(vecs))
+    assert basis.cols == 4
     for a in range(4):
         for b in range(4):
-            ip = inner(basis[a], basis[b])
+            ip = inner(basis.column(a), basis.column(b))
             expect = ONE if a == b else Quaternion()
             assert qclose(ip, expect, tol=1e-12)
 
@@ -446,7 +460,7 @@ def test_gram_matrix_is_identity():
 def test_projection_is_idempotent_selfadjoint():
     gen = rng()
     vecs = [random_qvector(gen, 5) for _ in range(2)]
-    p = projection(vecs)
+    p = projection(QMatrix.from_columns(vecs))
     assert frobenius_distance(p @ p, p) <= 1e-10
     assert frobenius_distance(p, p.adjoint()) <= 1e-12
     # projecting a member of the span is the identity on it
@@ -454,13 +468,13 @@ def test_projection_is_idempotent_selfadjoint():
     assert (p @ w - w).norm() <= 1e-9 * w.norm()
 
 
-def test_projection_of_no_vectors_is_refused():
-    with pytest.raises(DimensionMismatch):
-        projection([])
+def test_projection_of_no_columns_is_the_zero_map():
+    p = projection(QMatrix(np.zeros((3, 0, 4))))
+    assert p.shape == (3, 3) and not p.data.any()
 
 
 def test_projection_onto_first_coordinate():
-    p = projection([QVector.basis(3, 0)])
+    p = projection(QMatrix.from_columns([QVector.basis(3, 0)]))
     expect = np.zeros((3, 3, 4))
     expect[0, 0, 0] = 1.0
     assert np.allclose(p.data, expect, atol=1e-14)
@@ -528,13 +542,12 @@ def vector_lists(draw):
 @given(vector_lists())
 def test_orthonormalize_matches_modified_gram_schmidt(vecs):
     ref = reference_orthonormalize(vecs)
-    basis = orthonormalize([QVector(v) for v in vecs])
-    assert len(basis) == len(ref)
-    for b, r in zip(basis, ref):
-        assert np.abs(b.data - r).max() <= 1e-10
-    if basis:
-        b = QMatrix.from_columns(basis)
-        gram = (b.adjoint() @ b).data - QMatrix.identity(len(basis)).data
+    b = orthonormalize(QMatrix.from_columns([QVector(v) for v in vecs]))
+    assert b.cols == len(ref)
+    for c, r in enumerate(ref):
+        assert np.abs(b.column(c).data - r).max() <= 1e-10
+    if b.cols:
+        gram = (b.adjoint() @ b).data - QMatrix.identity(b.cols).data
         assert np.abs(gram).max() <= 1e-12
 
 
