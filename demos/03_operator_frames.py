@@ -48,7 +48,7 @@ print(f"\nrandom frame: codomains {[m.rows for m in members]}, "
 
 # every operator frame induces a plain vector sequence with the same
 # frame operator: the rows T_i*(e_k) collected over all members
-induced = induced_sequence(f).to_vector_frame()
+induced = induced_sequence(f)
 ind_eigs = hermitian_eigenvalues(frame_operator(induced))
 print(f"induced vector frame: {len(induced.members)} vectors, "
       f"bounds ({ind_eigs[0]:.4f}, {ind_eigs[-1]:.4f})  (identical)")

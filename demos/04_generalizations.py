@@ -12,6 +12,7 @@ from quatframes import (
     FusionFrame,
     OperatorFrame,
     PseudoFramePair,
+    QMatrix,
     QuasiProjectorSystem,
     QVector,
     fusion_report,
@@ -28,9 +29,10 @@ from quatframes import (
 
 basis = [QVector.basis(7, k) for k in range(7)]
 
-# fusion frame: weighted subspaces, here the lines spanned by
-# z1, z1, z2, ..., z7 with unit weights
-fusion = FusionFrame(7, [[basis[0]]] + [[b] for b in basis], [1.0] * 8)
+# fusion frame: weighted subspaces, each given as a matrix whose columns
+# span it, here the lines spanned by z1, z1, z2, ..., z7 with unit weights
+fusion = FusionFrame(7, [QMatrix.from_columns([b]) for b in [basis[0]] + basis],
+                     [1.0] * 8)
 rep = fusion_report(fusion)
 print(f"fusion frame of 8 lines in H^7: bounds "
       f"({rep.lower:.6g}, {rep.upper:.6g})")
@@ -39,10 +41,12 @@ eigs = hermitian_eigenvalues(op_frame_operator(as_ops))
 print(f"converted to operators v_i P_i: bounds ({eigs[0]:.6g}, {eigs[-1]:.6g})")
 
 # pseudo-frame pair: analyzers z_i against synthesizers z_(2i-1);
-# reconstruction x = sum x*_i <x_i|x> holds on the line [z1] only
+# reconstruction x = sum x*_i <x_i|x> holds on the line [z1] only; each
+# family is the matrix of its vectors as columns
 big = [QVector.basis(8, k) for k in range(8)]
-pair = PseudoFramePair(8, [big[i] for i in range(4)],
-                       [big[2 * i] for i in range(4)], [big[0]])
+analyzers = QMatrix.from_columns(big[:4])
+synthesizers = QMatrix.from_columns(big[0:8:2])
+pair = PseudoFramePair(8, analyzers, synthesizers, QMatrix.from_columns(big[:1]))
 check = pseudo_frame_check(pair)
 print(f"\npseudo pair on [z1]: holds={check.holds}, "
       f"max residual {check.max_residual:.3e}")
@@ -51,8 +55,7 @@ print(f"restricted analyzers as an operator frame on the subspace: "
       f"bounds ({op_report(converted).lower:.6g}, "
       f"{op_report(converted).upper:.6g})")
 
-wider = PseudoFramePair(8, [big[i] for i in range(4)],
-                        [big[2 * i] for i in range(4)], [big[0], big[1]])
+wider = PseudoFramePair(8, analyzers, synthesizers, QMatrix.from_columns(big[:2]))
 wide_check = pseudo_frame_check(wider)
 print(f"same pair on [z1, z2]: holds={wide_check.holds}, "
       f"max residual {wide_check.max_residual:.3f}  (z2 rebuilds to z3)")

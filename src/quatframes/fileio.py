@@ -155,9 +155,12 @@ def _list(obj: Any, axes: tuple[str, ...], mismatch, where: str) -> tuple[np.nda
     return _stack(obj, axes, mismatch, lambda k: f"{where}[{k}]")
 
 
-def _vectors(obj: Any, dim: int, where: str) -> np.ndarray:
-    return _list(obj, ("dim",), lambda s: s != (dim,) and
+def _vectors(obj: Any, dim: int, where: str) -> QMatrix:
+    """The n x m matrix whose columns are the listed vectors of H^n."""
+    rows = _list(obj, ("dim",), lambda s: s != (dim,) and
                  f"dimension {s[0]} does not match frame dim {dim}", where)[0]
+    # the reader gives an empty list shape (0,), which this makes n x 0
+    return QMatrix(np.swapaxes(rows.reshape(-1, dim, 4), 0, 1))
 
 
 def _held(count: int, dim: int) -> None:
@@ -183,9 +186,9 @@ def parse_frame(obj: Any):
         raise ValidationError(f"frame.dim: must be <= {MAX_DIM}")
 
     if kind == "vector_frame":
-        data = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
-        _held(len(data), dim)
-        frame = VectorFrame.from_analysis(QMatrix(_conj4(data)), [1] * len(data))
+        members = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
+        _held(members.cols, dim)
+        frame = VectorFrame.from_analysis(members.adjoint(), [1] * members.cols)
 
     elif kind == "operator_frame":
         data, dims = _list(_require(obj, "members", "frame"), ("rows", "cols"),
@@ -206,34 +209,31 @@ def parse_frame(obj: Any):
         if len(weights) != len(subs_raw):
             raise ValidationError(
                 f"frame: {len(weights)} weights for {len(subs_raw)} subspaces")
-        subspaces = [_vectors(s, dim, f"frame.subspaces[{k}]")
-                     for k, s in enumerate(subs_raw)]
-        _held(sum(map(len, subspaces)), dim)
-        frame = FusionFrame(dim, [map(QVector, s) for s in subspaces], weights)
+        spans = [_vectors(s, dim, f"frame.subspaces[{k}]")
+                 for k, s in enumerate(subs_raw)]
+        _held(sum(s.cols for s in spans), dim)
+        frame = FusionFrame(dim, spans, weights)
 
     elif kind == "pseudo":
         analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,
                              "frame.analyzers")
         synthesizers = _vectors(_require(obj, "synthesizers", "frame"), dim,
                                 "frame.synthesizers")
-        if len(analyzers) != len(synthesizers):
+        if analyzers.cols != synthesizers.cols:
             raise ValidationError(
-                f"frame: {len(analyzers)} analyzers for "
-                f"{len(synthesizers)} synthesizers")
+                f"frame: {analyzers.cols} analyzers for "
+                f"{synthesizers.cols} synthesizers")
         subspace = _vectors(_require(obj, "subspace", "frame"), dim,
                             "frame.subspace")
-        _held(len(analyzers) + len(subspace), dim)
-        frame = PseudoFramePair(dim, list(map(QVector, analyzers)),
-                                list(map(QVector, synthesizers)),
-                                list(map(QVector, subspace)))
+        _held(analyzers.cols + subspace.cols, dim)
+        frame = PseudoFramePair(dim, analyzers, synthesizers, subspace)
 
     else:
         data, dims = _list(_require(obj, "projectors", "frame"), ("rows", "cols"),
                            lambda s: s != (dim, dim) and
                            f"shape {s[0]}x{s[1]} is not {dim}x{dim}", "frame.projectors")
         _held(len(dims), dim)
-        frame = QuasiProjectorSystem(
-            dim, OperatorFrame.from_analysis(QMatrix(data), dims).members)
+        frame = QuasiProjectorSystem(dim, map(QMatrix, split_rows(data, dims)))
 
     return kind, frame
 

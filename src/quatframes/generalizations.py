@@ -8,8 +8,10 @@ identity by a sum of bounded self-adjoint operators.  All three embed
 into frames of operators: fusion frames and quasi-projector systems are
 encoded as stacked analysis matrices for the core in reporting, and a
 pseudo-frame pair reconstructs through the analysis matrix of its
-analyzers and the synthesis matrix of its synthesizers.  A subspace is
-stored as an orthonormal basis matrix, made once on construction.
+analyzers and the synthesis matrix of its synthesizers.  Vectors are
+given as the columns of n x k matrices (n x 0 for none), and a subspace
+is stored as the orthonormal basis matrix of its spanning columns, made
+once on construction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
-    _columns,
     _finite_chi,
     frobenius_distance,
     orthonormalize,
@@ -52,7 +53,8 @@ PSEUDO_TOL = 1e-9
 # ====== fusion frames ======
 
 class FusionFrame(_FrameCore):
-    """Weighted family of subspaces W_i with weights v_i > 0.
+    """Weighted family of subspaces W_i with weights v_i > 0, each W_i
+    given as an n x k_i matrix whose columns span it.
 
     `bases` holds an n x k_i orthonormal basis matrix B_i of each W_i;
     the energy of u is sum_i v_i^2 ||P_{W_i} u||^2, and the analysis
@@ -61,16 +63,16 @@ class FusionFrame(_FrameCore):
 
     __slots__ = ("bases", "weights")
 
-    def __init__(self, space_dim: int, subspaces, weights):
-        subspaces = list(subspaces)
+    def __init__(self, space_dim: int, spans, weights):
+        spans = list(spans)
         weights = [float(w) for w in weights]
-        if len(subspaces) != len(weights):
+        if len(spans) != len(weights):
             raise DimensionMismatch(
-                f"{len(subspaces)} subspaces vs {len(weights)} weights")
+                f"{len(spans)} subspaces vs {len(weights)} weights")
         for w in weights:
             if not w > 0.0:
                 raise InvalidWeight(f"weight {w} is not strictly positive")
-        self.bases = [orthonormalize(_columns(space_dim, basis)) for basis in subspaces]
+        self.bases = list(map(orthonormalize, spans))
         self.weights = weights
         super().__init__(space_dim, [b.adjoint().data * w
                                      for w, b in zip(weights, self.bases)])
@@ -100,23 +102,27 @@ def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
 
 class PseudoFramePair(_FrameCore):
     """Analysis family {x_i}, synthesis family {x_i+}, and the subspace
-    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed, stored as the
-    analyzers' analysis matrix Phi (rows <x_i|) in the frame core, the
-    synthesis matrix Psi (columns x_i+) and an orthonormal basis matrix B."""
+    on which reconstruction x = sum_i x_i+ <x_i|x> is claimed, given as the
+    columns of n x m, n x m and n x k matrices.  Stored as the analyzers'
+    analysis matrix Phi (rows <x_i|) in the frame core, the synthesis
+    matrix Psi (columns x_i+) and an orthonormal basis matrix B."""
 
     __slots__ = ("synthesis", "basis")
     analyzers = VectorFrame.members
 
-    def __init__(self, space_dim: int, analyzers, synthesizers, subspace):
-        analyzers = list(analyzers)
-        synthesizers = list(synthesizers)
-        if len(analyzers) != len(synthesizers):
+    def __init__(self, space_dim: int, analyzers: QMatrix, synthesizers: QMatrix,
+                 subspace: QMatrix):
+        if analyzers.cols != synthesizers.cols:
             raise DimensionMismatch(
-                f"{len(analyzers)} analyzers vs {len(synthesizers)} synthesizers")
-        # one block <x_i| per member: the rows of Phi = X*, X the analyzers' columns
-        super().__init__(space_dim, _columns(space_dim, analyzers).adjoint().data[:, None])
-        self.synthesis = _columns(space_dim, synthesizers)
-        self.basis = orthonormalize(_columns(space_dim, subspace))
+                f"{analyzers.cols} analyzers vs {synthesizers.cols} synthesizers")
+        # one block <x_i| per member: the rows of Phi = X*, X the analyzers
+        super().__init__(space_dim, analyzers.adjoint().data[:, None])
+        if synthesizers.rows != space_dim or subspace.rows != space_dim:
+            raise DimensionMismatch(
+                f"synthesizers of dim {synthesizers.rows} and subspace vectors of"
+                f" dim {subspace.rows} vs space dim {space_dim}")
+        self.synthesis = synthesizers
+        self.basis = orthonormalize(subspace)
 
 
 @dataclass(frozen=True)
@@ -164,11 +170,11 @@ class QuasiProjectorSystem(_FrameCore):
     """Family {P_j} meant to resolve the identity, sum_j P_j = I, with a
     finite Bessel-type energy bound.
 
-    `decomposition`, when given, is a pair (d_ops, w0_basis): bounded
-    operators D_j and a base subspace with W_j = D_j(W_0), stored with W_0
-    as the matrix of its spanning vectors; compatibility is then checked
-    against those subspaces instead of range(P_j).  The frame core stores
-    the P_j stacked one below the other.
+    `decomposition`, when given, is a pair (d_ops, w0): bounded operators
+    D_j and an n x k matrix whose columns span a base subspace W_0, with
+    W_j = D_j(W_0); compatibility is then checked against those subspaces
+    instead of range(P_j).  The frame core stores the P_j stacked one
+    below the other.
     """
 
     __slots__ = ("decomposition",)
@@ -177,9 +183,10 @@ class QuasiProjectorSystem(_FrameCore):
     def __init__(self, space_dim: int, projectors, decomposition=None):
         projectors = list(projectors)
         for p in projectors:
-            if p.shape != (space_dim, space_dim):
+            if p.rows != space_dim:
                 raise DimensionMismatch(
                     f"projector shape {p.shape} vs space dim {space_dim}")
+        super().__init__(space_dim, [p.data for p in projectors])
         if decomposition is not None:
             d_ops, w0 = decomposition
             d_ops = list(d_ops)
@@ -187,8 +194,10 @@ class QuasiProjectorSystem(_FrameCore):
                 raise DimensionMismatch(
                     f"{len(d_ops)} displacement operators vs"
                     f" {len(projectors)} projectors")
-            decomposition = (d_ops, _columns(space_dim, w0))
-        super().__init__(space_dim, [p.data for p in projectors])
+            if w0.rows != space_dim:
+                raise DimensionMismatch(
+                    f"W_0 vectors of dim {w0.rows} vs space dim {space_dim}")
+            decomposition = (d_ops, w0)
         self.decomposition = decomposition
 
 

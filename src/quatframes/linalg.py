@@ -450,16 +450,6 @@ def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
     return _from_complex_blocks(np.hstack([span[:, :k:2], span[:, 1:k:2]]))
 
 
-def _columns(space_dim: int, vectors) -> QMatrix:
-    """The n x m matrix whose columns are the given vectors of H^n."""
-    vectors = list(vectors)
-    for v in vectors:
-        if v.dim != space_dim:
-            raise DimensionMismatch(f"vector dim {v.dim} vs space dim {space_dim}")
-    return QMatrix(np.concatenate([np.zeros((space_dim, 0, 4)),
-                                   *(v.data[:, None] for v in vectors)], axis=1))
-
-
 def orthonormalize(a: QMatrix) -> QMatrix:
     """The n x k orthonormal basis of the right span of a's columns that
     Gram-Schmidt keeps, dropping each column whose residual norm is at most

@@ -41,11 +41,6 @@ class OperatorFrame(_FrameCore):
     __slots__ = ()
 
     def __init__(self, space_dim: int, members):
-        members = list(members)
-        for m in members:
-            if m.cols != space_dim:
-                raise DimensionMismatch(
-                    f"member domain {m.cols} does not match space dim {space_dim}")
         super().__init__(space_dim, [m.data for m in members])
 
     @property
@@ -108,22 +103,12 @@ def op_synthesis(f: OperatorFrame, x: BlockVector) -> QVector:
     return f.analysis_matrix().adjoint() @ QVector(x.data)
 
 
-class InducedSequence(VectorFrame):
-    """The row vectors of an operator frame, flattened in (member, basis
-    index) order: the vector frame whose analysis matrix is the frame's,
-    so with the same frame operator."""
-
-    __slots__ = ()
-    vectors = VectorFrame.members
-
-    def to_vector_frame(self) -> VectorFrame:
-        return VectorFrame.from_analysis(self.analysis_matrix(), self.codomain_dims)
-
-
-def induced_sequence(f: OperatorFrame) -> InducedSequence:
-    """x_k^i = T_i*(e_k^i) for the standard basis of each codomain."""
+def induced_sequence(f: OperatorFrame) -> VectorFrame:
+    """x_k^i = T_i*(e_k^i) for the standard basis of each codomain: the
+    vector frame on the same analysis matrix, so with the same frame
+    operator."""
     a = f.analysis_matrix()
-    return InducedSequence.from_analysis(a, [1] * a.rows)
+    return VectorFrame.from_analysis(a, [1] * a.rows)
 
 
 def op_dual(f: OperatorFrame) -> OperatorFrame:

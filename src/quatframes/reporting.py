@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFrame
+from .errors import DimensionMismatch, NonFinite, NotAFrame
 from .linalg import QMatrix, gram, hermitian_eigenvalues, inverse_matrix, positive_sqrt
 
 # a family is a frame when the smallest eigenvalue of S clears this
@@ -65,8 +65,13 @@ class _FrameCore:
     __slots__ = ("space_dim", "_analysis", "codomain_dims")
 
     def __init__(self, space_dim: int, blocks):
-        """The family whose member i has the (d_i, n, 4) block blocks[i] of A."""
+        """The family whose member i has the (d_i, n, 4) block blocks[i] of A;
+        a block whose domain is not H^n raises DimensionMismatch."""
         blocks = list(blocks)
+        for b in blocks:
+            if b.shape[1] != space_dim:
+                raise DimensionMismatch(
+                    f"member domain {b.shape[1]} does not match space dim {space_dim}")
         self.space_dim = int(space_dim)
         self._analysis = QMatrix(np.concatenate([np.zeros((0, space_dim, 4)), *blocks]))
         self.codomain_dims = [len(b) for b in blocks]
@@ -99,6 +104,17 @@ def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
+def _normal_bounds(s: QMatrix) -> tuple[float, float]:
+    """The extremal eigenvalues of a frame operator s, refused with NonFinite
+    when the largest is subnormal: s then keeps too few significant digits
+    to classify or normalize the family."""
+    lower, upper = extremal_eigenvalues(s)
+    if 0.0 < upper < np.finfo(float).tiny:
+        raise NonFinite(f"the frame operator underflows: its largest eigenvalue "
+                        f"{upper:.3e} is subnormal; rescale the input")
+    return lower, upper
+
+
 def _redundant(a: QMatrix, rows: slice) -> bool:
     rest = QMatrix(np.delete(a.data, rows, axis=0))
     # fewer rows than the space dimension cannot span it
@@ -111,10 +127,10 @@ def build_report(a: QMatrix, dims) -> FrameReport:
 
     Exactness means every single removal destroys the frame property:
     no member's rows can be deleted with the rest still passing the
-    frame test.
+    frame test.  A subnormal largest eigenvalue of S raises NonFinite.
     """
     s = gram(a)
-    lower, upper = extremal_eigenvalues(s)
+    lower, upper = _normal_bounds(s)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL
@@ -127,22 +143,24 @@ def build_report(a: QMatrix, dims) -> FrameReport:
                        frame_operator=s)
 
 
-def _frame_gram(a: QMatrix) -> QMatrix:
-    s = gram(a)
-    lower, upper = extremal_eigenvalues(s)
+def _require_frame(lower: float, upper: float) -> None:
     if not has_frame_bounds(lower, upper):
         raise NotAFrame(f"smallest eigenvalue {lower:.3e} of S is not above "
                         f"{FRAME_TOL:.0e} times the largest, {upper:.3e}")
-    return s
 
 
 def dual_rows(a: QMatrix) -> QMatrix:
     """A S^-1, the stacked analysis matrix of the canonical dual; raises
     NotAFrame when S fails the frame test."""
-    return a @ inverse_matrix(_frame_gram(a))
+    s = gram(a)
+    _require_frame(*extremal_eigenvalues(s))
+    return a @ inverse_matrix(s)
 
 
 def parseval_rows(a: QMatrix) -> QMatrix:
     """A S^-1/2, the stacked analysis matrix of the canonical Parseval
-    normalization; raises NotAFrame when S fails the frame test."""
-    return a @ inverse_matrix(positive_sqrt(_frame_gram(a)))
+    normalization; raises NotAFrame when S fails the frame test and
+    NonFinite when it underflows."""
+    s = gram(a)
+    _require_frame(*_normal_bounds(s))
+    return a @ inverse_matrix(positive_sqrt(s))

@@ -36,11 +36,6 @@ class VectorFrame(_FrameCore):
     __slots__ = ()
 
     def __init__(self, space_dim: int, members):
-        members = list(members)
-        for m in members:
-            if m.dim != space_dim:
-                raise DimensionMismatch(
-                    f"member dim {m.dim} does not match space dim {space_dim}")
         super().__init__(space_dim, [_conj4(m.data)[None] for m in members])
 
     @property

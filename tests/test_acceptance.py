@@ -104,7 +104,7 @@ def test_criterion_01_shifted_basis_three_encodings():
     vector_s = frame_operator(VectorFrame(7, members))
     operator_s = op_frame_operator(rank_one_frame(members, 7))
     fusion_s = fusion_frame_operator(
-        FusionFrame(7, [[u] for u in members], [1.0] * 8))
+        FusionFrame(7, [QMatrix.from_columns([u]) for u in members], [1.0] * 8))
     worst = 0.0
     for s in (vector_s, operator_s, fusion_s):
         lo, hi = bounds_of(s)
@@ -160,7 +160,7 @@ def test_criterion_05_induced_sequence_equivalence(random_frames):
     worst_bounds = 0.0
     worst_entry = 0.0
     for f, s, eigs in random_frames:
-        induced = induced_sequence(f).to_vector_frame()
+        induced = induced_sequence(f)
         s_vec = frame_operator(induced)
         lo, hi = bounds_of(s_vec)
         worst_bounds = max(worst_bounds, abs(lo - eigs[0]), abs(hi - eigs[-1]))
@@ -177,7 +177,8 @@ def test_criterion_06_frame_operator_properties(random_frames):
     fixtures = [
         frame_operator(VectorFrame(7, members)),
         op_frame_operator(rank_one_frame(members, 7)),
-        fusion_frame_operator(FusionFrame(7, [[u] for u in members], [1.0] * 8)),
+        fusion_frame_operator(FusionFrame(7, [QMatrix.from_columns([u]) for u in members],
+                                          [1.0] * 8)),
         op_frame_operator(coordinate_functional_frame(8)),
     ] + [s for _, s, _ in random_frames]
     worst_sym = 0.0

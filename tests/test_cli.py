@@ -30,7 +30,7 @@ from quatframes.fileio import (
     vector_obj,
     write_document,
 )
-from quatframes.linalg import QVector, outer
+from quatframes.linalg import QMatrix, QVector, orthonormalize, outer
 from quatframes.operator_frames import OperatorFrame
 from quatframes.vector_frames import VectorFrame
 
@@ -251,6 +251,31 @@ def test_subnormal_basis_vector_normalizes(capsys, tmp_path, kind, keys):
     for key in keys:
         doc = doc[key]
     assert code == 0 and err == "" and doc is True
+
+
+# frames whose S has a subnormal largest eigenvalue, near 1e-319 and 1e-320:
+# one 5-row member on H^3, and a unitary's columns on H^2 (a tight frame)
+SUBNORMAL_S_OP = {"kind": "operator_frame", "dim": 3, "members": [
+    {"rows": 5, "cols": 3,
+     "data": np.random.default_rng(0).standard_normal((5, 3, 4)) * 1e-160}]}
+SUBNORMAL_S_TIGHT = {"kind": "vector_frame", "dim": 2, "members": [
+    {"dim": 2, "data": column * 1e-160}
+    for column in np.swapaxes(orthonormalize(QMatrix(
+        np.random.default_rng(1).standard_normal((2, 2, 4)))).data, 0, 1)]}
+
+
+@pytest.mark.parametrize("doc, command", [
+    (SUBNORMAL_S_OP, "analyze"), (SUBNORMAL_S_OP, "parseval"), (SUBNORMAL_S_TIGHT, "analyze"),
+], ids=["analyze-op", "parseval-op", "analyze-tight"])
+def test_subnormal_frame_operator_is_refused(capsys, tmp_path, doc, command):
+    # S keeps a few significant digits only: the tight frame's bounds came
+    # out unequal, and its Parseval normalization was not Parseval
+    path = str(tmp_path / "frame.json")
+    write_document(path, doc)
+    out_flags = ["-o", str(tmp_path / "out.json")] if command == "parseval" else []
+    code, out, err = run(capsys, command, path, *out_flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
 def test_analyze_is_deterministic(files, capsys):
@@ -796,7 +821,8 @@ def refuse_constant(name):
 def assert_ends_cleanly(argv, reports_failure=False):
     """The command ends in exit 0 with a JSON report and empty stderr, or in
     exit 1 or 2 with empty stdout and one error line; with reports_failure,
-    exit 1 may also come with a report, as a failed verdict does."""
+    exit 1 may also come with a report, as a failed verdict does.  Returns
+    the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -807,6 +833,7 @@ def assert_ends_cleanly(argv, reports_failure=False):
         json.loads(out, parse_constant=refuse_constant)
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return code, out
 
 
 @pytest.fixture(scope="module")
@@ -873,3 +900,41 @@ def test_stability_and_reconstruct_never_end_in_a_traceback(scratch, pair, const
                  ["stability", *paths, "--theorem", "2", "--lambda", c1, "--mu", c3, *seed],
                  ["reconstruct", paths[0], "--random", "2", *seed]):
         assert_ends_cleanly(argv, reports_failure=True)
+
+
+@st.composite
+def vector_and_operator_docs(draw):
+    """A vector or operator frame file on H^n, n <= 3, with one to four
+    members, each standard normal draws times a scale from zero through
+    subnormal to near overflow."""
+    n = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.sampled_from([0.0, 1.0, 1e-320, 1e-160, 1e150, 1e300]),
+                           min_size=1, max_size=4))
+    if draw(st.booleans()):
+        return {"kind": "vector_frame", "dim": n, "members": [
+            {"dim": n, "data": gen.standard_normal((n, 4)) * s} for s in scales]}
+    return {"kind": "operator_frame", "dim": n, "members": [
+        {"rows": d, "cols": n, "data": gen.standard_normal((d, n, 4)) * s}
+        for s, d in zip(scales, [draw(st.integers(1, 3)) for _ in scales])]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_and_operator_docs())
+@example(SUBNORMAL_S_OP)
+@example(SUBNORMAL_S_TIGHT)
+def test_vector_and_operator_files_never_end_in_a_traceback(scratch, doc):
+    """analyze, dual, parseval and reconstruct on a small vector or
+    operator frame end in a JSON report or one error line, and a Parseval
+    normalization that is written is Parseval to within 1e-6 times the
+    condition number of the input."""
+    path, out_path = str(scratch / "frame.json"), str(scratch / "out.json")
+    write_document(path, doc)
+    _, report = assert_ends_cleanly(["analyze", path])
+    assert_ends_cleanly(["dual", path, "-o", out_path])
+    code, summary = assert_ends_cleanly(["parseval", path, "-o", out_path])
+    if code == 0:
+        lower, upper = json.loads(report)["bounds"]
+        for bound in json.loads(summary)["bounds"]:
+            assert abs(bound - 1.0) <= 1e-6 * upper / lower
+    assert_ends_cleanly(["reconstruct", path, "--random", "2"], reports_failure=True)

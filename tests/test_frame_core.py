@@ -70,8 +70,8 @@ def families(draw):
         return OperatorFrame(n, [QMatrix(gen.standard_normal((d, n, 4)))
                                  for d in dims])
     dims = draw(st.lists(st.integers(0, min(n, 4)), min_size=1, max_size=8))
-    subspaces = [[QVector(gen.standard_normal((n, 4))) for _ in range(d)]
-                 for d in dims]
+    subspaces = [QMatrix.from_columns([QVector(gen.standard_normal((n, 4))) for _ in range(d)])
+                 if d else QMatrix.zeros(n, 0) for d in dims]
     return FusionFrame(n, subspaces, gen.uniform(0.25, 4.0, len(dims)))
 
 
@@ -117,15 +117,11 @@ def flags(f):
     return r.is_frame, r.is_tight, r.is_exact
 
 
-def columns(b):
-    return [b.column(c) for c in range(b.cols)]
-
-
 def scaled(f, c):
     if isinstance(f, VectorFrame):
         return VectorFrame(f.space_dim, [u * c for u in f.members])
     if isinstance(f, FusionFrame):
-        return FusionFrame(f.space_dim, map(columns, f.bases), [w * c for w in f.weights])
+        return FusionFrame(f.space_dim, f.bases, [w * c for w in f.weights])
     return OperatorFrame(f.space_dim, [t * c for t in f.members])
 
 
@@ -136,7 +132,7 @@ def rotated(f, u):
     if isinstance(f, VectorFrame):
         return VectorFrame(f.space_dim, [back @ x for x in f.members])
     if isinstance(f, FusionFrame):
-        return FusionFrame(f.space_dim, [columns(back @ b) for b in f.bases], f.weights)
+        return FusionFrame(f.space_dim, [back @ b for b in f.bases], f.weights)
     return OperatorFrame(f.space_dim, [t @ u for t in f.members])
 
 

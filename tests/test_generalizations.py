@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_qvector, random_unit_qvector, standard_basis
 from quatframes.errors import (
+    DimensionMismatch,
     HypothesisViolated,
     InvalidWeight,
     NotAFrameOnSubspace,
@@ -32,7 +33,7 @@ SEED = 31337
 
 def shifted_subspaces(dim):
     basis = standard_basis(dim)
-    return [[basis[0]]] + [[b] for b in basis]
+    return [QMatrix.from_columns([basis[0]])] + [QMatrix.from_columns([b]) for b in basis]
 
 
 def coordinate_projectors(dim):
@@ -68,7 +69,7 @@ def test_shifted_subspace_fusion_bounds():
 
 def test_weighted_fusion_operator():
     e1, e2 = standard_basis(2)
-    f = FusionFrame(2, [[e1], [e2]], [2.0, 1.0])
+    f = FusionFrame(2, [QMatrix.from_columns([e1]), QMatrix.from_columns([e2])], [2.0, 1.0])
     s = fusion_frame_operator(f)
     assert np.array_equal(s.data[..., 0], np.diag([4.0, 1.0]))
     r = fusion_report(f)
@@ -78,7 +79,7 @@ def test_weighted_fusion_operator():
 def test_fusion_orthonormalizes_subspace_bases():
     gen = np.random.default_rng(SEED)
     v1, v2 = random_qvector(gen, 4), random_qvector(gen, 4)
-    f = FusionFrame(4, [[v1, v2, v1 * Quaternion(0, 1, 0, 0)]], [1.0])
+    f = FusionFrame(4, [QMatrix.from_columns([v1, v2, v1 * Quaternion(0, 1, 0, 0)])], [1.0])
     basis = f.bases[0]
     assert basis.cols == 2
     for a in range(2):
@@ -91,9 +92,9 @@ def test_fusion_orthonormalizes_subspace_bases():
 def test_nonpositive_weight_rejected():
     e1 = QVector.basis(2, 0)
     with pytest.raises(InvalidWeight):
-        FusionFrame(2, [[e1]], [0.0])
+        FusionFrame(2, [QMatrix.from_columns([e1])], [0.0])
     with pytest.raises(InvalidWeight):
-        FusionFrame(2, [[e1]], [-1.0])
+        FusionFrame(2, [QMatrix.from_columns([e1])], [-1.0])
 
 
 def test_fusion_conversion_preserves_energies():
@@ -101,7 +102,7 @@ def test_fusion_conversion_preserves_energies():
     subs = [[random_qvector(gen, 5) for _ in range(2)],
             [random_qvector(gen, 5)],
             [random_qvector(gen, 5) for _ in range(3)]]
-    f = FusionFrame(5, subs, [0.5, 2.0, 1.0])
+    f = FusionFrame(5, map(QMatrix.from_columns, subs), [0.5, 2.0, 1.0])
     g = fusion_to_op_frame(f)
     projections = f.projections()
     for _ in range(100):
@@ -116,13 +117,20 @@ def test_fusion_conversion_preserves_energies():
 
 def test_fusion_conversion_reuses_the_orthonormal_bases(gram_schmidt_calls):
     gen = np.random.default_rng(SEED)
-    f = FusionFrame(5, [[random_qvector(gen, 5) for _ in range(2)], [],
-                        [random_qvector(gen, 5)]], [1.0, 2.0, 0.5])
+    f = FusionFrame(5, [QMatrix.from_columns([random_qvector(gen, 5) for _ in range(2)]),
+                        QMatrix.zeros(5, 0),
+                        QMatrix.from_columns([random_qvector(gen, 5)])], [1.0, 2.0, 0.5])
     del gram_schmidt_calls[:]
     g = fusion_to_op_frame(f)
     assert gram_schmidt_calls == []
     # the empty subspace contributes the zero map
     assert not g.members[1].data.any()
+
+
+def test_fusion_span_of_the_wrong_dim_is_refused():
+    spans = [QMatrix.identity(3), QMatrix.from_columns([QVector.basis(2, 0)])]
+    with pytest.raises(DimensionMismatch):
+        FusionFrame(3, spans, [1.0, 1.0])
 
 
 # ====== pseudo-frame pairs ======
@@ -138,8 +146,8 @@ def odd_shift_pair(dim, members):
 
 def test_odd_shift_pair_reconstructs_on_first_coordinate():
     analyzers, synthesizers = odd_shift_pair(8, 4)
-    pair = PseudoFramePair(8, analyzers, synthesizers,
-                           [QVector.basis(8, 0)])
+    pair = PseudoFramePair(8, QMatrix.from_columns(analyzers), QMatrix.from_columns(synthesizers),
+                           QMatrix.from_columns([QVector.basis(8, 0)]))
     check = pseudo_frame_check(pair)
     assert check.holds
     assert check.max_residual <= 1e-12
@@ -147,8 +155,8 @@ def test_odd_shift_pair_reconstructs_on_first_coordinate():
 
 def test_odd_shift_pair_fails_off_the_first_coordinate():
     analyzers, synthesizers = odd_shift_pair(8, 4)
-    pair = PseudoFramePair(8, analyzers, synthesizers,
-                           [QVector.basis(8, 0), QVector.basis(8, 1)])
+    pair = PseudoFramePair(8, QMatrix.from_columns(analyzers), QMatrix.from_columns(synthesizers),
+                           QMatrix.from_columns([QVector.basis(8, 0), QVector.basis(8, 1)]))
     check = pseudo_frame_check(pair)
     assert not check.holds
     # z_2 reconstructs to z_3, a residual of sqrt(2)
@@ -157,7 +165,8 @@ def test_odd_shift_pair_fails_off_the_first_coordinate():
 
 def test_orthonormal_basis_with_itself_reconstructs():
     basis = standard_basis(5)
-    pair = PseudoFramePair(5, basis, basis, basis)
+    pair = PseudoFramePair(5, QMatrix.from_columns(basis), QMatrix.from_columns(basis),
+                           QMatrix.from_columns(basis))
     check = pseudo_frame_check(pair)
     assert check.holds and check.max_residual <= 1e-12
 
@@ -165,7 +174,8 @@ def test_orthonormal_basis_with_itself_reconstructs():
 def test_doubled_synthesizers_fail_with_unit_residual():
     basis = standard_basis(4)
     doubled = [b * 2.0 for b in basis]
-    pair = PseudoFramePair(4, basis, doubled, basis)
+    pair = PseudoFramePair(4, QMatrix.from_columns(basis), QMatrix.from_columns(doubled),
+                           QMatrix.from_columns(basis))
     check = pseudo_frame_check(pair)
     assert not check.holds
     assert abs(check.max_residual - 1.0) <= 1e-12
@@ -177,7 +187,9 @@ def test_pseudo_check_finds_the_worst_residual(n, defect):
     # ||D|| = c sqrt(n) = defect, attained at (1, ..., 1) / sqrt(n)
     basis = standard_basis(n)
     c = defect / np.sqrt(n)
-    pair = PseudoFramePair(n, basis, [b + basis[0] * c for b in basis], basis)
+    pair = PseudoFramePair(n, QMatrix.from_columns(basis),
+                           QMatrix.from_columns([b + basis[0] * c for b in basis]),
+                           QMatrix.from_columns(basis))
     check = pseudo_frame_check(pair)
     assert not check.holds
     assert abs(check.max_residual - defect) <= 1e-6 * defect
@@ -185,8 +197,8 @@ def test_pseudo_check_finds_the_worst_residual(n, defect):
 
 def test_pseudo_conversion_on_first_coordinate_is_parseval():
     analyzers, synthesizers = odd_shift_pair(8, 4)
-    pair = PseudoFramePair(8, analyzers, synthesizers,
-                           [QVector.basis(8, 0)])
+    pair = PseudoFramePair(8, QMatrix.from_columns(analyzers), QMatrix.from_columns(synthesizers),
+                           QMatrix.from_columns([QVector.basis(8, 0)]))
     g = pseudo_to_op_frame(pair)
     assert g.space_dim == 1
     r = op_report(g)
@@ -199,7 +211,8 @@ def test_pseudo_conversion_preserves_energies_on_subspace():
     analyzers = [random_qvector(gen, 6) for _ in range(5)]
     synthesizers = [random_qvector(gen, 6) for _ in range(5)]
     sub = basis[:3]
-    pair = PseudoFramePair(6, analyzers, synthesizers, sub)
+    pair = PseudoFramePair(6, QMatrix.from_columns(analyzers), QMatrix.from_columns(synthesizers),
+                           QMatrix.from_columns(sub))
     g = pseudo_to_op_frame(pair)
     for _ in range(100):
         coords = random_qvector(gen, 3)
@@ -215,10 +228,21 @@ def test_pseudo_conversion_preserves_energies_on_subspace():
 
 def test_pseudo_conversion_needs_frame_on_subspace():
     # analyzers orthogonal to the subspace carry no information there
-    pair = PseudoFramePair(4, [QVector.basis(4, 1)], [QVector.basis(4, 1)],
-                           [QVector.basis(4, 0)])
+    pair = PseudoFramePair(4, QMatrix.from_columns([QVector.basis(4, 1)]),
+                           QMatrix.from_columns([QVector.basis(4, 1)]),
+                           QMatrix.from_columns([QVector.basis(4, 0)]))
     with pytest.raises(NotAFrameOnSubspace):
         pseudo_to_op_frame(pair)
+
+
+@pytest.mark.parametrize("wrong", ["analyzers", "synthesizers", "subspace"])
+def test_pseudo_matrix_of_the_wrong_dim_is_refused(wrong):
+    matrices = {"analyzers": QMatrix.identity(3), "synthesizers": QMatrix.identity(3),
+                "subspace": QMatrix.identity(3)}
+    # two rows where H^3 has three, with as many columns as the others
+    matrices[wrong] = QMatrix.zeros(2, 3)
+    with pytest.raises(DimensionMismatch):
+        PseudoFramePair(3, **matrices)
 
 
 # ====== quasi-projector systems ======
@@ -298,14 +322,27 @@ def test_decomposition_drives_compatibility():
     # D_j maps the base line [z_1] onto [z_j]
     d_ops = [outer(b, basis[0]) for b in basis]
     system = QuasiProjectorSystem(3, projectors,
-                                  decomposition=(d_ops, [basis[0]]))
+                                  decomposition=(d_ops, QMatrix.from_columns([basis[0]])))
     check = quasi_projector_check(system)
     assert check.compatible and check.resolution_ok
     # a decomposition pointing at the wrong subspaces breaks compatibility
     rolled = d_ops[1:] + d_ops[:1]
     bad = QuasiProjectorSystem(3, projectors,
-                               decomposition=(rolled, [basis[0]]))
+                               decomposition=(rolled, QMatrix.from_columns([basis[0]])))
     assert not quasi_projector_check(bad).compatible
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_projector_of_the_wrong_shape_is_refused(shape):
+    with pytest.raises(DimensionMismatch):
+        QuasiProjectorSystem(3, [QMatrix.identity(3), QMatrix.zeros(*shape)])
+
+
+def test_decomposition_base_of_the_wrong_dim_is_refused():
+    d_ops = [outer(b, b) for b in standard_basis(3)]
+    with pytest.raises(DimensionMismatch):
+        QuasiProjectorSystem(3, coordinate_projectors(3),
+                             decomposition=(d_ops, QMatrix.zeros(2, 1)))
 
 
 def test_rayleigh_quotients_respect_quasi_bessel_bound():

@@ -99,15 +99,15 @@ def test_induced_rows_of_functional_frame_recover_vectors():
     vectors = shifted_basis_vectors(7)
     f = shifted_basis_operator_frame(7)
     seq = induced_sequence(f)
-    assert len(seq.vectors) == len(vectors)
-    for got, want in zip(seq.vectors, vectors):
+    assert len(seq.members) == len(vectors)
+    for got, want in zip(seq.members, vectors):
         assert np.array_equal(got.data, want.data)
 
 
 def test_induced_sequence_preserves_operator_and_bounds():
     gen = np.random.default_rng(SEED)
     f = mixed_random_frame(gen)
-    induced = induced_sequence(f).to_vector_frame()
+    induced = induced_sequence(f)
     s_op = op_frame_operator(f)
     s_ind = frame_operator(induced)
     assert np.max(np.abs(s_op.data - s_ind.data)) <= 1e-12 * s_op.frobenius()

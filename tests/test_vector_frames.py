@@ -9,7 +9,7 @@ from conftest import (
     shifted_basis_vector_frame,
     standard_basis,
 )
-from quatframes.errors import NotAFrame
+from quatframes.errors import DimensionMismatch, NotAFrame
 from quatframes.linalg import QMatrix, QVector, frobenius_distance, inner
 from quatframes.quaternion import I, J, ONE, Quaternion
 from quatframes.vector_frames import (
@@ -60,6 +60,11 @@ def test_empty_frame_reports_bessel_only():
     r = report(VectorFrame(3, []))
     assert r.is_bessel and not r.is_frame and not r.is_exact
     assert r.lower == 0.0 and r.upper == 0.0
+
+
+def test_member_dim_validated():
+    with pytest.raises(DimensionMismatch):
+        VectorFrame(3, [QVector.basis(3, 0), QVector.basis(2, 0)])
 
 
 def test_overcomplete_pair_plus_sum_is_not_exact():
