@@ -11,6 +11,15 @@ file is a tagged union on its "kind" field:
   {"kind": "pseudo",  "dim": n, "analyzers": [...], "synthesizers": [...], "subspace": [...]}
   {"kind": "quasi",   "dim": n, "projectors": [matrix, ...]}
 
+orjson decodes a file when nothing in it can make orjson differ from
+json.loads: no integer literal of 19 digits or more (orjson 3.8 reads
+one from 2^64 on, or below -2^63, as a float), no string escape, and
+nesting at most _ORJSON_MAX_DEPTH deep (orjson 3.8 builds nested values
+by C recursion without a limit).  json.loads decodes the rest and every
+text orjson refuses (NaN, Infinity, 1e400, a BOM, bytes that are not
+UTF-8, malformed JSON), so the values read are json's and every refusal
+of the text keeps json's wording, line and column.
+
 Structural problems (wrong JSON, wrong types, missing fields) raise
 ParseError; declared dimensions that disagree with the payload raise
 ValidationError.  Both carry a field path so the offending entry can be
@@ -29,6 +38,7 @@ from itertools import chain
 from typing import Any, NoReturn
 
 import numpy as np
+import orjson
 
 from .errors import ParseError, ValidationError
 from .generalizations import FusionFrame, PseudoFramePair, QuasiProjectorSystem
@@ -45,6 +55,18 @@ FRAME_KINDS = ("vector_frame", "operator_frame", "fusion", "pseudo", "quasi")
 MAX_DIM = 4096
 
 _REAL = (int, float)
+
+# digits (bytes 48-57) as "0", the decimal point (46) kept and any other
+# byte a space: an integer literal of 19 digits or more, never a
+# fraction's digits, is then a space and 19 zeros
+_DIGIT_RUNS = (b" " * 46 + b". " + b"0" * 10).ljust(256)
+_LONG_INTEGER = b" " + b"0" * 19
+# translating with these keeps only brackets, all as [ and ], quotes and
+# backslashes
+_ONE_BRACKET = bytes.maketrans(b"{}", b"[]")
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+# frame files nest 6 deep; json refuses about 1,000
+_ORJSON_MAX_DEPTH = 64
 
 
 # ====== parsing ======
@@ -238,9 +260,30 @@ def parse_frame(obj: Any):
     return kind, frame
 
 
+def _orjson_reads(raw: bytes) -> bool:
+    """Whether orjson may decode raw, as the module docstring says.  The
+    nesting of valid JSON is read off its brackets outside strings: with
+    no escape every other quote opens a string, and each pass drops the
+    innermost bracket pairs."""
+    if _LONG_INTEGER in (b" " + raw).translate(_DIGIT_RUNS):
+        return False
+    brackets = raw.translate(_ONE_BRACKET, _NOT_STRUCTURE)
+    if b"\\" in brackets:
+        return False
+    brackets = b"".join(brackets.split(b'"')[::2])
+    for _ in range(_ORJSON_MAX_DEPTH):
+        brackets = brackets.replace(b"[]", b"")
+    return not brackets
+
+
 def _load_json(path: str) -> Any:
     with open(path, "rb") as handle:
         raw = handle.read()
+    if _orjson_reads(raw):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:

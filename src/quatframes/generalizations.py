@@ -37,6 +37,7 @@ from .operator_frames import OperatorFrame
 from .reporting import (
     FrameReport,
     _FrameCore,
+    _normal_bounds,
     build_report,
     extremal_eigenvalues,
     gram,
@@ -210,13 +211,13 @@ class QuasiCheck:
 
 
 def _resolution_and_self_adjoint(system: QuasiProjectorSystem) -> tuple[bool, bool]:
-    """Whether sum_j P_j is the identity, and whether every P_j equals its
-    adjoint, each to STRUCTURE_TOL."""
+    """Whether sum_j P_j is the identity to STRUCTURE_TOL, and whether every
+    P_j equals its adjoint to STRUCTURE_TOL times ||P_j||_F."""
     n = system.space_dim
     total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
     resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
     self_adjoint = all(
-        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * max(1.0, p.frobenius())
+        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius()
         for p in system.projectors)
     return resolution_ok, self_adjoint
 
@@ -225,13 +226,15 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     """Diagnose the three structural properties of the system.
 
     resolution_ok: sum_j P_j is the identity to STRUCTURE_TOL.
-    bessel_bound:  largest eigenvalue of sum_j P_j* P_j.
-    self_adjoint:  every P_j equals its adjoint to STRUCTURE_TOL.
+    bessel_bound:  largest eigenvalue of sum_j P_j* P_j; a subnormal one
+                   raises NonFinite, as the frame core's bounds do.
+    self_adjoint:  every P_j equals its adjoint to STRUCTURE_TOL ||P_j||_F.
     compatible:    P_j acts through its own subspace, P_j pi_{W_j} = P_j,
-                   with W_j = D_j(W_0) or else the range of P_j.
+                   to STRUCTURE_TOL ||P_j||_F, with W_j = D_j(W_0) or else
+                   the range of P_j.
     """
     resolution_ok, self_adjoint = _resolution_and_self_adjoint(system)
-    _, bessel_bound = extremal_eigenvalues(gram(system.analysis_matrix()))
+    _, bessel_bound = _normal_bounds(gram(system.analysis_matrix()))
     projectors = system.projectors
     if system.decomposition is not None:
         d_ops, w0 = system.decomposition
@@ -239,8 +242,7 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     else:
         spanning = projectors
     compatible = all(
-        frobenius_distance(p @ projection(span), p)
-        <= STRUCTURE_TOL * max(1.0, p.frobenius())
+        frobenius_distance(p @ projection(span), p) <= STRUCTURE_TOL * p.frobenius()
         for p, span in zip(projectors, spanning))
     return QuasiCheck(resolution_ok=resolution_ok, bessel_bound=bessel_bound,
                       self_adjoint=self_adjoint, compatible=compatible)

@@ -7,8 +7,10 @@ and the coordinate projectors (a resolution of the identity).
 """
 
 import json
+import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from quatframes.linalg import QMatrix, QVector
 from quatframes.operator_frames import OperatorFrame
@@ -26,6 +28,55 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# text to splice into a frame file where a number stands: integer literals
+# that orjson 3.8 reads as floats (from 2^64 on, or below -2^63) and those
+# next to that range, and text that json reads and orjson refuses
+LONG_INTEGERS = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1,
+                     10**18, 10**30, -10**30]),
+    st.integers(2**63, 10**30), st.integers(-10**30, -2**63))
+DEEP = "[" * 1100 + "0" + "]" * 1100
+SPLICES = st.one_of(LONG_INTEGERS.map(str), st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", '"\\ud800"', DEEP]))
+# bytes that are not UTF-8: a stray byte, an overlong NUL, an encoded
+# surrogate, a lone continuation byte
+NOT_UTF8 = [b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"\x80"]
+# bytes to flip or insert: any, and those of JSON's own syntax
+BYTES = st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789-.e[]{}",: '))
+NUMBER = re.compile(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+MUTATIONS = ["none", "flip", "insert", "truncate", "splice", "duplicate first",
+             "duplicate last", "bom", "not utf-8"]
+
+
+def mutated(raw, mutation, index, byte, splice):
+    """The text of a frame file damaged at one place: the byte at `index`
+    (modulo the length) flipped to `byte` or `byte` inserted there, the
+    text cut there, the index-th number (a count or a leaf) replaced by
+    `splice`, a second "dim" key from 0 to 3 before or after the first, a
+    BOM, or bytes that are not UTF-8 inserted."""
+    at = index % len(raw)
+    if mutation == "flip":
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    if mutation == "insert":
+        return raw[:at] + bytes([byte]) + raw[at:]
+    if mutation == "truncate":
+        return raw[:at]
+    if mutation == "splice":
+        numbers = list(NUMBER.finditer(raw))
+        number = numbers[index % len(numbers)]
+        return raw[:number.start()] + splice.encode() + raw[number.end():]
+    dim = str(index % 4).encode()
+    if mutation == "duplicate first":
+        return b'{"dim": ' + dim + b", " + raw[1:]
+    if mutation == "duplicate last":
+        return raw[:-1] + b', "dim": ' + dim + b"}"
+    if mutation == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if mutation == "not utf-8":
+        return raw[:at] + NOT_UTF8[index % len(NOT_UTF8)] + raw[at:]
+    return raw
 
 
 def json_doc(obj):

@@ -11,8 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BYTES,
+    MUTATIONS,
+    SPLICES,
     coordinate_functional_frame,
     json_doc,
+    mutated,
     random_operator_frame,
     random_qmatrix,
     shifted_basis_operator_frame,
@@ -123,6 +127,36 @@ def test_analyze_quasi_checks(files, capsys):
     assert code == 0
     assert doc["checks"] == {"resolution_ok": True, "bessel_bound": 1,
                              "self_adjoint": True, "compatible": True}
+
+
+# a 2 x 2 projector on H^2 that is not self-adjoint, and its self-adjoint part
+NOT_SELF_ADJOINT = np.random.default_rng(0).standard_normal((2, 2, 4))
+SELF_ADJOINT = (NOT_SELF_ADJOINT + QMatrix(NOT_SELF_ADJOINT).adjoint().data) / 2
+
+
+def quasi_file(tmp_path, projector):
+    path = str(tmp_path / "quasi.json")
+    write_document(path, {"kind": "quasi", "dim": 2, "projectors": [
+        {"rows": 2, "cols": 2, "data": projector}]})
+    return path
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+@pytest.mark.parametrize("projector, self_adjoint", [
+    (NOT_SELF_ADJOINT, False), (SELF_ADJOINT, True)], ids=["general", "self-adjoint"])
+def test_quasi_verdicts_do_not_depend_on_the_scale(capsys, tmp_path, projector,
+                                                    self_adjoint, scale):
+    code, doc, _ = run_json(capsys, "analyze", quasi_file(tmp_path, projector * scale))
+    assert code == 0
+    assert doc["checks"]["self_adjoint"] is self_adjoint
+    assert doc["checks"]["compatible"] is True
+
+
+def test_quasi_bessel_bound_that_underflows_is_refused(capsys, tmp_path):
+    # sum_j P_j* P_j near 1e-319 is subnormal: its few digits are no bound
+    code, out, err = run(capsys, "analyze", quasi_file(tmp_path, NOT_SELF_ADJOINT * 1e-160))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
 def test_analyze_pseudo_checks(files, capsys):
@@ -733,6 +767,9 @@ def test_overlong_integer_literal_is_parse_error(capsys, tmp_path):
 @pytest.mark.parametrize("payload", [
     pytest.param(b"\xff\xfe{}", id="not-utf8"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),
+    # valid JSON nested deeper than json's recursion limit, which orjson
+    # would read
+    pytest.param(b"[" * 1100 + b"]" * 1100, id="deep-valid"),
 ])
 def test_unreadable_json_is_parse_error(files, capsys, tmp_path, payload):
     # both readers: the frame file and the vector file of reconstruct
@@ -938,3 +975,41 @@ def test_vector_and_operator_files_never_end_in_a_traceback(scratch, doc):
         for bound in json.loads(summary)["bounds"]:
             assert abs(bound - 1.0) <= 1e-6 * upper / lower
     assert_ends_cleanly(["reconstruct", path, "--random", "2"], reports_failure=True)
+
+
+# small valid files of the five kinds on H^2
+SMALL_FILES = [
+    {"kind": "vector_frame", "dim": 2, "members": [
+        {"dim": 2, "data": [[1.0, 0, 0, 0], [0, 0.5, 0, 0]]},
+        {"dim": 2, "data": [[0, 0, -0.25, 0], [1e-05, 0, 0, 2.0]]}]},
+    {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 1, "cols": 2, "data": [[[1.0, 0, 0, 0], [0, 0, 0, 0]]]},
+        {"rows": 2, "cols": 2, "data": [[[0, 0, 0, 0], [0.5, 0, 0, 0]],
+                                        [[0, 0.25, 0, 0], [0, 0, 0, -1.5]]]}]},
+    {"kind": "fusion", "dim": 2, "weights": [1.0, 0.5], "subspaces": [
+        [{"dim": 2, "data": [[1.0, 0, 0, 0], [0, 0, 0, 0]]}],
+        [{"dim": 2, "data": [[0, 0, 0, 0], [0, 1.0, 0, 0]]},
+         {"dim": 2, "data": [[0.5, 0, 0, 0], [0.5, 0, 0, 0]]}]]},
+    {"kind": "pseudo", "dim": 2,
+     "analyzers": [{"dim": 2, "data": [[1.0, 0, 0, 0], [0, 0, 0, 0]]}],
+     "synthesizers": [{"dim": 2, "data": [[1.0, 0, 0, 0], [0, 0, 0.5, 0]]}],
+     "subspace": [{"dim": 2, "data": [[1.0, 0, 0, 0], [0, 0, 0, 0]]}]},
+    {"kind": "quasi", "dim": 2, "projectors": [
+        {"rows": 2, "cols": 2, "data": [[[1.0, 0, 0, 0], [0, 0, 0, 0]],
+                                        [[0, 0, 0, 0], [0, 0, 0, 0]]]},
+        {"rows": 2, "cols": 2, "data": [[[0, 0, 0, 0], [0, 0, 0, 0]],
+                                        [[0, 0, 0, 0], [1.0, 0, 0, 0]]]}]},
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.sampled_from(SMALL_FILES),
+       mutation=st.sampled_from(MUTATIONS), index=st.integers(0, 2**16), byte=BYTES,
+       splice=SPLICES)
+def test_mutated_file_text_never_ends_in_a_traceback(scratch, doc, mutation, index, byte,
+                                                     splice):
+    """analyze on a small file of any kind, its text damaged at one place,
+    ends in a JSON report or one error line."""
+    path = scratch / "mutated.json"
+    path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
+    assert_ends_cleanly(["analyze", str(path)])

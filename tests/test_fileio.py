@@ -5,11 +5,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import json_doc, shifted_basis_vector_frame, standard_basis
+from conftest import (
+    BYTES,
+    DEEP,
+    MUTATIONS,
+    SPLICES,
+    json_doc,
+    mutated,
+    shifted_basis_vector_frame,
+    standard_basis,
+)
+from quatframes import fileio
 from quatframes.errors import ParseError, ValidationError
 from quatframes.fileio import (
     dumps12,
@@ -524,3 +534,63 @@ def test_clean_document_round_trips_at_12_digits(doc):
     for a, b in zip(frame.members, back.members):
         np.testing.assert_allclose(b.data, a.data, rtol=DIGITS12_RTOL, atol=0)
     assert dumps12(to_obj(back)) == text
+
+
+# ====== the orjson reader against json ======
+
+def json_reader(path):
+    """The file read by json.loads alone, with the refusals worded as the
+    reader words them."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+CLEAN_VECTOR_FRAME = {"kind": "vector_frame", "dim": 1,
+                      "members": [{"dim": 1, "data": [[1.0, 0.0, -0.0, 2]]}]}
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents(), mutation=st.sampled_from(MUTATIONS), index=st.integers(0, 2**16),
+       byte=BYTES, splice=SPLICES)
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=0, byte=0, splice=str(2**64))
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=1, byte=0, splice=str(-2**63 - 1))
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=2, byte=0, splice=str(10**30))
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=3, byte=0, splice=DEEP)
+def test_reader_returns_what_json_returns(reader_dir, doc, mutation, index, byte, splice):
+    """The reader returns json.loads's document, with the same repr at
+    every leaf (int or float, -0.0), or raises json's ParseError text.
+    Hypothesis raises the recursion limit, so json reads the splice nested
+    1,100 deep here; test_cli pins its refusal."""
+    path = reader_dir / "doc.json"
+    path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
+    try:
+        expected = json_reader(str(path))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            fileio._load_json(str(path))
+        assert str(info.value) == str(exc)
+    else:
+        assert repr(fileio._load_json(str(path))) == repr(expected)
+
+
+def test_orjson_reads_written_frame_files():
+    # repr and "%.12g" floats, whose leading zeros after the point make a
+    # run of 19 digits or more, are no long integer literal
+    floats = [0.00012778954670351638, -1.2345678901234567e+22, 5e-324, 1e-05]
+    for text in (json.dumps(floats), dumps12({"data": np.array(floats)})):
+        assert fileio._orjson_reads(text.encode())
+    for text in ("[1000000000000000000]", "-1000000000000000000", "[1e0000000000000000001]",
+                 '["\\""]', "[" * 65 + "]" * 65):
+        assert not fileio._orjson_reads(text.encode())
