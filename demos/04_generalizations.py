@@ -38,7 +38,7 @@ print(f"fusion frame of 8 lines in H^7: bounds "
       f"({rep.lower:.6g}, {rep.upper:.6g})")
 as_ops = fusion_to_op_frame(fusion)
 eigs = hermitian_eigenvalues(op_frame_operator(as_ops))
-print(f"converted to operators v_i P_i: bounds ({eigs[0]:.6g}, {eigs[-1]:.6g})")
+print(f"converted to operators v_i B_i*: bounds ({eigs[0]:.6g}, {eigs[-1]:.6g})")
 
 # pseudo-frame pair: analyzers z_i against synthesizers z_(2i-1);
 # reconstruction x = sum x*_i <x_i|x> holds on the line [z1] only; each

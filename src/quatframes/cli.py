@@ -119,10 +119,10 @@ def cmd_analyze(args) -> int:
 def _write_summary(command: str, args, frame) -> None:
     bounds = list(extremal_eigenvalues(gram(frame.analysis_matrix())))
     obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
-    write_document(args.out, obj)
+    digest = write_document(args.out, obj)
     doc = _head(command, args.path)
     doc["output_kind"] = obj["kind"]
-    doc["output_digest"] = file_digest(args.out)
+    doc["output_digest"] = digest
     doc["bounds"] = bounds
     print(dumps12(doc))
 

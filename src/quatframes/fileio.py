@@ -413,9 +413,13 @@ def dumps12(obj: Any) -> str:
     return "".join(out)
 
 
-def write_document(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps12(obj) + "\n")
+def write_document(path: str, obj: Any) -> str:
+    """Write obj as dumps12 text and a newline; returns the sha256 hex
+    digest of the bytes written, which file_digest would read back."""
+    raw = (dumps12(obj) + "\n").encode()
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    return hashlib.sha256(raw).hexdigest()
 
 
 def file_digest(path: str) -> str:

@@ -78,9 +78,6 @@ class FusionFrame(_FrameCore):
         super().__init__(space_dim, [b.adjoint().data * w
                                      for w, b in zip(weights, self.bases)])
 
-    def projections(self) -> list[QMatrix]:
-        return [gram(b.adjoint()) for b in self.bases]
-
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:
     """sum_i v_i^2 P_{W_i} = A* A."""
@@ -93,10 +90,16 @@ def fusion_report(f: FusionFrame) -> FrameReport:
 
 
 def fusion_to_op_frame(f: FusionFrame) -> OperatorFrame:
-    """Encode each weighted subspace as the operator v_i P_{W_i}; the
-    resulting frame of operators has the same energies and bounds."""
-    return OperatorFrame(f.space_dim,
-                         [p * w for w, p in zip(f.weights, f.projections())])
+    """The frame of operators Lambda_i = v_i pi_{W_i}, each written in the
+    orthonormal basis B_i of W_i as the k_i x n block v_i B_i* of the
+    fusion frame's own analysis matrix, so energies, frame operator and
+    bounds are the fusion frame's.  A {0} subspace owns no row of that
+    matrix and becomes one zero row, the zero map into H^1, since a file
+    member has at least one row."""
+    dims = f.codomain_dims
+    empty = np.cumsum(dims, dtype=int)[np.equal(dims, 0)]
+    a = QMatrix(np.insert(f.analysis_matrix().data, empty, 0.0, axis=0))
+    return OperatorFrame.from_analysis(a, [d or 1 for d in dims])
 
 
 # ====== pseudo-frame pairs ======

@@ -396,6 +396,60 @@ def test_convert_fusion_preserves_bounds(files, capsys, tmp_path):
     assert kind == "operator_frame" and frame.space_dim == 4
 
 
+def test_convert_writes_each_fusion_member_on_its_subspace(capsys, tmp_path):
+    """Member i is written as the rank(W_i) x n block v_i B_i*, and a {0}
+    subspace as one zero row; the written file reads back with the bounds
+    convert printed."""
+    path, out = str(tmp_path / "fusion.json"), str(tmp_path / "conv.json")
+    write_document(path, {"kind": "fusion", "dim": 2, "weights": [1.0, 2.0, 0.5],
+                          "subspaces": [
+                              [],
+                              [{"dim": 2, "data": [[1, 0, 0, 0], [1, 0, 0, 0]]}],
+                              [{"dim": 2, "data": [[0, 0, 0, 0], [0, 0, 0, 0]]},
+                               {"dim": 2, "data": [[0, 0, 0, 0], [0, 1, 0, 0]]}]]})
+    code, converted, _ = run_json(capsys, "convert", path, "-o", out)
+    assert code == 0
+    with open(out, encoding="utf-8") as handle:
+        members = json.load(handle)["members"]
+    assert [m["rows"] for m in members] == [1, 1, 1]
+    assert not np.any(members[0]["data"])
+    code, analyzed, err = run_json(capsys, "analyze", out)
+    assert code == 0 and err == ""
+    assert np.allclose(analyzed["bounds"], converted["bounds"], rtol=1e-10, atol=0.0)
+
+
+@st.composite
+def fusion_docs(draw):
+    """A fusion file on H^n, n <= 4, of one to four subspaces, each spanned
+    by one to n standard normal vectors."""
+    n = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    return {"kind": "fusion", "dim": n, "weights": gen.uniform(0.25, 4.0, len(dims)).tolist(),
+            "subspaces": [[vector_obj(QVector(gen.standard_normal((n, 4)))) for _ in range(d)]
+                          for d in dims]}
+
+
+def bounds_text(out):
+    """The printed bounds, as the report's text spells them."""
+    line = next(line for line in out.splitlines() if line.startswith('  "bounds": '))
+    return line.rstrip(",")
+
+
+@settings(max_examples=100, deadline=None)
+@given(fusion_docs())
+def test_convert_prints_the_bounds_analyze_prints(scratch, doc):
+    """Both commands read the fusion frame's own analysis matrix, so they
+    print the same bounds to the last digit."""
+    path = str(scratch / "fusion.json")
+    write_document(path, doc)
+    code, analyzed = assert_ends_cleanly(["analyze", path])
+    assert code == 0
+    code, converted = assert_ends_cleanly(["convert", path, "-o", str(scratch / "out.json")])
+    assert code == 0
+    assert bounds_text(converted) == bounds_text(analyzed)
+
+
 def test_convert_quasi_and_pseudo(files, capsys, tmp_path):
     code, doc, _ = run_json(capsys, "convert", files["quasi"], "-o",
                             str(tmp_path / "q.json"))

@@ -13,12 +13,12 @@ from quatframes.generalizations import (
     FusionFrame,
     fusion_frame_operator,
     fusion_report,
-    fusion_to_op_frame,
 )
 from quatframes.linalg import (
     QMatrix,
     QVector,
     frobenius_distance,
+    gram,
     hermitian_eigenvalues,
     inner,
     orthonormalize,
@@ -80,7 +80,8 @@ def reference_members(f):
     if isinstance(f, VectorFrame):
         return [analysis_row(u) for u in f.members]
     if isinstance(f, FusionFrame):
-        return fusion_to_op_frame(f).members
+        # v_i P_{W_i}, built here from the bases, not by the code under test
+        return [gram(b.adjoint()) * w for w, b in zip(f.weights, f.bases)]
     return list(f.members)
 
 

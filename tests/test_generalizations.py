@@ -24,7 +24,7 @@ from quatframes.generalizations import (
     quasi_to_op_frame,
 )
 from quatframes import linalg
-from quatframes.linalg import QMatrix, QVector, frobenius_distance, inner, outer
+from quatframes.linalg import QMatrix, QVector, frobenius_distance, gram, inner, outer
 from quatframes.operator_frames import op_analysis, op_frame_operator, op_report
 from quatframes.quaternion import I, Quaternion
 
@@ -104,7 +104,7 @@ def test_fusion_conversion_preserves_energies():
             [random_qvector(gen, 5) for _ in range(3)]]
     f = FusionFrame(5, map(QMatrix.from_columns, subs), [0.5, 2.0, 1.0])
     g = fusion_to_op_frame(f)
-    projections = f.projections()
+    projections = [gram(b.adjoint()) for b in f.bases]
     for _ in range(100):
         x = random_qvector(gen, 5)
         direct = sum(w * w * (p @ x).norm_sq()
