@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
+from itertools import chain, takewhile
 from typing import Any, NoReturn
 
 import numpy as np
@@ -171,18 +171,37 @@ def parse_matrix(obj: Any, where: str) -> QMatrix:
     return QMatrix(_stack([obj], ("rows", "cols"), None, lambda k: where)[0])
 
 
-def _list(obj: Any, axes: tuple[str, ...], mismatch, where: str) -> tuple[np.ndarray, list[int]]:
+def _list(obj: Any, axes: tuple[str, ...], mismatch, where: str,
+          at=None) -> tuple[np.ndarray, list[int]]:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array")
-    return _stack(obj, axes, mismatch, lambda k: f"{where}[{k}]")
+    return _stack(obj, axes, mismatch, at or (lambda k: f"{where}[{k}]"))
 
 
-def _vectors(obj: Any, dim: int, where: str) -> QMatrix:
+def _vectors(obj: Any, dim: int, where: str, at=None) -> QMatrix:
     """The n x m matrix whose columns are the listed vectors of H^n."""
     rows = _list(obj, ("dim",), lambda s: s != (dim,) and
-                 f"dimension {s[0]} does not match frame dim {dim}", where)[0]
+                 f"dimension {s[0]} does not match frame dim {dim}", where, at)[0]
     # the reader gives an empty list shape (0,), which this makes n x 0
     return QMatrix(np.swapaxes(rows.reshape(-1, dim, 4), 0, 1))
+
+
+def _vector_sets(sets: list, dim: int, where: str) -> tuple[QMatrix, list[int]]:
+    """The listed sets of vectors of H^n read as one list: the matrix of all
+    their vectors, set by set, and each set's count.  A refusal names the
+    first bad entry, or set that is not a list, in reading order."""
+    lists = list(takewhile(lambda s: isinstance(s, list), sets))
+    widths = list(map(len, lists))
+    starts = np.cumsum([0] + widths)
+
+    def at(k: int) -> str:
+        i = np.searchsorted(starts, k, side="right") - 1
+        return f"{where}[{i}][{k - starts[i]}]"
+
+    vectors = _vectors(list(chain.from_iterable(lists)), dim, where, at)
+    if len(lists) < len(sets):
+        raise ParseError(f"{where}[{len(lists)}]: expected an array")
+    return vectors, widths
 
 
 def _held(count: int, dim: int) -> None:
@@ -231,10 +250,9 @@ def parse_frame(obj: Any):
         if len(weights) != len(subs_raw):
             raise ValidationError(
                 f"frame: {len(weights)} weights for {len(subs_raw)} subspaces")
-        spans = [_vectors(s, dim, f"frame.subspaces[{k}]")
-                 for k, s in enumerate(subs_raw)]
-        _held(sum(s.cols for s in spans), dim)
-        frame = FusionFrame(dim, spans, weights)
+        vectors, widths = _vector_sets(subs_raw, dim, "frame.subspaces")
+        _held(vectors.cols, dim)
+        frame = FusionFrame.from_columns(dim, vectors, widths, weights)
 
     elif kind == "pseudo":
         analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,

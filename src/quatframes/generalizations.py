@@ -31,6 +31,7 @@ from .linalg import (
     _finite_chi,
     frobenius_distance,
     orthonormalize,
+    orthonormalize_each,
     projection,
 )
 from .operator_frames import OperatorFrame
@@ -42,6 +43,7 @@ from .reporting import (
     extremal_eigenvalues,
     gram,
     has_frame_bounds,
+    split_rows,
 )
 from .vector_frames import VectorFrame
 
@@ -57,26 +59,47 @@ class FusionFrame(_FrameCore):
     """Weighted family of subspaces W_i with weights v_i > 0, each W_i
     given as an n x k_i matrix whose columns span it.
 
-    `bases` holds an n x k_i orthonormal basis matrix B_i of each W_i;
-    the energy of u is sum_i v_i^2 ||P_{W_i} u||^2, and the analysis
-    matrix has the block v_i B_i* for member i.
+    `bases` lists an n x k_i orthonormal basis matrix B_i of each W_i, all
+    made at once by linalg.orthonormalize_each; the energy of u is
+    sum_i v_i^2 ||P_{W_i} u||^2, and the analysis matrix has the block
+    v_i B_i* for member i.  Spans with different row counts raise
+    DimensionMismatch.
     """
 
-    __slots__ = ("bases", "weights")
+    __slots__ = ("_bases", "weights")
 
     def __init__(self, space_dim: int, spans, weights):
         spans = list(spans)
-        weights = [float(w) for w in weights]
-        if len(spans) != len(weights):
+        if len({s.rows for s in spans}) > 1:
+            raise DimensionMismatch("subspaces spanned by vectors of different dims")
+        vectors = np.concatenate([s.data for s in spans] or [np.zeros((space_dim, 0, 4))], 1)
+        self._fill(space_dim, QMatrix(vectors), [s.cols for s in spans], weights)
+
+    @classmethod
+    def from_columns(cls, space_dim: int, vectors: QMatrix, widths, weights) -> "FusionFrame":
+        """The fusion frame whose W_i is spanned by the next widths[i] columns
+        of the n x (sum m_i) matrix vectors."""
+        frame = cls.__new__(cls)
+        frame._fill(space_dim, vectors, widths, weights)
+        return frame
+
+    def _fill(self, space_dim: int, vectors: QMatrix, widths, weights):
+        weights = np.fromiter(weights, dtype=float)
+        if len(widths) != len(weights):
             raise DimensionMismatch(
-                f"{len(spans)} subspaces vs {len(weights)} weights")
-        for w in weights:
-            if not w > 0.0:
-                raise InvalidWeight(f"weight {w} is not strictly positive")
-        self.bases = list(map(orthonormalize, spans))
-        self.weights = weights
-        super().__init__(space_dim, [b.adjoint().data * w
-                                     for w, b in zip(weights, self.bases)])
+                f"{len(widths)} subspaces vs {len(weights)} weights")
+        if not (weights > 0.0).all():
+            raise InvalidWeight(f"weight {float(weights[~(weights > 0.0)][0])}"
+                                " is not strictly positive")
+        self._bases, dims = orthonormalize_each(vectors, widths)
+        self.weights = weights.tolist()
+        super().__init__(space_dim, self._bases.adjoint().data
+                         * np.repeat(weights, dims)[:, None, None], dims)
+
+    @property
+    def bases(self) -> list[QMatrix]:
+        rows = split_rows(np.swapaxes(self._bases.data, 0, 1), self.codomain_dims)
+        return [QMatrix(np.swapaxes(b, 0, 1)) for b in rows]
 
 
 def fusion_frame_operator(f: FusionFrame) -> QMatrix:

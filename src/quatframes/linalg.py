@@ -270,7 +270,11 @@ def frobenius_distance(a: QMatrix, b: QMatrix) -> float:
 def complex_adjoint_rep(a: QMatrix) -> np.ndarray:
     """chi(A) as a plain (2m x 2n) complex ndarray."""
     a1, a2 = _split(a.data)
-    return np.block([[a1, a2], [-np.conj(a2), np.conj(a1)]])
+    m, n = a1.shape
+    chi = np.empty((2 * m, 2 * n), dtype=complex)
+    chi[:m, :n], chi[:m, n:] = a1, a2
+    chi[m:, :n], chi[m:, n:] = -np.conj(a2), np.conj(a1)
+    return chi
 
 
 def _finite_chi(a: QMatrix) -> np.ndarray:
@@ -380,7 +384,7 @@ def _quaternionic_eigenvectors(v: np.ndarray) -> QMatrix:
     eigenvalue pair stand for one quaternionic direction, so the sweep with
     the coarse cut-off PULLBACK_DROP_TOL keeps exactly one of the two.
     """
-    basis = _gram_schmidt(v, PULLBACK_DROP_TOL)
+    basis = _basis(_gram_schmidt(v.T, [len(v)], PULLBACK_DROP_TOL)[0])
     if basis.cols != basis.rows:
         raise PullbackFailed("eigenvector pull-back did not span H^n")
     return basis
@@ -415,46 +419,80 @@ def positive_sqrt(s: QMatrix) -> QMatrix:
 
 # ====== orthonormalization and projections ======
 
-def _gram_schmidt(columns: np.ndarray, drop_tol: float) -> QMatrix:
-    """Right-quaternionic Gram-Schmidt on the 2n x m chi columns of m
-    vectors of H^n; returns the n x k orthonormal basis it keeps.
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """The 2-norm of each c[g], one dot product each, as _norm takes."""
+    a = np.ascontiguousarray(c).reshape(len(c), -1).view(np.float64)
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _gram_schmidt(columns: np.ndarray, widths, drop_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right-quaternionic Gram-Schmidt on sets of chi columns of vectors of
+    H^n, given as the rows of columns, set i the next widths[i] rows;
+    returns the unit chi columns it keeps, as rows set by set, and the
+    number it keeps of each set.
 
     The chi column c = [u1; -conj(u2)] of u = u1 + u2*j and its partner
-    [u2; conj(u1)] span the right multiples u*q.  Each candidate is
-    projected twice off the kept columns and their partners, dropped when
-    its residual norm is at most drop_tol times its norm before projection
-    and kept normalized otherwise: by the norm's exponent, exactly, then its
-    mantissa, so a subnormal norm, whose reciprocal overflows, works too.
+    [u2; conj(u1)] span the right multiples u*q.  One sweep per width takes
+    candidate j of every set of that width at once: scaled by a power of two
+    to unit size, exactly, so that no digit is lost at any scale, projected
+    twice off its set's columns 0 to 2j - 1, and dropped (its columns 2j and
+    2j + 1 left zero) when its residual norm is at most drop_tol times its
+    norm or its set spans H^n already; else the normalized residual and its
+    partner fill them.
     """
-    rows = columns.shape[0]
-    n = rows // 2
-    span = np.empty((rows, rows), dtype=complex)
-    k = 0
-    for c in columns.T:
-        # a contiguous copy: the float64 view of a strided row would raise
-        floor = drop_tol * _norm(np.ascontiguousarray(c).view(np.float64))
-        q = span[:, :k]
-        for _ in range(2):
-            c = c - q @ (q.conj().T @ c)
-        norm = _norm(c.view(np.float64))
-        if norm <= floor:
-            continue
-        mantissa, exp = np.frexp(norm)
-        c = np.ldexp(c.view(np.float64), -exp).view(complex) / mantissa
-        span[:, k] = c
-        span[:, k + 1] = np.concatenate([-np.conj(c[n:]), np.conj(c[:n])])
-        k += 2
-        if k == rows:
-            break
-    # kept columns, then their partners: chi of the basis
-    return _from_complex_blocks(np.hstack([span[:, :k:2], span[:, 1:k:2]]))
+    widths = np.asarray(widths, dtype=int)
+    n = columns.shape[1] // 2
+    starts = np.cumsum(widths) - widths
+    counts = np.zeros(len(widths), dtype=int)
+    # each candidate's result lands on its row, and `kept` picks the kept ones
+    out, kept = np.empty_like(columns, dtype=complex), np.zeros(len(columns), dtype=bool)
+    for width in sorted(set(widths.tolist()) - {0}):
+        sets = np.flatnonzero(widths == width)
+        c = columns[starts[sets, None] + np.arange(width)].view(np.float64)
+        exp = np.frexp(np.abs(c).max(axis=2, initial=0.0, keepdims=True))[1]
+        c = np.ldexp(c, -exp).view(complex)
+        floors = drop_tol * _row_norms(c.reshape(-1, 2 * n)).reshape(-1, width)
+        span = np.zeros((len(sets), 2 * n, 2 * width), dtype=complex)
+        keep = np.zeros((len(sets), width), dtype=bool)
+        for j in range(width):
+            q = span[:, :, :2 * j]
+            qh, r = q.conj().transpose(0, 2, 1), c[:, j, :, None]
+            for _ in range(2):
+                r = r - q @ (qh @ r)
+            norm = _row_norms(r)
+            keep[:, j] = ~(norm <= floors[:, j]) & (keep.sum(axis=1) < n)
+            r = np.divide(r[:, :, 0], norm[:, None], out=np.zeros((len(sets), 2 * n), complex),
+                          where=keep[:, j, None])
+            span[:, :, 2 * j] = r
+            span[:, :n, 2 * j + 1], span[:, n:, 2 * j + 1] = -np.conj(r[:, n:]), np.conj(r[:, :n])
+        at = starts[sets, None] + np.arange(width)
+        out[at], kept[at] = span[:, :, ::2].transpose(0, 2, 1), keep
+        counts[sets] = keep.sum(axis=1)
+    return out[kept], counts
+
+
+def _basis(rows: np.ndarray) -> QMatrix:
+    """The n x k matrix of the vectors whose chi columns are the k rows."""
+    n = rows.shape[1] // 2
+    return QMatrix(np.swapaxes(_join(rows[:, :n], -np.conj(rows[:, n:])), 0, 1))
+
+
+def orthonormalize_each(a: QMatrix, widths) -> tuple[QMatrix, list[int]]:
+    """The orthonormal bases that orthonormalize gives of each set of
+    consecutive columns of a, widths[i] of them for set i, side by side,
+    and the column count of each, all from one Gram-Schmidt kernel."""
+    if sum(widths) != a.cols:
+        raise DimensionMismatch(f"sets of {sum(widths)} columns vs {a.cols} columns")
+    u1, u2 = _split(np.swapaxes(a.data, 0, 1))
+    rows, counts = _gram_schmidt(np.hstack([u1, -np.conj(u2)]), widths, GS_DROP_TOL)
+    return _basis(rows), counts.tolist()
 
 
 def orthonormalize(a: QMatrix) -> QMatrix:
     """The n x k orthonormal basis of the right span of a's columns that
     Gram-Schmidt keeps, dropping each column whose residual norm is at most
     GS_DROP_TOL times its own norm; n x 0 when a has no columns."""
-    return _gram_schmidt(complex_adjoint_rep(a)[:, :a.cols], GS_DROP_TOL)
+    return orthonormalize_each(a, [a.cols])[0]
 
 
 def gram(a: QMatrix) -> QMatrix:

@@ -119,6 +119,22 @@ def test_fusion_weight_count_check():
         parse_frame(obj)
 
 
+def test_fusion_subspaces_are_refused_in_reading_order():
+    z, long = vec_obj(standard_basis(2)[0]), vec_obj(standard_basis(3)[0])
+
+    def refusal(subspaces):
+        with pytest.raises((ParseError, ValidationError)) as info:
+            parse_frame({"kind": "fusion", "dim": 2, "weights": [1] * len(subspaces),
+                         "subspaces": subspaces})
+        return str(info.value)
+
+    # an entry of an earlier subspace is read before a later one that is
+    # not a list, and entries count within their own subspace
+    assert refusal([[z, long], "x"]).startswith("frame.subspaces[0][1]: ")
+    assert refusal([[], [z], [z, z, long]]).startswith("frame.subspaces[2][2]: ")
+    assert refusal([[z], "x", [long]]) == "frame.subspaces[1]: expected an array"
+
+
 def test_pseudo_count_check():
     z = vec_obj(standard_basis(2)[0])
     obj = {"kind": "pseudo", "dim": 2, "analyzers": [z, z],

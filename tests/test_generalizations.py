@@ -127,6 +127,15 @@ def test_fusion_conversion_reuses_the_orthonormal_bases(gram_schmidt_calls):
     assert not g.members[1].data.any()
 
 
+def test_fusion_orthonormalizes_every_subspace_in_one_call(gram_schmidt_calls):
+    gen = np.random.default_rng(SEED)
+    spans = [QMatrix(gen.standard_normal((5, k, 4))) for k in (2, 0, 1, 3, 1)]
+    del gram_schmidt_calls[:]
+    f = FusionFrame(5, spans, [1.0, 2.0, 0.5, 1.5, 1.0])
+    assert len(gram_schmidt_calls) == 1
+    assert [b.cols for b in f.bases] == f.codomain_dims == [2, 0, 1, 3, 1]
+
+
 def test_fusion_span_of_the_wrong_dim_is_refused():
     spans = [QMatrix.identity(3), QMatrix.from_columns([QVector.basis(2, 0)])]
     with pytest.raises(DimensionMismatch):

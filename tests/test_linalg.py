@@ -27,11 +27,13 @@ from quatframes.linalg import (
     inner,
     inverse_matrix,
     orthonormalize,
+    orthonormalize_each,
     outer,
     positive_sqrt,
     projection,
     solve,
 )
+from quatframes.generalizations import FusionFrame
 from quatframes.quaternion import I, J, K, ONE, Quaternion
 
 SEED = 20260814
@@ -445,6 +447,15 @@ def test_gram_schmidt_normalizes_a_subnormal_vector():
     assert basis.cols == 1 and np.abs(basis.column(0).data - e1.data).max() <= 2.0**-52
 
 
+def test_gram_schmidt_keeps_a_subnormal_span_orthonormal():
+    # each candidate is scaled to unit size first, so that projecting
+    # vectors near 2^-1060 off each other keeps their digits
+    a = QMatrix(np.ldexp(rng().standard_normal((4, 3, 4)), -1060))
+    basis = orthonormalize(a)
+    assert basis.cols == 3
+    assert np.abs((basis.adjoint() @ basis).data - QMatrix.identity(3).data).max() <= 1e-12
+
+
 def test_gram_matrix_is_identity():
     gen = rng()
     vecs = [random_qvector(gen, 6) for _ in range(4)]
@@ -549,6 +560,43 @@ def test_orthonormalize_matches_modified_gram_schmidt(vecs):
     if b.cols:
         gram = (b.adjoint() @ b).data - QMatrix.identity(b.cols).data
         assert np.abs(gram).max() <= 1e-12
+
+
+@st.composite
+def span_lists(draw):
+    """One to 12 spans of H^n, n <= 8, of widths 0 to 5, each at a scale of
+    1, 1e-300, 1e300 or 2^-1060 (subnormal), with zero columns and columns
+    that are real multiples of an earlier one."""
+    n = draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spans = []
+    for _ in range(draw(st.integers(1, 12))):
+        cols = gen.standard_normal((n, draw(st.integers(0, 5)), 4))
+        for c in range(cols.shape[1]):
+            step = draw(st.sampled_from(["new", "zero", "multiple"]))
+            if step == "zero":
+                cols[:, c] = 0.0
+            elif step == "multiple" and c:
+                cols[:, c] = gen.standard_normal() * cols[:, gen.integers(c)]
+        spans.append(QMatrix(cols * draw(st.sampled_from([1.0, 1e-300, 1e300, 2.0**-1060]))))
+    return spans
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_lists())
+def test_orthonormalize_each_matches_orthonormalize(spans):
+    a = QMatrix(np.concatenate([s.data for s in spans], axis=1))
+    bases, counts = orthonormalize_each(a, [s.cols for s in spans])
+    assert bases.cols == sum(counts)
+    for span, k, stop in zip(spans, counts, np.cumsum(counts)):
+        b = QMatrix(bases.data[:, stop - k:stop])
+        assert k == orthonormalize(span).cols
+        assert np.abs((b.adjoint() @ b).data - QMatrix.identity(k).data).max(initial=0.0) <= 1e-12
+        expect = projection(span)
+        assert frobenius_distance(gram(b.adjoint()), expect) <= 1e-12 * max(1.0, expect.frobenius())
+    n = a.rows
+    with pytest.raises(DimensionMismatch):
+        FusionFrame(n, spans + [QMatrix.zeros(n + 1, 1)], [1.0] * (len(spans) + 1))
 
 
 # ====== the chi homomorphism at n = 24 ======
