@@ -186,10 +186,10 @@ def _vectors(obj: Any, dim: int, where: str, at=None) -> QMatrix:
     return QMatrix(np.swapaxes(rows.reshape(-1, dim, 4), 0, 1))
 
 
-def _vector_sets(sets: list, dim: int, where: str) -> tuple[QMatrix, list[int]]:
-    """The listed sets of vectors of H^n read as one list: the matrix of all
-    their vectors, set by set, and each set's count.  A refusal names the
-    first bad entry, or set that is not a list, in reading order."""
+def _vector_sets(sets: list, dim: int, where: str) -> list[QMatrix]:
+    """The n x m_i matrix of each listed set of vectors of H^n, all read as
+    one list.  A refusal names the first bad entry, or set that is not a
+    list, in reading order."""
     lists = list(takewhile(lambda s: isinstance(s, list), sets))
     widths = list(map(len, lists))
     starts = np.cumsum([0] + widths)
@@ -201,7 +201,8 @@ def _vector_sets(sets: list, dim: int, where: str) -> tuple[QMatrix, list[int]]:
     vectors = _vectors(list(chain.from_iterable(lists)), dim, where, at)
     if len(lists) < len(sets):
         raise ParseError(f"{where}[{len(lists)}]: expected an array")
-    return vectors, widths
+    stops = np.cumsum(widths, dtype=int)
+    return [QMatrix(vectors.data[:, stop - m:stop]) for m, stop in zip(widths, stops)]
 
 
 def _held(count: int, dim: int) -> None:
@@ -250,9 +251,9 @@ def parse_frame(obj: Any):
         if len(weights) != len(subs_raw):
             raise ValidationError(
                 f"frame: {len(weights)} weights for {len(subs_raw)} subspaces")
-        vectors, widths = _vector_sets(subs_raw, dim, "frame.subspaces")
-        _held(vectors.cols, dim)
-        frame = FusionFrame.from_columns(dim, vectors, widths, weights)
+        spans = _vector_sets(subs_raw, dim, "frame.subspaces")
+        _held(sum(s.cols for s in spans), dim)
+        frame = FusionFrame(dim, spans, weights)
 
     elif kind == "pseudo":
         analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,

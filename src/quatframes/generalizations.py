@@ -70,31 +70,20 @@ class FusionFrame(_FrameCore):
 
     def __init__(self, space_dim: int, spans, weights):
         spans = list(spans)
+        weights = [float(w) for w in weights]
+        if len(spans) != len(weights):
+            raise DimensionMismatch(
+                f"{len(spans)} subspaces vs {len(weights)} weights")
+        for w in weights:
+            if not w > 0.0:
+                raise InvalidWeight(f"weight {w} is not strictly positive")
         if len({s.rows for s in spans}) > 1:
             raise DimensionMismatch("subspaces spanned by vectors of different dims")
         vectors = np.concatenate([s.data for s in spans] or [np.zeros((space_dim, 0, 4))], 1)
-        self._fill(space_dim, QMatrix(vectors), [s.cols for s in spans], weights)
-
-    @classmethod
-    def from_columns(cls, space_dim: int, vectors: QMatrix, widths, weights) -> "FusionFrame":
-        """The fusion frame whose W_i is spanned by the next widths[i] columns
-        of the n x (sum m_i) matrix vectors."""
-        frame = cls.__new__(cls)
-        frame._fill(space_dim, vectors, widths, weights)
-        return frame
-
-    def _fill(self, space_dim: int, vectors: QMatrix, widths, weights):
-        weights = np.fromiter(weights, dtype=float)
-        if len(widths) != len(weights):
-            raise DimensionMismatch(
-                f"{len(widths)} subspaces vs {len(weights)} weights")
-        if not (weights > 0.0).all():
-            raise InvalidWeight(f"weight {float(weights[~(weights > 0.0)][0])}"
-                                " is not strictly positive")
-        self._bases, dims = orthonormalize_each(vectors, widths)
-        self.weights = weights.tolist()
-        super().__init__(space_dim, self._bases.adjoint().data
-                         * np.repeat(weights, dims)[:, None, None], dims)
+        self._bases, dims = orthonormalize_each(QMatrix(vectors), [s.cols for s in spans])
+        self.weights = weights
+        super().__init__(space_dim, split_rows(self._bases.adjoint().data
+                                               * np.repeat(weights, dims)[:, None, None], dims))
 
     @property
     def bases(self) -> list[QMatrix]:

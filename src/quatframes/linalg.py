@@ -434,17 +434,20 @@ def _gram_schmidt(columns: np.ndarray, widths, drop_tol: float) -> tuple[np.ndar
     The chi column c = [u1; -conj(u2)] of u = u1 + u2*j and its partner
     [u2; conj(u1)] span the right multiples u*q.  One sweep per width takes
     candidate j of every set of that width at once: scaled by a power of two
-    to unit size, exactly, so that no digit is lost at any scale, projected
-    twice off its set's columns 0 to 2j - 1, and dropped (its columns 2j and
-    2j + 1 left zero) when its residual norm is at most drop_tol times its
-    norm or its set spans H^n already; else the normalized residual and its
-    partner fill them.
+    to unit size, exactly, so that no digit is lost at any scale, then
+    projected twice off the columns its set has kept and their partners.  It
+    is dropped when its residual norm is at most drop_tol times its norm or
+    its set spans H^n already; else the normalized residual and its partner
+    are kept, in a workspace of 2 min(width, n + 1) columns per set.  Every
+    set projects off the first 2 min(j, n) workspace columns, zero beyond
+    its kept ones, so a set gets the same basis swept alone or with others.
+    The sweep ends once every set spans H^n.
     """
     widths = np.asarray(widths, dtype=int)
     n = columns.shape[1] // 2
     starts = np.cumsum(widths) - widths
     counts = np.zeros(len(widths), dtype=int)
-    # each candidate's result lands on its row, and `kept` picks the kept ones
+    # set i's kept columns land on its first counts[i] rows, which `kept` picks
     out, kept = np.empty_like(columns, dtype=complex), np.zeros(len(columns), dtype=bool)
     for width in sorted(set(widths.tolist()) - {0}):
         sets = np.flatnonzero(widths == width)
@@ -452,22 +455,31 @@ def _gram_schmidt(columns: np.ndarray, widths, drop_tol: float) -> tuple[np.ndar
         exp = np.frexp(np.abs(c).max(axis=2, initial=0.0, keepdims=True))[1]
         c = np.ldexp(c, -exp).view(complex)
         floors = drop_tol * _row_norms(c.reshape(-1, 2 * n)).reshape(-1, width)
-        span = np.zeros((len(sets), 2 * n, 2 * width), dtype=complex)
-        keep = np.zeros((len(sets), width), dtype=bool)
+        # kept column i of a set and its partner: span[set, :, i, 0 and 1];
+        # a set that spans H^n already writes the zeros of a dropped
+        # candidate into slot n, the one spare slot of a set wider than n
+        span = np.zeros((len(sets), 2 * n, min(width, n + 1), 2), dtype=complex)
+        flat, every = span.reshape(len(sets), 2 * n, -1), np.arange(len(sets))
+        k = np.zeros(len(sets), dtype=int)
         for j in range(width):
-            q = span[:, :, :2 * j]
+            q = flat[:, :, :2 * min(j, n)]
             qh, r = q.conj().transpose(0, 2, 1), c[:, j, :, None]
             for _ in range(2):
                 r = r - q @ (qh @ r)
             norm = _row_norms(r)
-            keep[:, j] = ~(norm <= floors[:, j]) & (keep.sum(axis=1) < n)
-            r = np.divide(r[:, :, 0], norm[:, None], out=np.zeros((len(sets), 2 * n), complex),
-                          where=keep[:, j, None])
-            span[:, :, 2 * j] = r
-            span[:, :n, 2 * j + 1], span[:, n:, 2 * j + 1] = -np.conj(r[:, n:]), np.conj(r[:, :n])
-        at = starts[sets, None] + np.arange(width)
-        out[at], kept[at] = span[:, :, ::2].transpose(0, 2, 1), keep
-        counts[sets] = keep.sum(axis=1)
+            keep = ~(norm <= floors[:, j]) & (k < n)
+            pair = np.zeros((len(sets), 2 * n, 2), dtype=complex)
+            r = np.divide(r[:, :, 0], norm[:, None], out=pair[:, :, 0], where=keep[:, None])
+            pair[:, :n, 1], pair[:, n:, 1] = -np.conj(r[:, n:]), np.conj(r[:, :n])
+            # a dropped candidate writes zeros into a slot that is zero still
+            span[every, :, k] = pair
+            k += keep
+            if width > n and k.min() == n:
+                break
+        rank = np.arange(span.shape[2])
+        at = starts[sets, None] + rank
+        out[at], kept[at] = span[:, :, :, 0].transpose(0, 2, 1), rank < k[:, None]
+        counts[sets] = k
     return out[kept], counts
 
 

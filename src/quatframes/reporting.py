@@ -64,22 +64,17 @@ class _FrameCore:
 
     __slots__ = ("space_dim", "_analysis", "codomain_dims")
 
-    def __init__(self, space_dim: int, blocks, codomain_dims=None):
-        """The family whose member i has the (d_i, n, 4) block blocks[i] of A,
-        or, given codomain_dims, the next d_i rows of the stacked array
-        blocks; a block whose domain is not H^n raises DimensionMismatch."""
-        if codomain_dims is None:
-            blocks = list(blocks)
-            codomain_dims = [len(b) for b in blocks]
-        else:
-            blocks = [blocks]
+    def __init__(self, space_dim: int, blocks):
+        """The family whose member i has the (d_i, n, 4) block blocks[i] of A;
+        a block whose domain is not H^n raises DimensionMismatch."""
+        blocks = list(blocks)
         for b in blocks:
             if b.shape[1] != space_dim:
                 raise DimensionMismatch(
                     f"member domain {b.shape[1]} does not match space dim {space_dim}")
         self.space_dim = int(space_dim)
         self._analysis = QMatrix(np.concatenate([np.zeros((0, space_dim, 4)), *blocks]))
-        self.codomain_dims = list(codomain_dims)
+        self.codomain_dims = [len(b) for b in blocks]
 
     @classmethod
     def from_analysis(cls, a: QMatrix, codomain_dims):

@@ -33,6 +33,7 @@ from quatframes.linalg import (
     projection,
     solve,
 )
+from quatframes import linalg
 from quatframes.generalizations import FusionFrame
 from quatframes.quaternion import I, J, K, ONE, Quaternion
 
@@ -454,6 +455,29 @@ def test_gram_schmidt_keeps_a_subnormal_span_orthonormal():
     basis = orthonormalize(a)
     assert basis.cols == 3
     assert np.abs((basis.adjoint() @ basis).data - QMatrix.identity(3).data).max() <= 1e-12
+
+
+def test_gram_schmidt_stops_once_the_span_fills_h_n(monkeypatch):
+    # 200 vectors of H^4 span it after their first four, so the sweep takes
+    # those four candidates and reads no more: one norm call for the drop
+    # floors and one per candidate
+    calls = []
+    row_norms = linalg._row_norms
+    monkeypatch.setattr(linalg, "_row_norms", lambda c: calls.append(len(c)) or row_norms(c))
+    basis = orthonormalize(QMatrix(rng().standard_normal((4, 200, 4))))
+    assert basis.cols == 4 and len(calls) == 1 + 4
+    assert frobenius_distance(gram(basis.adjoint()), QMatrix.identity(4)) <= 1e-12
+    # of two sets of 6 vectors of H^2 swept together, one spans H^2 after two
+    # and the other, real multiples of one vector, never does: the first
+    # keeps two, the second one, and the sweep reads all six candidates
+    gen = rng()
+    line = gen.standard_normal((2, 1, 4)) * gen.standard_normal((1, 6, 1))
+    bases, counts = orthonormalize_each(QMatrix(np.concatenate(
+        [gen.standard_normal((2, 6, 4)), line], axis=1)), [6, 6])
+    assert counts == [2, 1]
+    assert np.abs((bases.adjoint() @ bases).data[:2, :2] - QMatrix.identity(2).data).max() <= 1e-12
+    assert frobenius_distance(gram(QMatrix(bases.data[:, 2:]).adjoint()),
+                              projection(QMatrix(line))) <= 1e-12
 
 
 def test_gram_matrix_is_identity():
