@@ -21,7 +21,6 @@ from . import __version__
 from .errors import NonFinite, QuatFramesError, ValidationError
 from .fileio import (
     MAX_DIM,
-    file_digest,
     dumps12,
     load_frame,
     load_vector,
@@ -55,12 +54,12 @@ from .vector_frames import VectorFrame, canonical_dual, parseval, report
 RECONSTRUCT_TOL = 1e-8
 
 
-def _head(command: str, path: str) -> dict:
+def _head(command: str, digest: str) -> dict:
     return {
         "tool": "quatframes",
         "version": __version__,
         "command": command,
-        "input_digest": file_digest(path),
+        "input_digest": digest,
     }
 
 
@@ -87,8 +86,8 @@ def _report_payload(rep) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    kind, frame = load_frame(args.path)
-    doc = _head("analyze", args.path)
+    kind, frame, digest = load_frame(args.path)
+    doc = _head("analyze", digest)
     doc["kind"] = kind
     doc["seed"] = args.seed
     doc["member_count"] = len(frame)
@@ -116,19 +115,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_summary(command: str, args, frame) -> None:
+def _write_summary(command: str, digest: str, out: str, frame) -> None:
     bounds = list(extremal_eigenvalues(gram(frame.analysis_matrix())))
     obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
-    digest = write_document(args.out, obj)
-    doc = _head(command, args.path)
+    doc = _head(command, digest)
     doc["output_kind"] = obj["kind"]
-    doc["output_digest"] = digest
+    doc["output_digest"] = write_document(out, obj)
     doc["bounds"] = bounds
     print(dumps12(doc))
 
 
 def cmd_dual(args) -> int:
-    kind, frame = load_frame(args.path)
+    kind, frame, digest = load_frame(args.path)
     if kind == "vector_frame":
         dual = canonical_dual(frame)
     elif kind == "operator_frame":
@@ -137,7 +135,7 @@ def cmd_dual(args) -> int:
         raise ValidationError(
             "dual requires a vector_frame or operator_frame file; "
             "run convert first")
-    _write_summary("dual", args, dual)
+    _write_summary("dual", digest, args.out, dual)
     return 0
 
 
@@ -150,22 +148,22 @@ def _to_operator_frame(kind: str, frame):
 
 
 def cmd_parseval(args) -> int:
-    kind, frame = load_frame(args.path)
+    kind, frame, digest = load_frame(args.path)
     if kind == "vector_frame":
         result = parseval(frame)
     else:
         if kind != "operator_frame":
             frame = _to_operator_frame(kind, frame)
         result = op_parseval(frame)
-    _write_summary("parseval", args, result)
+    _write_summary("parseval", digest, args.out, result)
     return 0
 
 
 def cmd_convert(args) -> int:
-    kind, frame = load_frame(args.path)
+    kind, frame, digest = load_frame(args.path)
     if kind not in ("fusion", "pseudo", "quasi"):
         raise ValidationError("convert requires a fusion, pseudo, or quasi file")
-    _write_summary("convert", args, _to_operator_frame(kind, frame))
+    _write_summary("convert", digest, args.out, _to_operator_frame(kind, frame))
     return 0
 
 
@@ -176,8 +174,8 @@ def _check_seed(args) -> None:
 
 def cmd_stability(args) -> int:
     _check_seed(args)
-    kind_f, f = load_frame(args.path_f)
-    kind_r, r = load_frame(args.path_r)
+    kind_f, f, digest_f = load_frame(args.path_f)
+    kind_r, r, digest_r = load_frame(args.path_r)
     if kind_f != "operator_frame" or kind_r != "operator_frame":
         raise ValidationError("stability requires two operator_frame files")
 
@@ -209,8 +207,8 @@ def cmd_stability(args) -> int:
         "tool": "quatframes",
         "version": __version__,
         "command": "stability",
-        "input_digest_f": file_digest(args.path_f),
-        "input_digest_r": file_digest(args.path_r),
+        "input_digest_f": digest_f,
+        "input_digest_r": digest_r,
     }
     doc.update(verdict.to_record())
     print(dumps12(doc))
@@ -219,7 +217,7 @@ def cmd_stability(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     _check_seed(args)
-    kind, frame = load_frame(args.path)
+    kind, frame, digest = load_frame(args.path)
     if kind not in ("vector_frame", "operator_frame"):
         raise ValidationError(
             "reconstruct requires a vector_frame or operator_frame file; "
@@ -248,7 +246,7 @@ def cmd_reconstruct(args) -> int:
     if not np.isfinite(residuals).all():
         raise NonFinite("reconstruction residual is inf or nan, such as from "
                         "an overflow; rescale the input")
-    doc = _head("reconstruct", args.path)
+    doc = _head("reconstruct", digest)
     doc["kind"] = kind
     doc["seed"] = args.seed
     doc["vector_count"] = x.cols

@@ -295,9 +295,13 @@ def _orjson_reads(raw: bytes) -> bool:
     return not brackets
 
 
-def _load_json(path: str) -> Any:
+def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
-        raw = handle.read()
+        return handle.read()
+
+
+def _decode(raw: bytes, path: str) -> Any:
+    """The JSON value of raw, the bytes of the file at path."""
     if _orjson_reads(raw):
         try:
             return orjson.loads(raw)
@@ -314,9 +318,16 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _load_json(path: str) -> Any:
+    return _decode(_read(path), path)
+
+
 def load_frame(path: str):
-    """Read and parse a frame file; returns (kind, frame)."""
-    return parse_frame(_load_json(path))
+    """Read and parse a frame file, opening it once; returns (kind, frame,
+    digest), digest being the sha256 hex digest of the bytes decoded."""
+    raw = _read(path)
+    kind, frame = parse_frame(_decode(raw, path))
+    return kind, frame, hashlib.sha256(raw).hexdigest()
 
 
 def load_vector(path: str) -> QVector:
@@ -442,5 +453,4 @@ def write_document(path: str, obj: Any) -> str:
 
 
 def file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+    return hashlib.sha256(_read(path)).hexdigest()

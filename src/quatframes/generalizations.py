@@ -16,7 +16,7 @@ once on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +141,7 @@ class PseudoFramePair(_FrameCore):
         self.basis = orthonormalize(subspace)
 
 
-@dataclass(frozen=True)
-class PseudoCheck:
+class PseudoCheck(NamedTuple):
     holds: bool
     max_residual: float
 
@@ -217,8 +216,7 @@ class QuasiProjectorSystem(_FrameCore):
         self.decomposition = decomposition
 
 
-@dataclass(frozen=True)
-class QuasiCheck:
+class QuasiCheck(NamedTuple):
     resolution_ok: bool
     bessel_bound: float
     self_adjoint: bool

@@ -24,8 +24,8 @@ quaternionic spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,8 +360,7 @@ def hermitian_eigenvalues(s: QMatrix) -> np.ndarray:
     return _collapse_pairs(np.linalg.eigvalsh(_hermitian_chi(s)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues (ascending, with quaternionic multiplicity) and a
     matrix whose columns are the matching right eigenvectors."""
 

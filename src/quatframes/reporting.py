@@ -19,7 +19,7 @@ Every family kind stores A once, in the frame core below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ FRAME_TOL = 1e-10
 TIGHT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(NamedTuple):
     """Optimal bounds and classification flags for one family."""
 
     lower: float

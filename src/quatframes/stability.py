@@ -40,8 +40,8 @@ as a negative number instead of a silently squared positive one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import inf, isfinite, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def _check_constants(*constants: float) -> None:
         raise InvalidParams("perturbation constants must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class Theorem1Params:
+class Theorem1Params(NamedTuple):
     """Constants (lambda1, lambda2, mu) for the analysis-side hypothesis."""
 
     lambda1: float
@@ -84,8 +83,7 @@ class Theorem1Params:
                 "lambda2 must be < 1 for the (1 - lambda2) denominator")
 
 
-@dataclass(frozen=True)
-class Theorem2Params:
+class Theorem2Params(NamedTuple):
     """Constants (lambda, mu) for the synthesis-side hypothesis.
 
     The field is called ``lam`` because ``lambda`` is reserved in Python.
@@ -98,8 +96,7 @@ class Theorem2Params:
         _check_constants(self.lam, self.mu)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of one stability check.
 
     ``frame_claim`` is True when the hypothesis held and the predicted
@@ -122,7 +119,7 @@ class StabilityVerdict:
     note: str = ""
 
     def to_record(self) -> dict:
-        params = asdict(self.params)
+        params = self.params._asdict()
         if isinstance(self.params, Theorem2Params):
             params = {"lambda": self.params.lam, "mu": self.params.mu}
         record = {

@@ -1,9 +1,13 @@
 """Command-line behavior: report content, artifact round trips,
 determinism, and the exit-code contract."""
 
+import builtins
 import contextlib
+import hashlib
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,8 +339,8 @@ def test_dual_of_dual_round_trips(files, capsys, tmp_path):
     twice = str(tmp_path / "twice.json")
     assert run(capsys, "dual", files["shifted_vec"], "-o", once)[0] == 0
     assert run(capsys, "dual", once, "-o", twice)[0] == 0
-    _, original = load_frame(files["shifted_vec"])
-    _, back = load_frame(twice)
+    _, original, _ = load_frame(files["shifted_vec"])
+    _, back, _ = load_frame(twice)
     for a, b in zip(original.members, back.members):
         assert (a - b).norm() < 1e-8
 
@@ -374,8 +378,8 @@ def test_parseval_idempotent(files, capsys, tmp_path):
     twice = str(tmp_path / "pv2.json")
     assert run(capsys, "parseval", files["shifted_vec"], "-o", once)[0] == 0
     assert run(capsys, "parseval", once, "-o", twice)[0] == 0
-    _, first = load_frame(once)
-    _, second = load_frame(twice)
+    _, first, _ = load_frame(once)
+    _, second, _ = load_frame(twice)
     for a, b in zip(first.members, second.members):
         assert (a - b).norm() < 1e-9
 
@@ -392,7 +396,7 @@ def test_convert_fusion_preserves_bounds(files, capsys, tmp_path):
     out = str(tmp_path / "conv.json")
     code, doc, _ = run_json(capsys, "convert", files["fusion"], "-o", out)
     assert code == 0 and doc["bounds"] == [1, 2]
-    kind, frame = load_frame(out)
+    kind, frame, _ = load_frame(out)
     assert kind == "operator_frame" and frame.space_dim == 4
 
 
@@ -457,7 +461,7 @@ def test_convert_quasi_and_pseudo(files, capsys, tmp_path):
     code, doc, _ = run_json(capsys, "convert", files["pseudo"], "-o",
                             str(tmp_path / "p.json"))
     assert code == 0 and doc["bounds"] == [1, 1]
-    kind, frame = load_frame(str(tmp_path / "p.json"))
+    kind, frame, _ = load_frame(str(tmp_path / "p.json"))
     assert frame.space_dim == 1
 
 
@@ -713,6 +717,76 @@ def test_malformed_file_reports_location(capsys, tmp_path):
     path.write_text('{"kind": "vector_frame",')
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2 and "line 1" in err
+
+
+def every_subcommand(files, out):
+    """Argv of each subcommand, analyze on each kind, every one printing."""
+    return [
+        ["analyze", files["shifted_vec"]], ["analyze", files["shifted_op"]],
+        ["analyze", files["fusion"]], ["analyze", files["quasi"]],
+        ["analyze", files["pseudo"]],
+        ["dual", files["shifted_op"], "--out", out],
+        ["parseval", files["fusion"], "--out", out],
+        ["convert", files["quasi"], "--out", out],
+        ["stability", files["shifted_op"], files["scaled_op"], "--lambda1", "0.2"],
+        ["stability", files["shifted_op"], files["scaled_op"], "--theorem", "2", "--fit"],
+        ["reconstruct", files["coords"], "--vector", files["probe"]],
+        ["reconstruct", files["shifted_vec"], "--random", "3"],
+    ]
+
+
+def test_every_subcommand_opens_each_input_once(files, capsys, monkeypatch, tmp_path):
+    """The digest printed is of the bytes the command read, so no command
+    opens an input a second time to hash it."""
+    out = str(tmp_path / "out.json")
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    for argv in every_subcommand(files, out):
+        opened.clear()
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, text, _ = run(capsys, *argv)
+        monkeypatch.undo()
+        assert code in (0, 1), argv
+        paths = [a for a in argv if a.startswith(files["root"]) or a == out]
+        assert opened == Counter(paths), argv
+        doc = json.loads(text)
+        digests = ({"input_digest_f": argv[1], "input_digest_r": argv[2]}
+                   if argv[0] == "stability" else {"input_digest": argv[1]})
+        for key, path in digests.items():
+            assert doc[key] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _holds_a_record(value) -> bool:
+    if hasattr(value, "_fields"):
+        return True
+    if isinstance(value, dict):
+        return any(map(_holds_a_record, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_a_record, value))
+    return False
+
+
+def test_no_printed_document_holds_a_record(files, capsys, monkeypatch, tmp_path):
+    """The result records are tuples, which dumps12 would print as lists
+    instead of refusing them; every printed document holds plain values."""
+    printed = []
+    real_dumps12 = cli.dumps12
+
+    def dumps12(doc):
+        printed.append(doc)
+        return real_dumps12(doc)
+
+    monkeypatch.setattr(cli, "dumps12", dumps12)
+    argvs = every_subcommand(files, str(tmp_path / "out.json"))
+    for argv in argvs:
+        run(capsys, *argv)
+    assert len(printed) == len(argvs)
+    assert not any(map(_holds_a_record, printed))
 
 
 # families that hold no vector or matrix, so nothing fixes the dimension;

@@ -219,7 +219,7 @@ def test_write_round_trip_preserves_frames(tmp_path):
     f = shifted_basis_vector_frame(3)
     path = tmp_path / "frame.json"
     write_document(str(path), vector_frame_obj(f))
-    kind, back = load_frame(str(path))
+    kind, back, _ = load_frame(str(path))
     assert kind == "vector_frame"
     assert back.space_dim == 3 and len(back.members) == 4
     for a, b in zip(f.members, back.members):
@@ -236,7 +236,7 @@ def test_operator_frame_round_trip(tmp_path):
     f = OperatorFrame(2, [outer(b, b) for b in basis])
     path = tmp_path / "op.json"
     write_document(str(path), operator_frame_obj(f))
-    kind, back = load_frame(str(path))
+    kind, back, _ = load_frame(str(path))
     assert kind == "operator_frame"
     for a, b in zip(f.members, back.members):
         assert (a - b).frobenius() == 0.0
