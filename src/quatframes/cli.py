@@ -174,8 +174,9 @@ def _check_seed(args) -> None:
 
 def cmd_stability(args) -> int:
     _check_seed(args)
-    kind_f, f, digest_f = load_frame(args.path_f)
-    kind_r, r, digest_r = load_frame(args.path_r)
+    kind_f, f, digest_f = loaded = load_frame(args.path_f)
+    # frames are read-only, so `stability F F` reads F once
+    kind_r, r, digest_r = load_frame(args.path_r) if args.path_r != args.path_f else loaded
     if kind_f != "operator_frame" or kind_r != "operator_frame":
         raise ValidationError("stability requires two operator_frame files")
 

@@ -11,14 +11,17 @@ file is a tagged union on its "kind" field:
   {"kind": "pseudo",  "dim": n, "analyzers": [...], "synthesizers": [...], "subspace": [...]}
   {"kind": "quasi",   "dim": n, "projectors": [matrix, ...]}
 
-orjson decodes a file when nothing in it can make orjson differ from
-json.loads: no integer literal of 19 digits or more (orjson 3.8 reads
-one from 2^64 on, or below -2^63, as a float), no string escape, and
-nesting at most _ORJSON_MAX_DEPTH deep (orjson 3.8 builds nested values
-by C recursion without a limit).  json.loads decodes the rest and every
-text orjson refuses (NaN, Infinity, 1e400, a BOM, bytes that are not
-UTF-8, malformed JSON), so the values read are json's and every refusal
-of the text keeps json's wording, line and column.
+A file whose arrays and objects nest deeper than MAX_DEPTH is refused
+before either decoder runs, with one ParseError whatever the caller's
+stack: orjson 3.8 builds nested values by C recursion without a limit,
+and json refuses at the interpreter's recursion limit less the stack
+already in use.  orjson decodes a file when nothing in it can make
+orjson differ from json.loads: no integer literal of 19 digits or more
+(orjson 3.8 reads one from 2^64 on, or below -2^63, as a float) and no
+string escape.  json.loads decodes the rest and every text orjson
+refuses (NaN, Infinity, 1e400, a BOM, bytes that are not UTF-8,
+malformed JSON), so the values read are json's and every refusal of the
+text keeps json's wording, line and column.
 
 Structural problems (wrong JSON, wrong types, missing fields) raise
 ParseError; declared dimensions that disagree with the payload raise
@@ -34,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from itertools import chain, takewhile
 from typing import Any, NoReturn
 
@@ -53,6 +57,8 @@ FRAME_KINDS = ("vector_frame", "operator_frame", "fusion", "pseudo", "quasi")
 # the largest frame dim a file may declare and the largest `reconstruct
 # --random` count: chi(S) of an n x n S takes 64 n^2 bytes, 1 GiB at 4096
 MAX_DIM = 4096
+# the deepest a file's arrays and objects may nest; frame files nest 6 deep
+MAX_DEPTH = 64
 
 _REAL = (int, float)
 
@@ -61,12 +67,11 @@ _REAL = (int, float)
 # fraction's digits, is then a space and 19 zeros
 _DIGIT_RUNS = (b" " * 46 + b". " + b"0" * 10).ljust(256)
 _LONG_INTEGER = b" " + b"0" * 19
-# translating with these keeps only brackets, all as [ and ], quotes and
-# backslashes
+# a backslash and the byte it escapes
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+# translating with these keeps only brackets, all as [ and ], and quotes
 _ONE_BRACKET = bytes.maketrans(b"{}", b"[]")
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
-# frame files nest 6 deep; json refuses about 1,000
-_ORJSON_MAX_DEPTH = 64
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 
 # ====== parsing ======
@@ -279,20 +284,22 @@ def parse_frame(obj: Any):
     return kind, frame
 
 
-def _orjson_reads(raw: bytes) -> bool:
-    """Whether orjson may decode raw, as the module docstring says.  The
-    nesting of valid JSON is read off its brackets outside strings: with
-    no escape every other quote opens a string, and each pass drops the
-    innermost bracket pairs."""
-    if _LONG_INTEGER in (b" " + raw).translate(_DIGIT_RUNS):
-        return False
+def _depth(raw: bytes) -> int:
+    """How deep the arrays and objects of raw nest, read off its brackets
+    outside strings: with each escape pair dropped, every other quote
+    opens a string."""
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
     brackets = raw.translate(_ONE_BRACKET, _NOT_STRUCTURE)
-    if b"\\" in brackets:
-        return False
-    brackets = b"".join(brackets.split(b'"')[::2])
-    for _ in range(_ORJSON_MAX_DEPTH):
-        brackets = brackets.replace(b"[]", b"")
-    return not brackets
+    outside = np.frombuffer(b"".join(brackets.split(b'"')[::2]), dtype=np.uint8)
+    # [ is byte 91 and ] is 93
+    return int(np.cumsum(92 - outside.astype(np.int64)).max(initial=0))
+
+
+def _orjson_reads(raw: bytes) -> bool:
+    """Whether orjson may decode raw, nested at most MAX_DEPTH deep, as the
+    module docstring says."""
+    return b"\\" not in raw and _LONG_INTEGER not in (b" " + raw).translate(_DIGIT_RUNS)
 
 
 def _read(path: str) -> bytes:
@@ -302,6 +309,8 @@ def _read(path: str) -> bytes:
 
 def _decode(raw: bytes, path: str) -> Any:
     """The JSON value of raw, the bytes of the file at path."""
+    if _depth(raw) > MAX_DEPTH:
+        raise ParseError(f"{path}: arrays and objects nest deeper than {MAX_DEPTH} levels")
     if _orjson_reads(raw):
         try:
             return orjson.loads(raw)
@@ -312,9 +321,9 @@ def _decode(raw: bytes, path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        # bytes that are not UTF-8, arrays nested deeper than the decoder's
-        # recursion limit, or an integer literal beyond Python's digit limit
+    except ValueError as exc:
+        # bytes that are not UTF-8 or an integer literal beyond Python's
+        # digit limit
         raise ParseError(f"{path}: {exc}") from exc
 
 

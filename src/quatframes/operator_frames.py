@@ -14,22 +14,27 @@ once, the analysis matrix A that stacks the T_i, whose rows are the
 <x_k^i|; its members are the row blocks of A, and the core in reporting
 computes S = A* A, analysis, synthesis, duals and the Parseval
 normalization from it.  A file's member list is read into A as one array.
+
+The coefficients of u are the tuple {T_i u} of the direct sum of the
+codomains, which in coordinates is H^{sum_i d_i}: analysis returns one
+QVector A u, member i owning its next d_i entries, and synthesis takes
+one, so reconstruct is synthesis(g, analysis(f, u)).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DimensionMismatch
-from .linalg import QMatrix, QVector, _norm
+from .linalg import QMatrix, QVector
 from .reporting import (
     FrameReport,
     _FrameCore,
+    analysis,
     build_report,
     dual_rows,
     gram,
     parseval_rows,
     split_rows,
+    synthesis,
 )
 from .vector_frames import VectorFrame
 
@@ -50,30 +55,9 @@ class OperatorFrame(_FrameCore):
                                             self.codomain_dims)))
 
 
-class BlockVector:
-    """Element of the direct sum of the codomains, one block per member."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = list(blocks)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The blocks one below the other, as one (sum_i d_i, 4) array."""
-        return np.concatenate([np.zeros((0, 4))] + [b.data for b in self.blocks])
-
-    def norm_sq(self) -> float:
-        return float(sum(b.norm_sq() for b in self.blocks))
-
-    def norm(self) -> float:
-        return float(_norm(self.data))
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __repr__(self):
-        return f"BlockVector(blocks={[b.dim for b in self.blocks]})"
+# the core's analysis and synthesis, under this module's names
+op_analysis = analysis
+op_synthesis = synthesis
 
 
 def op_frame_operator(f: OperatorFrame) -> QMatrix:
@@ -84,23 +68,6 @@ def op_frame_operator(f: OperatorFrame) -> QMatrix:
 def op_report(f: OperatorFrame) -> FrameReport:
     """Optimal bounds and classification flags, as for vector frames."""
     return build_report(f.analysis_matrix(), f.codomain_dims)
-
-
-def op_analysis(f: OperatorFrame, u: QVector) -> BlockVector:
-    """The tuple {T_i u}; its squared norm is the analysis energy of u."""
-    if u.dim != f.space_dim:
-        raise DimensionMismatch(f"vector dim {u.dim} vs space dim {f.space_dim}")
-    return BlockVector(map(QVector, split_rows((f.analysis_matrix() @ u).data,
-                                               f.codomain_dims)))
-
-
-def op_synthesis(f: OperatorFrame, x: BlockVector) -> QVector:
-    """sum_i T_i*(x_i), the adjoint of analysis."""
-    dims = [b.dim for b in x.blocks]
-    if dims != f.codomain_dims:
-        raise DimensionMismatch(
-            f"block dims {dims} vs codomain dims {f.codomain_dims}")
-    return f.analysis_matrix().adjoint() @ QVector(x.data)
 
 
 def induced_sequence(f: OperatorFrame) -> VectorFrame:
@@ -138,4 +105,4 @@ def reconstruct(f: OperatorFrame, g: OperatorFrame, u: QVector) -> QVector:
         raise DimensionMismatch(
             f"space dim {f.space_dim} with codomain dims {f.codomain_dims} vs"
             f" {g.space_dim} with {g.codomain_dims}")
-    return g.analysis_matrix().adjoint() @ (f.analysis_matrix() @ u)
+    return synthesis(g, analysis(f, u))

@@ -6,8 +6,14 @@ family is its stacked analysis matrix A: a (sum_i d_i) x n matrix whose
 i-th block of d_i rows is the analysis map of member i.  From A alone,
 
     S = A* A            the frame operator,
-    A u, A* x           analysis (split at the member offsets) and synthesis,
+    A u, A* x           analysis and synthesis,
     A S^-1, A S^-1/2    the canonical dual and the Parseval normalization.
+
+The coefficient space is the direct sum of the codomains, H^{sum_i d_i}
+in coordinates: the coefficients A u of u are one QVector whose next d_i
+entries, T_i u, belong to member i (split_rows splits them), and
+synthesis is the adjoint A* on that space.  Both are defined here once
+and act on every kind.
 
 A family satisfies r1 ||u||^2 <= ||A u||^2 <= r2 ||u||^2 with optimal
 bounds the extremal eigenvalues of S.  Finite families always satisfy
@@ -24,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotAFrame
-from .linalg import QMatrix, gram, hermitian_eigenvalues, inverse_matrix, positive_sqrt
+from .linalg import QMatrix, QVector, gram, hermitian_eigenvalues, inverse_matrix, positive_sqrt
 
 # a family is a frame when the smallest eigenvalue of S clears this
 # fraction of the largest, so the verdict does not depend on the scale
@@ -95,6 +101,16 @@ class _FrameCore:
 
     def __repr__(self):
         return f"{type(self).__name__}(space_dim={self.space_dim}, members={len(self)})"
+
+
+def analysis(f: _FrameCore, u: QVector) -> QVector:
+    """A u, the coefficients of u: member i owns the next d_i entries."""
+    return f.analysis_matrix() @ u
+
+
+def synthesis(f: _FrameCore, x: QVector) -> QVector:
+    """A* x = sum_i T_i*(x_i), the adjoint of analysis."""
+    return f.analysis_matrix().adjoint() @ x
 
 
 def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import QMatrix, QVector
-from .operator_frames import BlockVector
 from .quaternion import Quaternion
 
 # random_unit_qvector redraws a standard normal vector whose norm is at most
@@ -43,5 +42,7 @@ def random_qmatrix(rng: np.random.Generator, rows: int, cols: int) -> QMatrix:
     return QMatrix(rng.standard_normal((rows, cols, 4)))
 
 
-def random_block_vector(rng: np.random.Generator, dims) -> BlockVector:
-    return BlockVector([random_qvector(rng, d) for d in dims])
+def random_block_vector(rng: np.random.Generator, dims) -> QVector:
+    """A standard normal coefficient vector of H^{sum_i d_i}, drawn in one
+    call in the order of one random_qvector call per member."""
+    return QVector(rng.standard_normal((sum(dims), 4)))

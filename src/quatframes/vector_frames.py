@@ -4,28 +4,28 @@ A finite family {u_i} is a frame when
 
     r1 ||u||^2 <= sum_i |<u_i|u>|^2 <= r2 ||u||^2
 
-for some 0 < r1 <= r2.  Synthesis applies right coefficients,
-T({q_i}) = sum_i u_i q_i, analysis takes inner products against the
-members, and the frame operator S = sum_i u_i <u_i|.|> is their
-composition.  A vector frame is the frame of operators whose members are
-the 1 x n functionals <u_i|; it stores the analysis matrix with those
-rows, and everything here is computed from it by the core in reporting.
+for some 0 < r1 <= r2.  Analysis takes inner products against the
+members, A u = (<u_i|u>)_i in H^m, synthesis applies right coefficients,
+A* (q_i)_i = sum_i u_i q_i, and the frame operator S = sum_i u_i <u_i|.|>
+is their composition.  A vector frame is the frame of operators whose
+members are the 1 x n functionals <u_i|; it stores the analysis matrix
+with those rows, and everything here, analysis and synthesis included,
+is computed from it by the core in reporting.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DimensionMismatch
 from .linalg import QMatrix, QVector, _conj4
-from .quaternion import Quaternion
+# analysis and synthesis are the core's, exported here for vector frames
 from .reporting import (
     FrameReport,
     _FrameCore,
+    analysis,
     build_report,
     dual_rows,
     gram,
     parseval_rows,
+    synthesis,
 )
 
 
@@ -42,29 +42,6 @@ class VectorFrame(_FrameCore):
     def members(self) -> list[QVector]:
         """The vectors u_i, read off the rows <u_i| of A."""
         return list(map(QVector, _conj4(self.analysis_matrix().data)))
-
-
-def synthesis(f: VectorFrame, coefficients) -> QVector:
-    """sum_i u_i * q_i with the coefficients acting from the right."""
-    coefficients = list(coefficients)
-    if len(coefficients) != len(f):
-        raise DimensionMismatch(
-            f"{len(coefficients)} coefficients for {len(f)} members")
-    q = np.array([c.components for c in coefficients], dtype=np.float64)
-    return synthesis_matrix(f) @ QVector(q.reshape(-1, 4))
-
-
-def analysis(f: VectorFrame, u: QVector) -> list[Quaternion]:
-    """Coefficient list {<u_i|u>} in member order."""
-    if u.dim != f.space_dim:
-        raise DimensionMismatch(f"vector dim {u.dim} vs space dim {f.space_dim}")
-    coefficients = f.analysis_matrix() @ u
-    return [coefficients[i] for i in range(len(f))]
-
-
-def synthesis_matrix(f: VectorFrame) -> QMatrix:
-    """Matrix whose columns are the members; synthesis is its action."""
-    return f.analysis_matrix().adjoint()
 
 
 def frame_operator(f: VectorFrame) -> QMatrix:

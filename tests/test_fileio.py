@@ -2,6 +2,7 @@
 12-digit writer, and round trips through both."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -554,17 +555,40 @@ def test_clean_document_round_trips_at_12_digits(doc):
 
 # ====== the orjson reader against json ======
 
+def nesting_depth(raw):
+    """How deep the arrays and objects of raw nest outside strings, read
+    byte by byte: a backslash escapes the next byte, and a quote opens or
+    closes a string."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for byte in raw:
+        if escaped:
+            escaped = False
+        elif byte == ord("\\"):
+            escaped = True
+        elif byte == ord('"'):
+            in_string = not in_string
+        elif not in_string and byte in b"[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif not in_string and byte in b"]}":
+            depth -= 1
+    return deepest
+
+
 def json_reader(path):
     """The file read by json.loads alone, with the refusals worded as the
-    reader words them."""
+    reader words them: a file nested deeper than 64 is refused first."""
     with open(path, "rb") as handle:
         raw = handle.read()
+    if nesting_depth(raw) > 64:
+        raise ParseError(f"{path}: arrays and objects nest deeper than 64 levels")
     try:
         return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -586,9 +610,8 @@ def reader_dir(tmp_path_factory):
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=3, byte=0, splice=DEEP)
 def test_reader_returns_what_json_returns(reader_dir, doc, mutation, index, byte, splice):
     """The reader returns json.loads's document, with the same repr at
-    every leaf (int or float, -0.0), or raises json's ParseError text.
-    Hypothesis raises the recursion limit, so json reads the splice nested
-    1,100 deep here; test_cli pins its refusal."""
+    every leaf (int or float, -0.0), or raises json's ParseError text; both
+    refuse the splice nested 1,100 deep for its depth."""
     path = reader_dir / "doc.json"
     path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
     try:
@@ -608,5 +631,39 @@ def test_orjson_reads_written_frame_files():
     for text in (json.dumps(floats), dumps12({"data": np.array(floats)})):
         assert fileio._orjson_reads(text.encode())
     for text in ("[1000000000000000000]", "-1000000000000000000", "[1e0000000000000000001]",
-                 '["\\""]', "[" * 65 + "]" * 65):
+                 '["\\""]'):
         assert not fileio._orjson_reads(text.encode())
+
+
+# JSON nested 65 deep, 1,100 deep, and 65 deep past a string that holds an
+# escaped quote, which read as the end of the string would hide the depth
+TOO_DEEP = {"65": b"[" * 65 + b"]" * 65,
+            "1100": b"[" * 1100 + b"]" * 1100,
+            "65-escaped-quote": b'["\\"", ' + b"[" * 64 + b"]" * 65}
+
+
+@pytest.mark.parametrize("limit", [None, 100_000], ids=["default-limit", "limit-100000"])
+def test_nesting_deeper_than_64_is_refused_whatever_the_stack(tmp_path, limit):
+    before = sys.getrecursionlimit()
+    try:
+        if limit:
+            sys.setrecursionlimit(limit)
+        for name, raw in TOO_DEEP.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(raw)
+            assert nesting_depth(raw) > 64
+            with pytest.raises(ParseError) as info:
+                fileio._load_json(str(path))
+            assert str(info.value) == f"{path}: arrays and objects nest deeper than 64 levels"
+    finally:
+        sys.setrecursionlimit(before)
+
+
+@pytest.mark.parametrize("raw", [
+    b"[" * 64 + b"]" * 64,
+    b"[" * 62 + b'{"a": [-0.0, 1e5, "[\\"]"]}' + b"]" * 62,
+], ids=["balanced", "escaped"])
+def test_nesting_64_deep_reads_as_json_reads_it(tmp_path, raw):
+    path = tmp_path / "deep.json"
+    path.write_bytes(raw)
+    assert repr(fileio._load_json(str(path))) == repr(json.loads(raw))

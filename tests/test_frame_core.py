@@ -1,6 +1,7 @@
 """Properties of the stacked-analysis-matrix core across vector frames,
-frames of operators and fusion frames, against per-member loops kept
-here as the reference."""
+frames of operators and fusion frames (and, for analysis and synthesis,
+pseudo-frame pairs and quasi-projector systems), against per-member
+loops kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from conftest import analysis_row
 from quatframes.cli import RECONSTRUCT_TOL
 from quatframes.generalizations import (
     FusionFrame,
+    PseudoFramePair,
+    QuasiProjectorSystem,
     fusion_frame_operator,
     fusion_report,
 )
@@ -24,7 +27,6 @@ from quatframes.linalg import (
     orthonormalize,
 )
 from quatframes.operator_frames import (
-    BlockVector,
     OperatorFrame,
     op_analysis,
     op_dual,
@@ -34,7 +36,14 @@ from quatframes.operator_frames import (
     op_synthesis,
 )
 from quatframes.quaternion import Quaternion
-from quatframes.reporting import FRAME_TOL, dual_rows, extremal_eigenvalues
+from quatframes.reporting import (
+    FRAME_TOL,
+    analysis,
+    dual_rows,
+    extremal_eigenvalues,
+    split_rows,
+    synthesis,
+)
 from quatframes.sampling import random_columns
 from quatframes.vector_frames import (
     VectorFrame,
@@ -75,10 +84,33 @@ def families(draw):
     return FusionFrame(n, subspaces, gen.uniform(0.25, 4.0, len(dims)))
 
 
+@st.composite
+def pseudo_pairs(draw):
+    """A pseudo-frame pair on H^n with m random analyzers and synthesizers
+    (possibly none) and a random subspace of dimension at most n."""
+    n = draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k = draw(st.integers(0, n + 3)), draw(st.integers(0, n))
+    return PseudoFramePair(n, *(QMatrix(gen.standard_normal((n, c, 4))) for c in (m, m, k)))
+
+
+@st.composite
+def quasi_systems(draw):
+    """A quasi-projector system of random n x n members, possibly none."""
+    n = draw(st.integers(1, 16))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return QuasiProjectorSystem(n, [QMatrix(gen.standard_normal((n, n, 4)))
+                                    for _ in range(draw(st.integers(0, 6)))])
+
+
 def reference_members(f):
     """The members T_i of f as operators, without the stacked matrix."""
     if isinstance(f, VectorFrame):
         return [analysis_row(u) for u in f.members]
+    if isinstance(f, PseudoFramePair):
+        return [analysis_row(x) for x in f.analyzers]
+    if isinstance(f, QuasiProjectorSystem):
+        return list(f.projectors)
     if isinstance(f, FusionFrame):
         # v_i P_{W_i}, built here from the bases, not by the code under test
         return [gram(b.adjoint()) * w for w, b in zip(f.weights, f.bases)]
@@ -147,19 +179,31 @@ def test_frame_operator_matches_member_loop(f):
 
 
 @EXAMPLES
-@given(families(), st.integers(0, 2**32 - 1))
+@given(st.one_of(families(), pseudo_pairs(), quasi_systems()), st.integers(0, 2**32 - 1))
 def test_synthesis_is_adjoint_of_analysis(f, seed):
-    g = OperatorFrame(f.space_dim, reference_members(f))
+    members = reference_members(f)
+    g = OperatorFrame(f.space_dim, members)
     gen = np.random.default_rng(seed)
     u = QVector(gen.standard_normal((f.space_dim, 4)))
-    x = BlockVector([QVector(gen.standard_normal((d, 4))) for d in g.codomain_dims])
+    dims = g.codomain_dims
+    x = QVector(gen.standard_normal((sum(dims), 4)))
     analyzed = op_analysis(g, u)
     lhs = inner(u, op_synthesis(g, x))
     rhs = Quaternion()
-    for a, b in zip(analyzed.blocks, x.blocks):
-        rhs = rhs + inner(a, b)
+    for a, b in zip(split_rows(analyzed.data, dims), split_rows(x.data, dims)):
+        rhs = rhs + inner(QVector(a), QVector(b))
     scale = max(1.0, analyzed.norm() * x.norm())
     assert max(abs(p - q) for p, q in zip(lhs.components, rhs.components)) <= 1e-12 * scale
+    # the core's analysis and synthesis on f itself, in its own coefficient
+    # space H^{sum_i d_i}, against the member loop's frame operator
+    y = QVector(gen.standard_normal((sum(f.codomain_dims), 4)))
+    coefficients = analysis(f, u)
+    lhs, rhs = inner(u, synthesis(f, y)), inner(coefficients, y)
+    scale = max(1.0, coefficients.norm() * y.norm())
+    assert max(abs(p - q) for p, q in zip(lhs.components, rhs.components)) <= 1e-12 * scale
+    energy = inner(u, reference_operator(members, f.space_dim) @ u).r0
+    scale = max(1.0, sum(t.frobenius() ** 2 for t in members) * u.norm_sq())
+    assert abs(coefficients.norm_sq() - energy) <= 1e-12 * scale
 
 
 @EXAMPLES

@@ -21,7 +21,6 @@ from quatframes.linalg import (
     positive_sqrt,
 )
 from quatframes.operator_frames import (
-    BlockVector,
     OperatorFrame,
     induced_sequence,
     op_analysis,
@@ -32,6 +31,8 @@ from quatframes.operator_frames import (
     op_synthesis,
     reconstruct,
 )
+from quatframes.reporting import split_rows
+from quatframes.sampling import random_block_vector
 from quatframes.vector_frames import frame_operator, report
 
 SEED = 777
@@ -85,9 +86,10 @@ def test_synthesis_is_adjoint_of_analysis():
     gen = np.random.default_rng(SEED)
     f = mixed_random_frame(gen)
     u = random_qvector(gen, 5)
-    x = BlockVector([random_qvector(gen, d) for d in f.codomain_dims])
+    x = QVector(np.concatenate([random_qvector(gen, d).data for d in f.codomain_dims]))
     lhs = inner(op_synthesis(f, x), u)
-    rhs_parts = [inner(b, t @ u) for b, t in zip(x.blocks, f.members)]
+    rhs_parts = [inner(QVector(b), t @ u)
+                 for b, t in zip(split_rows(x.data, f.codomain_dims), f.members)]
     rhs = rhs_parts[0]
     for part in rhs_parts[1:]:
         rhs = rhs + part
@@ -219,5 +221,10 @@ def test_member_domain_validated():
         OperatorFrame(4, [QMatrix.zeros(2, 3)])
 
 
-def test_block_vector_norm_does_not_overflow():
-    assert BlockVector([QVector([[1e200, 0, 0, 0], [0, 0, 0, 0]])]).norm() == 1e200
+def test_random_block_vector_draws_the_blocks_in_member_order():
+    dims = [1, 3, 2, 5, 1]
+    stacked = random_block_vector(np.random.default_rng(SEED), dims)
+    gen = np.random.default_rng(SEED)
+    blocks = [random_qvector(gen, d).data for d in dims]
+    assert np.array_equal(stacked.data, np.concatenate(blocks))
+    assert random_block_vector(gen, []).dim == 0
