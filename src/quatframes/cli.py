@@ -37,8 +37,8 @@ from .generalizations import (
     quasi_to_op_frame,
 )
 from .linalg import QMatrix
-from .operator_frames import op_dual, op_parseval, op_report
-from .reporting import dual_rows, extremal_eigenvalues, gram
+from .operator_frames import op_dual, op_parseval, op_report, reconstruct
+from .reporting import extremal_eigenvalues, gram
 from .sampling import random_columns
 from .stability import (
     Theorem1Params,
@@ -54,40 +54,21 @@ from .vector_frames import VectorFrame, canonical_dual, parseval, report
 RECONSTRUCT_TOL = 1e-8
 
 
-def _head(command: str, digest: str) -> dict:
-    return {
-        "tool": "quatframes",
-        "version": __version__,
-        "command": command,
-        "input_digest": digest,
-    }
-
-
-def _classification(rep) -> list[str]:
-    labels = []
-    for label, flag in (("bessel", rep.is_bessel), ("frame", rep.is_frame),
-                        ("tight", rep.is_tight), ("parseval", rep.is_parseval),
-                        ("exact", rep.is_exact)):
-        if flag:
-            labels.append(label)
-    return labels
+def _head(command: str, **digests: str) -> dict:
+    return {"tool": "quatframes", "version": __version__, "command": command, **digests}
 
 
 def _report_payload(rep) -> dict:
-    return {
-        "bounds": [rep.lower, rep.upper],
-        "is_bessel": rep.is_bessel,
-        "is_frame": rep.is_frame,
-        "is_tight": rep.is_tight,
-        "is_parseval": rep.is_parseval,
-        "is_exact": rep.is_exact,
-        "classification": _classification(rep),
-    }
+    """The bounds and is_ flags of a FrameReport, and as its classification
+    the names of the flags that hold without their is_ prefix."""
+    flags = {name: flag for name, flag in rep._asdict().items() if name.startswith("is_")}
+    return {"bounds": [rep.lower, rep.upper], **flags,
+            "classification": [name[3:] for name, flag in flags.items() if flag]}
 
 
 def cmd_analyze(args) -> int:
     kind, frame, digest = load_frame(args.path)
-    doc = _head("analyze", digest)
+    doc = _head("analyze", input_digest=digest)
     doc["kind"] = kind
     doc["seed"] = args.seed
     doc["member_count"] = len(frame)
@@ -98,19 +79,9 @@ def cmd_analyze(args) -> int:
     elif kind == "fusion":
         doc.update(_report_payload(fusion_report(frame)))
     elif kind == "quasi":
-        check = quasi_projector_check(frame)
-        doc["checks"] = {
-            "resolution_ok": check.resolution_ok,
-            "bessel_bound": check.bessel_bound,
-            "self_adjoint": check.self_adjoint,
-            "compatible": check.compatible,
-        }
+        doc["checks"] = quasi_projector_check(frame)._asdict()
     else:
-        check = pseudo_frame_check(frame)
-        doc["checks"] = {
-            "holds": check.holds,
-            "max_residual": check.max_residual,
-        }
+        doc["checks"] = pseudo_frame_check(frame)._asdict()
     print(dumps12(doc))
     return 0
 
@@ -118,7 +89,7 @@ def cmd_analyze(args) -> int:
 def _write_summary(command: str, digest: str, out: str, frame) -> None:
     bounds = list(extremal_eigenvalues(gram(frame.analysis_matrix())))
     obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
-    doc = _head(command, digest)
+    doc = _head(command, input_digest=digest)
     doc["output_kind"] = obj["kind"]
     doc["output_digest"] = write_document(out, obj)
     doc["bounds"] = bounds
@@ -204,13 +175,7 @@ def cmd_stability(args) -> int:
             params = Theorem2Params(args.lam or 0.0, args.mu or 0.0)
         verdict = check_stability_t2(f, r, params, seed=args.seed)
 
-    doc = {
-        "tool": "quatframes",
-        "version": __version__,
-        "command": "stability",
-        "input_digest_f": digest_f,
-        "input_digest_r": digest_r,
-    }
+    doc = _head("stability", input_digest_f=digest_f, input_digest_r=digest_r)
     doc.update(verdict.to_record())
     print(dumps12(doc))
     return 0 if verdict.hypothesis_ok and verdict.consistent else 1
@@ -223,9 +188,8 @@ def cmd_reconstruct(args) -> int:
         raise ValidationError(
             "reconstruct requires a vector_frame or operator_frame file; "
             "run convert first")
-    # the dual's synthesis after the frame's analysis is the identity
-    analysis = frame.analysis_matrix()
-    dual_synthesis = dual_rows(analysis).adjoint()
+    # a file that is no frame is refused before any vector is read
+    dual = op_dual(frame)
 
     if args.vector is not None:
         probe = load_vector(args.vector)
@@ -243,11 +207,11 @@ def cmd_reconstruct(args) -> int:
                            args.random)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = (dual_synthesis @ (analysis @ x) - x).column_norms()
+        residuals = (reconstruct(frame, dual, x) - x).column_norms()
     if not np.isfinite(residuals).all():
         raise NonFinite("reconstruction residual is inf or nan, such as from "
                         "an overflow; rescale the input")
-    doc = _head("reconstruct", digest)
+    doc = _head("reconstruct", input_digest=digest)
     doc["kind"] = kind
     doc["seed"] = args.seed
     doc["vector_count"] = x.cols

@@ -15,13 +15,13 @@ A file whose arrays and objects nest deeper than MAX_DEPTH is refused
 before either decoder runs, with one ParseError whatever the caller's
 stack: orjson 3.8 builds nested values by C recursion without a limit,
 and json refuses at the interpreter's recursion limit less the stack
-already in use.  orjson decodes a file when nothing in it can make
-orjson differ from json.loads: no integer literal of 19 digits or more
-(orjson 3.8 reads one from 2^64 on, or below -2^63, as a float) and no
-string escape.  json.loads decodes the rest and every text orjson
-refuses (NaN, Infinity, 1e400, a BOM, bytes that are not UTF-8,
-malformed JSON), so the values read are json's and every refusal of the
-text keeps json's wording, line and column.
+already in use.  orjson decodes a file unless it holds an integer literal
+of 19 digits or more (orjson 3.8 reads one from 2^64 on, or below -2^63,
+as a float); on other text it returns what json.loads returns or refuses
+it, as it refuses a lone surrogate escape.  json.loads decodes the rest
+and every text orjson refuses (NaN, Infinity, 1e400, a BOM, bytes that
+are not UTF-8, malformed JSON), so the values read are json's and every
+refusal of the text keeps json's wording, line and column.
 
 Structural problems (wrong JSON, wrong types, missing fields) raise
 ParseError; declared dimensions that disagree with the payload raise
@@ -299,7 +299,7 @@ def _depth(raw: bytes) -> int:
 def _orjson_reads(raw: bytes) -> bool:
     """Whether orjson may decode raw, nested at most MAX_DEPTH deep, as the
     module docstring says."""
-    return b"\\" not in raw and _LONG_INTEGER not in (b" " + raw).translate(_DIGIT_RUNS)
+    return _LONG_INTEGER not in (b" " + raw).translate(_DIGIT_RUNS)
 
 
 def _read(path: str) -> bytes:

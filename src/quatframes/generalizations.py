@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InvalidWeight,
+    NonFinite,
     NotAFrameOnSubspace,
 )
 from .linalg import (
@@ -150,13 +151,16 @@ def pseudo_frame_check(pair: PseudoFramePair) -> PseudoCheck:
     """The worst residual ||sum_i x_i+ <x_i|x> - x|| over unit x in the
     subspace, exactly: with B its orthonormal basis, the operator norm of
     (Psi Phi - I) B, the largest singular value of its chi.  Holds iff it
-    stays below PSEUDO_TOL; a residual that overflows raises NonFinite."""
+    stays below PSEUDO_TOL; a residual whose entries or norm overflow
+    raises NonFinite."""
     b = pair.basis
     if not b.cols:
         return PseudoCheck(holds=True, max_residual=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = pair.synthesis @ (pair.analysis_matrix() @ b) - b
     max_residual = float(np.linalg.norm(_finite_chi(residual), 2))
+    if not np.isfinite(max_residual):
+        raise NonFinite("pseudo-frame residual norm overflows; rescale the input")
     return PseudoCheck(holds=max_residual <= PSEUDO_TOL,
                        max_residual=max_residual)
 
@@ -171,8 +175,9 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     if not pair.basis.cols:
         raise NotAFrameOnSubspace("subspace is trivial")
     # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the row
-    # of entries <x_a|b_k> acting from the left
-    rows = pair.analysis_matrix() @ pair.basis
+    # of entries <x_a|b_k> acting from the left (the eigensolve refuses inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = pair.analysis_matrix() @ pair.basis
     if not has_frame_bounds(*extremal_eigenvalues(gram(rows))):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
@@ -223,15 +228,25 @@ class QuasiCheck(NamedTuple):
     compatible: bool
 
 
+def _unit_scaled(p: QMatrix) -> QMatrix:
+    """p divided by the power of two of its largest |entry|, exactly in
+    range, so that its entries are below 1 in magnitude."""
+    _, exp = np.frexp(np.abs(p.data).max(initial=0.0))
+    return QMatrix(np.ldexp(p.data, -exp))
+
+
 def _resolution_and_self_adjoint(system: QuasiProjectorSystem) -> tuple[bool, bool]:
     """Whether sum_j P_j is the identity to STRUCTURE_TOL, and whether every
     P_j equals its adjoint to STRUCTURE_TOL times ||P_j||_F."""
     n = system.space_dim
-    total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
-    resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
+    # a sum, or its distance from I, that overflows is not I
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
+        resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
+    # the test is scale-free, and on P_j scaled below 1 nothing overflows
     self_adjoint = all(
         frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius()
-        for p in system.projectors)
+        for p in map(_unit_scaled, system.projectors))
     return resolution_ok, self_adjoint
 
 

@@ -98,9 +98,10 @@ def op_parseval(f: OperatorFrame) -> OperatorFrame:
                                        f.codomain_dims)
 
 
-def reconstruct(f: OperatorFrame, g: OperatorFrame, u: QVector) -> QVector:
+def reconstruct(f: OperatorFrame, g: OperatorFrame, u: QVector | QMatrix) -> QVector | QMatrix:
     """sum_i G_i* F_i(u); returns u itself when g is the canonical dual
-    of f (and S u when g is f)."""
+    of f (and S u when g is f).  An n x K matrix u is reconstructed
+    column by column."""
     if (f.space_dim, f.codomain_dims) != (g.space_dim, g.codomain_dims):
         raise DimensionMismatch(
             f"space dim {f.space_dim} with codomain dims {f.codomain_dims} vs"

@@ -103,13 +103,15 @@ class _FrameCore:
         return f"{type(self).__name__}(space_dim={self.space_dim}, members={len(self)})"
 
 
-def analysis(f: _FrameCore, u: QVector) -> QVector:
-    """A u, the coefficients of u: member i owns the next d_i entries."""
+def analysis(f: _FrameCore, u: QVector | QMatrix) -> QVector | QMatrix:
+    """A u, the coefficients of u: member i owns the next d_i entries.  An
+    n x K matrix u gives the coefficients of each of its columns."""
     return f.analysis_matrix() @ u
 
 
-def synthesis(f: _FrameCore, x: QVector) -> QVector:
-    """A* x = sum_i T_i*(x_i), the adjoint of analysis."""
+def synthesis(f: _FrameCore, x: QVector | QMatrix) -> QVector | QMatrix:
+    """A* x = sum_i T_i*(x_i), the adjoint of analysis, column by column
+    for a matrix x of coefficient columns."""
     return f.analysis_matrix().adjoint() @ x
 
 

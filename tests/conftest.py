@@ -38,8 +38,14 @@ LONG_INTEGERS = st.one_of(
                      10**18, 10**30, -10**30]),
     st.integers(2**63, 10**30), st.integers(-10**30, -2**63))
 DEEP = "[" * 1100 + "0" + "]" * 1100
+# a string holding every kind of escape, and an escaped quote ahead of an
+# array nested 65 deep, which read as the end of the string would hide
+# the depth
+ESCAPES = '"\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\ud83d\\ude00"'
+ESCAPED_DEEP = '["\\"", ' + "[" * 64 + "0" + "]" * 65
 SPLICES = st.one_of(LONG_INTEGERS.map(str), st.sampled_from(
-    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", '"\\ud800"', DEEP]))
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", '"\\ud800"', DEEP, ESCAPES,
+     ESCAPED_DEEP]))
 # bytes that are not UTF-8: a stray byte, an overlong NUL, an encoded
 # surrogate, a lone continuation byte
 NOT_UTF8 = [b"\xff", b"\xc0\x80", b"\xed\xa0\x80", b"\x80"]

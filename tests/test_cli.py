@@ -3,9 +3,12 @@ determinism, and the exit-code contract."""
 
 import builtins
 import contextlib
+import copy
+import functools
 import hashlib
 import io
 import json
+import operator
 from collections import Counter
 from pathlib import Path
 
@@ -949,9 +952,9 @@ def test_each_error_class_exits_cleanly(files, capsys, monkeypatch, cls):
 # ====== no traceback ======
 
 # entries of the generated files: zero, units, subnormals, numbers near
-# overflow, and standard normal draws
+# overflow up to the top of the float range, and standard normal draws
 ENTRIES = st.one_of(
-    st.sampled_from([0.0, 1.0, -1.0, 1e-320, -1e-320, 1e300, -1e300]),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-320, -1e-320, 1e300, -1e300, 1.7e308, -1.7e308]),
     st.integers(0, 2**32 - 1).map(lambda s: float(np.random.default_rng(s).standard_normal())))
 
 
@@ -1008,11 +1011,34 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("no_traceback")
 
 
+# a pseudo pair whose residual has finite entries and an operator norm that
+# overflows, one whose analyzer restricted to the subspace overflows, and
+# quasi files whose self-adjointness defect and whose sum overflow
+HUGE_RESIDUAL_PSEUDO = {
+    "kind": "pseudo", "dim": 2,
+    "analyzers": [{"dim": 2, "data": [[1, 0, 0, 0], [0, 0, 0, 0]]}],
+    "synthesizers": [{"dim": 2, "data": [[1.5e308, 0, 0, 0], [1.5e308, 0, 0, 0]]}],
+    "subspace": [{"dim": 2, "data": [[1, 0, 0, 0], [0, 0, 0, 0]]}]}
+HUGE_RESTRICTION_PSEUDO = {
+    "kind": "pseudo", "dim": 2,
+    "analyzers": [{"dim": 2, "data": [[1.7e308, 0, 0, 0], [0, 1.7e308, 0, 0]]}],
+    "synthesizers": [{"dim": 2, "data": [[0, 0, 0, 0], [0, 0, 0, 0]]}],
+    "subspace": [{"dim": 2, "data": [[1, 0, 0, 0], [0, 1, 0, 0]]}]}
+HUGE_DEFECT_QUASI = {"kind": "quasi", "dim": 1, "projectors": [
+    {"rows": 1, "cols": 1, "data": [[[0, 0, 1e308, 0]]]}]}
+HUGE_SUM_QUASI = {"kind": "quasi", "dim": 1, "projectors": [
+    {"rows": 1, "cols": 1, "data": [[[1e308, 0, 0, 0]]]}] * 2}
+
+
 @settings(max_examples=60, deadline=None)
 @given(generalized_docs())
 @example(SUBNORMAL_DOCS["fusion"])
 @example(SUBNORMAL_DOCS["pseudo"])
 @example(SUBNORMAL_DOCS["quasi"])
+@example(HUGE_RESIDUAL_PSEUDO)
+@example(HUGE_RESTRICTION_PSEUDO)
+@example(HUGE_DEFECT_QUASI)
+@example(HUGE_SUM_QUASI)
 def test_generalized_files_never_end_in_a_traceback(scratch, doc):
     """Every command on a generalized file ends in a JSON report or one
     error line; a RuntimeWarning is an error here, so numpy cannot
@@ -1143,3 +1169,92 @@ def test_mutated_file_text_never_ends_in_a_traceback(scratch, doc, mutation, ind
     path = scratch / "mutated.json"
     path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
     assert_ends_cleanly(["analyze", str(path)])
+
+
+# an operator-frame pair on H^2: SMALL_FILES' operator frame, and its
+# members scaled by 0.9
+PAIR = [SMALL_FILES[1], {**SMALL_FILES[1], "members": [
+    {**m, "data": (0.9 * np.array(m["data"])).tolist()} for m in SMALL_FILES[1]["members"]]}]
+COUNTS = ("dim", "rows", "cols")
+# leaves from the top of the float range down to the smallest subnormal
+LEAVES = [1.7e308, -1.7e308, 1e154, -1e-154, 2.2e-308, 1e-320, 5e-324, -5e-324]
+# values of the wrong type for a leaf or a count, a count among them
+# spelled as a float
+WRONG_TYPES = ["0", True, None, [], {}, [0.0], 2.0, 0.5]
+# keys to add to an object that lacks them
+EXTRA_KEYS = ["extra", "dim", "rows", "cols", "data", "members", "weights", "subspace"]
+
+
+def value_paths(node, path=()):
+    """The path of every value in a parsed document, as its keys and indices."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from value_paths(child, (*path, key))
+
+
+def value_at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+# which paths each mutation of a parsed document may act on
+DOCUMENT_MUTATIONS = {
+    "leaf": lambda path, v: type(v) in (int, float) and path[-1] not in COUNTS,
+    "wrong type": lambda path, v: bool(path),
+    "off by one": lambda path, v: bool(path) and path[-1] in COUNTS,
+    "drop": lambda path, v: isinstance(v, list) and bool(v),
+    "duplicate": lambda path, v: isinstance(v, list) and bool(v),
+    "delete key": lambda path, v: isinstance(v, dict) and bool(v),
+    "extra key": lambda path, v: isinstance(v, dict),
+}
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small file of any kind, or an operator-frame pair, as parsed, with
+    one of its documents changed at one value: a leaf set to an extreme,
+    a leaf or count of the wrong type, a count off by one, a list made
+    ragged or a key deleted or added."""
+    docs = copy.deepcopy(draw(st.sampled_from([[d] for d in SMALL_FILES] + [PAIR])))
+    which = draw(st.integers(0, len(docs) - 1))
+    doc = docs[which]
+    mutation = draw(st.sampled_from(sorted(DOCUMENT_MUTATIONS)))
+    fits = DOCUMENT_MUTATIONS[mutation]
+    path = draw(st.sampled_from([p for p in value_paths(doc) if fits(p, value_at(doc, p))]))
+    value = value_at(doc, path)
+    if mutation == "drop":
+        value.pop(draw(st.integers(0, len(value) - 1)))
+    elif mutation == "duplicate":
+        value.append(copy.deepcopy(draw(st.sampled_from(value))))
+    elif mutation == "delete key":
+        del value[draw(st.sampled_from(sorted(value)))]
+    elif mutation == "extra key":
+        value[draw(st.sampled_from([k for k in EXTRA_KEYS if k not in value]))] = 0
+    else:
+        value_at(doc, path[:-1])[path[-1]] = draw(
+            st.sampled_from(LEAVES) if mutation == "leaf" else
+            st.sampled_from(WRONG_TYPES) if mutation == "wrong type" else
+            st.sampled_from([value - 1, value + 1]))
+    return docs, which
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_never_end_in_a_traceback(scratch, mutated_docs):
+    """Every subcommand on a small file of any kind, one value of its parsed
+    document changed, ends in a JSON report or one error line, and so does
+    stability --fit under both theorems on an operator-frame pair with one
+    of the two changed."""
+    docs, which = mutated_docs
+    paths = [scratch / f"doc{i}.json" for i in range(len(docs))]
+    for path, each in zip(paths, docs):
+        path.write_text(json.dumps(each))
+    path, out = str(paths[which]), str(scratch / "out.json")
+    for argv in (["analyze", path], ["dual", path, "-o", out], ["parseval", path, "-o", out],
+                 ["convert", path, "-o", out]):
+        assert_ends_cleanly(argv)
+    assert_ends_cleanly(["reconstruct", path, "--random", "2"], reports_failure=True)
+    if len(docs) == 2:
+        for theorem in ("1", "2"):
+            assert_ends_cleanly(["stability", *map(str, paths), "--theorem", theorem, "--fit"],
+                                reports_failure=True)

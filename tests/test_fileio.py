@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     BYTES,
     DEEP,
+    ESCAPED_DEEP,
+    ESCAPES,
     MUTATIONS,
     SPLICES,
     json_doc,
@@ -608,10 +610,13 @@ def reader_dir(tmp_path_factory):
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=1, byte=0, splice=str(-2**63 - 1))
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=2, byte=0, splice=str(10**30))
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=3, byte=0, splice=DEEP)
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=4, byte=0, splice=ESCAPES)
+@example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=5, byte=0, splice=ESCAPED_DEEP)
 def test_reader_returns_what_json_returns(reader_dir, doc, mutation, index, byte, splice):
     """The reader returns json.loads's document, with the same repr at
     every leaf (int or float, -0.0), or raises json's ParseError text; both
-    refuse the splice nested 1,100 deep for its depth."""
+    refuse for its depth the splice nested 1,100 deep, and the one nested
+    65 deep behind an escaped quote."""
     path = reader_dir / "doc.json"
     path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
     try:
@@ -626,12 +631,12 @@ def test_reader_returns_what_json_returns(reader_dir, doc, mutation, index, byte
 
 def test_orjson_reads_written_frame_files():
     # repr and "%.12g" floats, whose leading zeros after the point make a
-    # run of 19 digits or more, are no long integer literal
+    # run of 19 digits or more, are no long integer literal; orjson reads
+    # an escaped quote as json reads it
     floats = [0.00012778954670351638, -1.2345678901234567e+22, 5e-324, 1e-05]
-    for text in (json.dumps(floats), dumps12({"data": np.array(floats)})):
+    for text in (json.dumps(floats), dumps12({"data": np.array(floats)}), '["\\""]'):
         assert fileio._orjson_reads(text.encode())
-    for text in ("[1000000000000000000]", "-1000000000000000000", "[1e0000000000000000001]",
-                 '["\\""]'):
+    for text in ("[1000000000000000000]", "-1000000000000000000", "[1e0000000000000000001]"):
         assert not fileio._orjson_reads(text.encode())
 
 
