@@ -164,7 +164,7 @@ def cmd_stability(args) -> int:
         else:
             params = Theorem1Params(args.lambda1 or 0.0, args.lambda2 or 0.0,
                                     args.mu or 0.0)
-        verdict = check_stability_t1(f, r, params, seed=args.seed)
+        check = check_stability_t1
     else:
         if args.lambda1 is not None or args.lambda2 is not None:
             raise ValidationError("--lambda1/--lambda2 apply to --theorem 1; "
@@ -173,7 +173,9 @@ def cmd_stability(args) -> int:
             params = fit_params_t2(f, r)
         else:
             params = Theorem2Params(args.lam or 0.0, args.mu or 0.0)
-        verdict = check_stability_t2(f, r, params, seed=args.seed)
+        check = check_stability_t2
+    # a fitted mu is ||A_F - A_R||, which the check then does not recompute
+    verdict = check(f, r, params, seed=args.seed, _norm=params.mu if args.fit else None)
 
     doc = _head("stability", input_digest_f=digest_f, input_digest_r=digest_r)
     doc.update(verdict.to_record())

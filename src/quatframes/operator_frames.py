@@ -91,8 +91,8 @@ def op_dual(f: OperatorFrame) -> OperatorFrame:
 def op_parseval(f: OperatorFrame) -> OperatorFrame:
     """Canonical Parseval normalization {T_i S^-1/2}.
 
-    S^-1/2 is computed as the inverse of the positive square root; the
-    resulting family has frame operator equal to the identity.
+    S^-1/2 comes from the same eigendecomposition of S that gives the frame
+    test; the resulting family has frame operator equal to the identity.
     """
     return OperatorFrame.from_analysis(parseval_rows(f.analysis_matrix()),
                                        f.codomain_dims)

@@ -25,12 +25,21 @@ Every family kind stores A once, in the frame core below.
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NotAFrame
-from .linalg import QMatrix, QVector, gram, hermitian_eigenvalues, inverse_matrix, positive_sqrt
+from .linalg import (
+    QMatrix,
+    QVector,
+    _collapse_pairs,
+    _from_complex_blocks,
+    _hermitian_chi,
+    gram,
+    hermitian_eigenvalues,
+)
 
 # a family is a frame when the smallest eigenvalue of S clears this
 # fraction of the largest, so the verdict does not depend on the scale
@@ -121,14 +130,20 @@ def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
-def _normal_bounds(s: QMatrix) -> tuple[float, float]:
-    """The extremal eigenvalues of a frame operator s, refused with NonFinite
-    when the largest is subnormal: s then keeps too few significant digits
-    to classify or normalize the family."""
-    lower, upper = extremal_eigenvalues(s)
+def _refuse_subnormal(upper: float) -> None:
+    """NonFinite when upper, the largest eigenvalue of a frame operator S, is
+    subnormal: S then keeps too few significant digits to classify or
+    normalize the family."""
     if 0.0 < upper < np.finfo(float).tiny:
         raise NonFinite(f"the frame operator underflows: its largest eigenvalue "
                         f"{upper:.3e} is subnormal; rescale the input")
+
+
+def _normal_bounds(s: QMatrix) -> tuple[float, float]:
+    """The extremal eigenvalues of a frame operator s, a subnormal largest
+    one refused with NonFinite."""
+    lower, upper = extremal_eigenvalues(s)
+    _refuse_subnormal(upper)
     return lower, upper
 
 
@@ -166,18 +181,44 @@ def _require_frame(lower: float, upper: float) -> None:
                         f"{FRAME_TOL:.0e} times the largest, {upper:.3e}")
 
 
+def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
+    """A S^-1/2 with parseval, else A S^-1, from the one eigendecomposition
+    chi(S) = v diag(w) v* of S = A* A: chi(S^p) = v diag(w^p) v*.
+
+    The pair-collapsed w decide the frame test, NotAFrame when it fails.
+    Before it, the Parseval normalization refuses a subnormal largest
+    eigenvalue; after it, the dual refuses an S^-1 whose norm 1/min(w)
+    overflows, both with NonFinite.  A frame's w are all positive, and no
+    singular value test is needed: with SINGULAR_RTOL * sqrt(MAX_DIM) below
+    FRAME_TOL, the frame test implies the one inverse_matrix applies.
+    """
+    w, v = np.linalg.eigh(_hermitian_chi(gram(a)))
+    vals = _collapse_pairs(w)
+    lower, upper = float(vals[0]), float(vals[-1])
+    if parseval:
+        _refuse_subnormal(upper)
+    _require_frame(lower, upper)
+    if parseval:
+        power = 1.0 / np.sqrt(w)
+    else:
+        smallest = float(w[0])
+        if 1.0 / smallest == inf:
+            raise NonFinite(f"the inverse overflows: smallest singular value {smallest:.3e};"
+                            " rescale the input")
+        power = 1.0 / w
+    m = (v * power) @ v.conj().T
+    return a @ _from_complex_blocks((m + m.conj().T) / 2.0)
+
+
 def dual_rows(a: QMatrix) -> QMatrix:
     """A S^-1, the stacked analysis matrix of the canonical dual; raises
-    NotAFrame when S fails the frame test."""
-    s = gram(a)
-    _require_frame(*extremal_eigenvalues(s))
-    return a @ inverse_matrix(s)
+    NotAFrame when S fails the frame test and NonFinite when S^-1
+    overflows."""
+    return _canonical_rows(a, parseval=False)
 
 
 def parseval_rows(a: QMatrix) -> QMatrix:
     """A S^-1/2, the stacked analysis matrix of the canonical Parseval
     normalization; raises NotAFrame when S fails the frame test and
     NonFinite when it underflows."""
-    s = gram(a)
-    _require_frame(*_normal_bounds(s))
-    return a @ inverse_matrix(positive_sqrt(s))
+    return _canonical_rows(a, parseval=True)

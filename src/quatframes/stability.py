@@ -180,15 +180,16 @@ def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
 
 
 def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
-                   mu: float, adjoint: bool, seed: int) -> bool:
+                   mu: float, adjoint: bool, seed: int, norm: float | None) -> bool:
     """||D x|| <= sum_k c_k ||M_k x|| + mu ||x|| with D = A_F - A_R and
     M = (A_F, A_R) cut to the constants c given, or all their adjoints.
 
     With every c_k = 0 this is ||D|| <= mu (||D*|| = ||D||), decided
-    exactly; otherwise it is tested on DEFAULT_SAMPLES seeded random columns.
+    exactly, on ||D|| = norm when that is given; otherwise it is tested on
+    DEFAULT_SAMPLES seeded random columns.
     """
     if not any(constants):
-        return _difference_norm(f, r) <= mu
+        return (_difference_norm(f, r) if norm is None else norm) <= mu
     families = (difference_frame(f, r), f, r)[:1 + len(constants)]
     ops = [g.analysis_matrix() for g in families]
     if adjoint:
@@ -233,12 +234,14 @@ def _verdict(theorem: int, params, seed: int, hypothesis_ok: bool,
 
 
 def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Params,
-                       seed: int = 0) -> StabilityVerdict:
+                       seed: int = 0, *, _norm: float | None = None) -> StabilityVerdict:
     """Test the analysis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     With lambda1 = lambda2 = 0 the hypothesis is decided exactly;
     otherwise it is sampled on DEFAULT_SAMPLES seeded random vectors.
+    _norm is ||A_F - A_R|| when the caller has it already, as after
+    fit_params_t1, so that the exact test does not compute it again.
     """
     params.validate()
     bounds = _frame_bounds_of(f)
@@ -247,19 +250,19 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
     predicted = _predicted(bounds, 1.0 - shift / (1.0 + params.lambda2),
                            1.0 + shift / (1.0 - params.lambda2))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2),
-                                   params.mu, False, seed)
+                                   params.mu, False, seed, _norm)
     return _verdict(1, params, seed, hypothesis_ok, predicted, measured)
 
 
 def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Params,
-                       seed: int = 0) -> StabilityVerdict:
+                       seed: int = 0, *, _norm: float | None = None) -> StabilityVerdict:
     """Test the synthesis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     Raises ConditionViolated when (lambda + mu/sqrt(r1)) >= 1, in which
     case the theorem is silent.  With lambda = 0 the hypothesis is
     decided exactly; otherwise it is sampled on DEFAULT_SAMPLES seeded
-    random block vectors.
+    random block vectors.  _norm is as for check_stability_t1.
     """
     params.validate()
     r1, r2 = bounds = _frame_bounds_of(f)
@@ -269,5 +272,5 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
     measured = extremal_eigenvalues(op_frame_operator(r))
     predicted = _predicted(bounds, 1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2))
-    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed, _norm)
     return _verdict(2, params, seed, hypothesis_ok, predicted, measured, T2_NOTE)

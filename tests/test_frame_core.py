@@ -3,13 +3,18 @@ frames of operators and fusion frames (and, for analysis and synthesis,
 pseudo-frame pairs and quasi-projector systems), against per-member
 loops kept here as the reference."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analysis_row
+from quatframes import cli
 from quatframes.cli import RECONSTRUCT_TOL
+from quatframes.errors import QuatFramesError
+from quatframes.fileio import operator_frame_obj, vector_frame_obj, vector_obj, write_document
 from quatframes.generalizations import (
     FusionFrame,
     PseudoFramePair,
@@ -24,7 +29,9 @@ from quatframes.linalg import (
     gram,
     hermitian_eigenvalues,
     inner,
+    inverse_matrix,
     orthonormalize,
+    positive_sqrt,
 )
 from quatframes.operator_frames import (
     OperatorFrame,
@@ -38,9 +45,12 @@ from quatframes.operator_frames import (
 from quatframes.quaternion import Quaternion
 from quatframes.reporting import (
     FRAME_TOL,
+    _normal_bounds,
+    _require_frame,
     analysis,
     dual_rows,
     extremal_eigenvalues,
+    parseval_rows,
     split_rows,
     synthesis,
 )
@@ -315,3 +325,117 @@ def test_members_view_and_stored_matrix_are_read_only():
         with pytest.raises(ValueError):
             f.analysis_matrix().data[...] = 0.0
     assert frames[2].codomain_dims == [1, 3, 2]
+
+
+# ====== one eigendecomposition of S per dual and Parseval normalization ======
+
+# agreement of the single-eigh dual and Parseval rows with the library's
+# chain of decompositions, relative to the norm of the result
+ROUTE_RTOL = 1e-10
+
+
+def library_rows(a, parseval):
+    """The rows the frame core gave through the library's decompositions:
+    the frame test on eigvalsh of S, with a subnormal S refused first for
+    the Parseval normalization, then A inverse_matrix(S) or
+    A inverse_matrix(positive_sqrt(S))."""
+    s = gram(a)
+    if parseval:
+        _require_frame(*_normal_bounds(s))
+        return a @ inverse_matrix(positive_sqrt(s))
+    _require_frame(*extremal_eigenvalues(s))
+    return a @ inverse_matrix(s)
+
+
+@st.composite
+def scaled_analysis_matrices(draw):
+    """The stacked analysis matrix of a vector frame or a frame of operators
+    on H^n, n <= 4, with one to 2n + 2 rows (so some are no frames), scaled
+    by 2^k for k in {-500, 0, 500}."""
+    n = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 2 * n + 2))
+    k = draw(st.sampled_from([-500, 0, 500]))
+    return QMatrix(np.ldexp(gen.standard_normal((rows, n, 4)), k))
+
+
+@EXAMPLES
+@given(scaled_analysis_matrices(), st.booleans())
+def test_single_eigh_rows_agree_with_the_library_route(a, parseval):
+    route = parseval_rows if parseval else dual_rows
+    try:
+        want = library_rows(a, parseval)
+    except QuatFramesError as exc:
+        with pytest.raises(type(exc)):
+            route(a)
+        return
+    assert frobenius_distance(route(a), want) <= ROUTE_RTOL * want.frobenius()
+
+
+LAPACK = ("eigh", "eigvalsh", "svd", "inv")
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Calls of each LAPACK driver by stage: "summary" inside the CLI's
+    _write_summary, which measures the written frame on its own, and "core"
+    everywhere else."""
+    calls, stage = Counter(), ["core"]
+    for name in LAPACK:
+        def counted(*args, _name=name, _driver=getattr(np.linalg, name), **kwargs):
+            calls[stage[0], _name] += 1
+            return _driver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def summary(*args, _write=cli._write_summary):
+        stage[0] = "summary"
+        try:
+            return _write(*args)
+        finally:
+            stage[0] = "core"
+    monkeypatch.setattr(cli, "_write_summary", summary)
+    return calls
+
+
+@pytest.fixture
+def small_files(tmp_path):
+    gen = np.random.default_rng(11)
+    members = [gen.standard_normal((d, 3, 4)) for d in (1, 2, 2)]
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("vector", "operator", "perturbed", "fusion")}
+    write_document(paths["vector"], vector_frame_obj(
+        VectorFrame(3, [QVector(v) for v in gen.standard_normal((5, 3, 4))])))
+    for name, scale in (("operator", 0.0), ("perturbed", 0.01)):
+        write_document(paths[name], operator_frame_obj(OperatorFrame(
+            3, [QMatrix(m + scale * gen.standard_normal(m.shape)) for m in members])))
+    write_document(paths["fusion"], {
+        "kind": "fusion", "dim": 3, "weights": [1.0, 2.0],
+        "subspaces": [[vector_obj(QVector(v)) for v in gen.standard_normal((k, 3, 4))]
+                      for k in (1, 2)]})
+    return paths
+
+
+@pytest.mark.parametrize("command, kinds", [
+    ("dual", ["vector", "operator"]),
+    ("parseval", ["vector", "operator", "fusion"]),
+    ("reconstruct", ["vector", "operator"]),
+])
+def test_dual_parseval_and_reconstruct_run_one_eigh(lapack_calls, small_files, tmp_path,
+                                                    command, kinds):
+    if command == "reconstruct":
+        extra, summary = ["--random", "2"], {}
+    else:
+        extra, summary = ["-o", str(tmp_path / "out.json")], {("summary", "eigvalsh"): 1}
+    for kind in kinds:
+        lapack_calls.clear()
+        assert cli.main([command, small_files[kind], *extra]) == 0
+        assert lapack_calls == Counter({("core", "eigh"): 1, **summary}), kind
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_stability_fit_runs_three_eigvalsh(lapack_calls, small_files, theorem):
+    # the bounds of F and of R, and ||A_F - A_R||, which the fit and the
+    # exact hypothesis test share
+    argv = ["stability", small_files["operator"], small_files["perturbed"], "--fit"]
+    assert cli.main([*argv, "--theorem", theorem]) == 0
+    assert lapack_calls == Counter({("core", "eigvalsh"): 3})

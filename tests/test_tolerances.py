@@ -4,7 +4,12 @@ the source."""
 
 import ast
 import re
+from math import sqrt
 from pathlib import Path
+
+from quatframes.fileio import MAX_DIM
+from quatframes.linalg import SINGULAR_RTOL
+from quatframes.reporting import FRAME_TOL
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quatframes"
@@ -58,3 +63,10 @@ def test_no_small_float_literal_outside_a_named_constant():
                     and 0.0 < abs(node.value) < SMALL_LITERAL and id(node) not in named):
                 stray.append(f"{module}.py:{node.lineno}: {node.value!r}")
     assert not stray, stray
+
+
+def test_frame_test_implies_the_singular_value_test():
+    # S of a frame on H^n, n <= MAX_DIM, has ||S||_F <= sqrt(n) lambda_max, so
+    # lambda_min > FRAME_TOL lambda_max clears SINGULAR_RTOL ||S||_F: the
+    # frame core inverts S without the SVD that inverse_matrix runs
+    assert SINGULAR_RTOL * sqrt(MAX_DIM) < FRAME_TOL
