@@ -38,7 +38,9 @@ import hashlib
 import json
 import math
 import re
+from array import array
 from itertools import chain, takewhile
+from operator import itemgetter
 from typing import Any, NoReturn
 
 import numpy as np
@@ -148,24 +150,33 @@ def _stack(entries: list, axes: tuple[str, ...], mismatch, at) -> tuple[np.ndarr
     """All rows of a list of vectors (axes ("dim",)) or matrices (axes
     ("rows", "cols")) as one float64 array, and each entry's first count.
     `mismatch(shape)` is the message for a shape the frame refuses, else
-    false; numpy also reads True, None and "1.5", so leaf types are checked
-    too.  Anything refused is walked by _refuse, entry k at `at(k)`."""
+    false.  Counts, payloads, rows, quaternions and leaves are each one
+    pass of itemgetter or chain, with lengths checked as sets.  array("d")
+    reads a leaf as float() does and refuses any non-number but a bool,
+    which it reads as 0 or 1; so the leaves read as 0 or 1, or all when
+    they are more than half, have their types checked.  Anything refused
+    is walked by _refuse, entry k at `at(k)`."""
     try:
-        shapes = [tuple([entry[axis] for axis in axes]) for entry in entries]
-        data = [entry["data"] for entry in entries]
+        counts = [list(map(itemgetter(axis), entries)) for axis in axes]
+        data = list(map(itemgetter("data"), entries))
         rows = data if len(axes) == 1 else list(chain.from_iterable(data))
-        arr = np.array(rows, dtype=np.float64)
-    except (TypeError, KeyError, ValueError, OverflowError):
-        arr = None
-    if (arr is None or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                               for v in chain.from_iterable(shapes))
-            or (mismatch and any(map(mismatch, set(shapes))))
-            or (rows and arr.shape != (len(rows), shapes[0][-1], 4))
-            or list(map(len, data)) != [s[0] for s in shapes]
-            or not np.isfinite(arr).all()
-            or not all(map(_is_real_type, {type(c) for row in rows for q in row for c in q}))):
+        quats = list(chain.from_iterable(rows))
+        leaves = list(chain.from_iterable(quats))
+        arr = np.frombuffer(array("d", leaves))
+        hits = np.flatnonzero((arr == 0) | (arr == 1))
+        suspects = (leaves if 2 * len(hits) > len(leaves)
+                    else map(leaves.__getitem__, hits.tolist()))
+        ok = (set(map(type, chain(*counts))) <= {int} and min(chain(*counts), default=1) >= 1
+              and not (mismatch and any(map(mismatch, set(zip(*counts)))))
+              and list(map(len, data)) == counts[0]
+              and len(set(counts[-1])) <= 1 and set(map(len, rows)) <= set(counts[-1])
+              and set(map(len, quats)) <= {4} and np.isfinite(arr).all()
+              and all(map(_is_real_type, set(map(type, suspects)))))
+    except (TypeError, KeyError, OverflowError):
+        ok = False
+    if not ok:
         _refuse(entries, axes, mismatch, at)
-    return arr, [s[0] for s in shapes]
+    return (arr.reshape(len(rows), -1, 4) if rows else arr), counts[0]
 
 
 def parse_vector(obj: Any, where: str) -> QVector:
@@ -183,12 +194,18 @@ def _list(obj: Any, axes: tuple[str, ...], mismatch, where: str,
     return _stack(obj, axes, mismatch, at or (lambda k: f"{where}[{k}]"))
 
 
-def _vectors(obj: Any, dim: int, where: str, at=None) -> QMatrix:
-    """The n x m matrix whose columns are the listed vectors of H^n."""
+def _vector_rows(obj: Any, dim: int, where: str, at=None) -> np.ndarray:
+    """The m x n x 4 array whose rows are the listed vectors of H^n."""
     rows = _list(obj, ("dim",), lambda s: s != (dim,) and
                  f"dimension {s[0]} does not match frame dim {dim}", where, at)[0]
-    # the reader gives an empty list shape (0,), which this makes n x 0
-    return QMatrix(np.swapaxes(rows.reshape(-1, dim, 4), 0, 1))
+    # the reader gives an empty list shape (0,), which this makes 0 x n
+    return rows.reshape(-1, dim, 4)
+
+
+def _vectors(obj: Any, key: str, dim: int) -> QMatrix:
+    """The n x m matrix whose columns are the vectors of H^n listed at key."""
+    rows = _vector_rows(_require(obj, key, "frame"), dim, f"frame.{key}")
+    return QMatrix(np.swapaxes(rows, 0, 1))
 
 
 def _vector_sets(sets: list, dim: int, where: str) -> list[QMatrix]:
@@ -203,11 +220,11 @@ def _vector_sets(sets: list, dim: int, where: str) -> list[QMatrix]:
         i = np.searchsorted(starts, k, side="right") - 1
         return f"{where}[{i}][{k - starts[i]}]"
 
-    vectors = _vectors(list(chain.from_iterable(lists)), dim, where, at)
+    rows = _vector_rows(list(chain.from_iterable(lists)), dim, where, at)
     if len(lists) < len(sets):
         raise ParseError(f"{where}[{len(lists)}]: expected an array")
     stops = np.cumsum(widths, dtype=int)
-    return [QMatrix(vectors.data[:, stop - m:stop]) for m, stop in zip(widths, stops)]
+    return [QMatrix(np.swapaxes(rows[stop - m:stop], 0, 1)) for m, stop in zip(widths, stops)]
 
 
 def _held(count: int, dim: int) -> None:
@@ -233,9 +250,10 @@ def parse_frame(obj: Any):
         raise ValidationError(f"frame.dim: must be <= {MAX_DIM}")
 
     if kind == "vector_frame":
-        members = _vectors(_require(obj, "members", "frame"), dim, "frame.members")
-        _held(members.cols, dim)
-        frame = VectorFrame.from_analysis(members.adjoint(), [1] * members.cols)
+        rows = _vector_rows(_require(obj, "members", "frame"), dim, "frame.members")
+        _held(len(rows), dim)
+        # A's rows are the <u_i|, the members conjugated
+        frame = VectorFrame.from_analysis(QMatrix(_conj4(rows)), [1] * len(rows))
 
     elif kind == "operator_frame":
         data, dims = _list(_require(obj, "members", "frame"), ("rows", "cols"),
@@ -261,16 +279,13 @@ def parse_frame(obj: Any):
         frame = FusionFrame(dim, spans, weights)
 
     elif kind == "pseudo":
-        analyzers = _vectors(_require(obj, "analyzers", "frame"), dim,
-                             "frame.analyzers")
-        synthesizers = _vectors(_require(obj, "synthesizers", "frame"), dim,
-                                "frame.synthesizers")
+        analyzers = _vectors(obj, "analyzers", dim)
+        synthesizers = _vectors(obj, "synthesizers", dim)
         if analyzers.cols != synthesizers.cols:
             raise ValidationError(
                 f"frame: {analyzers.cols} analyzers for "
                 f"{synthesizers.cols} synthesizers")
-        subspace = _vectors(_require(obj, "subspace", "frame"), dim,
-                            "frame.subspace")
+        subspace = _vectors(obj, "subspace", dim)
         _held(analyzers.cols + subspace.cols, dim)
         frame = PseudoFramePair(dim, analyzers, synthesizers, subspace)
 

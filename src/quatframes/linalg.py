@@ -82,6 +82,18 @@ def _norm(a: np.ndarray, axis=None):
     return np.ldexp(scaled, exp.squeeze(axis))
 
 
+def _midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + y) / 2, or x / 2 + y / 2 where x + y overflows: halving first
+    everywhere would drop the last bit of a subnormal."""
+    try:
+        with np.errstate(over="raise"):
+            return (x + y) / 2.0
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = x + y
+            return np.where(np.isinf(total), x / 2.0 + y / 2.0, total / 2.0)
+
+
 # ====== quaternion arrays ======
 
 class _QArray:
@@ -294,8 +306,8 @@ def _from_complex_blocks(c: np.ndarray) -> QMatrix:
     """
     m2, n2 = c.shape
     m, n = m2 // 2, n2 // 2
-    a1 = (c[:m, :n] + np.conj(c[m:, n:])) / 2.0
-    a2 = (c[:m, n:] - np.conj(c[m:, :n])) / 2.0
+    a1 = _midpoint(c[:m, :n], np.conj(c[m:, n:]))
+    a2 = _midpoint(c[:m, n:], -np.conj(c[m:, :n]))
     return QMatrix(_join(a1, a2))
 
 
@@ -338,20 +350,23 @@ def _hermitian_chi(s: QMatrix) -> np.ndarray:
     """chi(S) of a self-adjoint S, averaged with its conjugate transpose:
     LAPACK reads one triangle only, and the average keeps the round-off
     asymmetry that HERMITIAN_RTOL admits out of the result.  chi scales
-    ||S - S*|| and ||S|| alike, so the test runs on chi."""
+    ||S - S*|| and ||S|| alike, so the test runs on chi, scaled by a power
+    of two to entries below 1, where neither norm overflows."""
     h = _finite_chi(s)
     if s.rows != s.cols:
         raise DimensionMismatch(f"spectral routines need square input, got {s.shape}")
-    adj = h.conj().T
-    if _norm((h - adj).view(np.float64)) > HERMITIAN_RTOL * _norm(h.view(np.float64)):
+    flat = h.view(np.float64)
+    unit = np.ldexp(flat, -np.frexp(np.abs(flat).max(initial=0.0))[1])
+    c = unit.view(complex)
+    if np.linalg.norm((c - c.conj().T).view(np.float64)) > HERMITIAN_RTOL * np.linalg.norm(unit):
         raise NotHermitian("matrix is not self-adjoint to working tolerance")
-    return (h + adj) / 2.0
+    return _midpoint(h, h.conj().T)
 
 
 def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
     """Collapse the doubled spectrum of chi(S) to one value per pair."""
     pairs = np.sort(vals).reshape(-1, 2)
-    return pairs.mean(axis=1)
+    return _midpoint(pairs[:, 0], pairs[:, 1])
 
 
 def hermitian_eigenvalues(s: QMatrix) -> np.ndarray:
@@ -412,8 +427,7 @@ def positive_sqrt(s: QMatrix) -> QMatrix:
         raise NotPositive(f"eigenvalue {w.min():.3e} below the relative floor {floor:.3e}")
     w = np.where(w < 0.0, 0.0, w)
     root = (v * np.sqrt(w)[None, :]) @ v.conj().T
-    root = (root + root.conj().T) / 2.0
-    return _from_complex_blocks(root)
+    return _from_complex_blocks(_midpoint(root, root.conj().T))
 
 
 # ====== orthonormalization and projections ======
@@ -514,7 +528,7 @@ def gram(a: QMatrix) -> QMatrix:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = (a.adjoint() @ a).data
-        return QMatrix((s + _conj4(np.swapaxes(s, 0, 1))) / 2.0)
+        return QMatrix(_midpoint(s, _conj4(np.swapaxes(s, 0, 1))))
 
 
 def projection(a: QMatrix) -> QMatrix:

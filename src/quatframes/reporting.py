@@ -37,6 +37,7 @@ from .linalg import (
     _collapse_pairs,
     _from_complex_blocks,
     _hermitian_chi,
+    _midpoint,
     gram,
     hermitian_eigenvalues,
 )
@@ -207,7 +208,7 @@ def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
                             " rescale the input")
         power = 1.0 / w
     m = (v * power) @ v.conj().T
-    return a @ _from_complex_blocks((m + m.conj().T) / 2.0)
+    return a @ _from_complex_blocks(_midpoint(m, m.conj().T))
 
 
 def dual_rows(a: QMatrix) -> QMatrix:

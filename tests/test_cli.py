@@ -239,6 +239,23 @@ def test_frame_with_entries_near_overflow_runs_every_command(capsys, tmp_path):
     assert code == 0 and err == "" and doc["max_residual"] < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-154, 9e-155])
+def test_dual_near_the_largest_float_runs(capsys, tmp_path, scale):
+    # S = scale^2 I, so S^-1 and the dual's frame operator are near 1e308
+    # and finite; averaging their entries with their conjugates, or a pair
+    # of their eigenvalues, must not overflow
+    path = str(tmp_path / "small.json")
+    write_document(path, vector_frame_obj(
+        VectorFrame(2, [b * scale for b in standard_basis(2)])))
+    code, doc, err = run_json(capsys, "dual", path, "-o", str(tmp_path / "dual.json"))
+    assert code == 0 and err == ""
+    assert doc["bounds"] == pytest.approx([scale**-2] * 2, rel=1e-11)
+    assert 1e307 < doc["bounds"][0] < np.inf
+    code, doc, err = run_json(capsys, "reconstruct", path, "--random", "2")
+    assert code == 0 and err == "" and doc["ok"] is True
+
+
 def assert_scaled_basis_fusion_is_parseval(capsys, tmp_path, scale):
     # the subspaces spanned by e1*scale and e2*scale are those of the
     # standard basis, whatever the scale

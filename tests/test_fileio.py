@@ -328,9 +328,9 @@ EXAMPLES = settings(max_examples=80, deadline=None)
 NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(-2**70, 2**70))
 
-# what may stand where a number belongs; numpy reads the first three
-# as floats, and float() cannot hold 10**400
-BAD_LEAVES = [True, "1.5", None, float("nan"), float("inf"), 10**400, [1]]
+# what may stand where a number belongs; numpy reads True, False, "1.5",
+# "0" and None as floats, and float() cannot hold 10**400
+BAD_LEAVES = [True, False, "1.5", "0", None, float("nan"), float("inf"), 10**400, [1]]
 
 
 # numbers of the vectors that a frame orthonormalizes on construction
@@ -535,6 +535,59 @@ def test_clean_document_parses_to_its_numbers(doc):
             assert got.data.shape == expected.shape
             assert got.data.tobytes() == expected.tobytes()
     assert len(frame) == len(doc[MEMBER_LISTS[doc["kind"]]])
+
+
+def real_valued(doc):
+    """doc with every imaginary part of every quaternion an exact 0, so
+    that three leaves in four read as 0."""
+    for row, k, _ in quaternion_slots(doc):
+        row[k] = [row[k][0], 0, 0, 0]
+    return doc
+
+
+REAL_VECTOR_FRAME = {"kind": "vector_frame", "dim": 2, "members": [
+    {"dim": 2, "data": [[0.5, 0, 0, 0], [1, 0, 0, 0]]},
+    {"dim": 2, "data": [[0, 0, 0, 0], [-2.5, 0, 0, 0]]}]}
+
+
+@EXAMPLES
+@example(doc=REAL_VECTOR_FRAME, index=1, c=0, bad=True)
+@example(doc=REAL_VECTOR_FRAME, index=2, c=3, bad=False)
+@given(documents(), st.integers(0, 2**16), st.integers(0, 3), st.sampled_from([True, False]))
+def test_bool_in_real_valued_document_is_refused_at_its_path(doc, index, c, bad):
+    # a bool reads as 0 or 1, as most leaves of a real-valued document do
+    doc = real_valued(json.loads(json.dumps(doc)))
+    slots = quaternion_slots(doc)
+    row, k, where = slots[index % len(slots)]
+    row[k][c] = bad
+    with pytest.raises(ParseError) as info:
+        parse_frame(doc)
+    assert str(info.value).startswith(f"{where}[{c}]: expected a number")
+
+
+# integers beyond int64 beside floats, and beside an int64 one
+BEYOND_INT64 = {"kind": "vector_frame", "dim": 2, "members": [
+    {"dim": 2, "data": [[2**63, 0.5, -2**63 - 1, 2**70], [1.5, 2**64 + 1, 0, -0.0]]},
+    {"dim": 2, "data": [[-2**70 - 1, 3, 2**63 - 1, 1], [0, 0, 2**53 + 1, -1]]}]}
+
+
+@EXAMPLES
+@example(doc=BEYOND_INT64, real=False)
+@given(documents(PLAIN_KINDS + ("pseudo", "quasi")), st.booleans())
+def test_document_reads_as_numpy_reads_its_rows(doc, real):
+    # every list the frame keeps holds, bit for bit, numpy's float64
+    # reading of its vectors or of its matrices' rows
+    if real:
+        doc = real_valued(doc)
+    _, frame = parse_frame(doc)
+    for listed, parsed in kept_lists(doc, frame):
+        if not listed:
+            continue
+        rows = [row for entry in listed
+                for row in ([entry["data"]] if "dim" in entry else entry["data"])]
+        expected = np.array(rows, dtype=np.float64)
+        got = np.concatenate([p.data.reshape(-1, *expected.shape[1:]) for p in parsed])
+        assert got.tobytes() == expected.tobytes()
 
 
 # half a unit in the 12th significant digit, relative, plus the rounding

@@ -645,3 +645,25 @@ def test_chi_is_multiplicative_and_inverts_at_n24(seed, k):
     expected = np.linalg.inv(ha)
     assert (np.linalg.norm(inv - expected)
             <= CHI_RTOL * np.linalg.cond(ha) * np.linalg.norm(expected))
+
+
+# finite floats with the largest, the subnormal and the signed zeros drawn often
+EDGE_OR_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e308,
+                     5e-324, -5e-324, 3e-320, 0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(EDGE_OR_FINITE, EDGE_OR_FINITE), min_size=1, max_size=8))
+def test_midpoint_is_the_average_wherever_the_sum_is_finite(pairs):
+    # bit for bit (x + y) / 2 where x + y is finite, subnormals included;
+    # finite where it overflows
+    x, y = np.array(pairs).T
+    got = linalg._midpoint(x, y)
+    with np.errstate(over="ignore"):
+        total = x + y
+    finite = np.isfinite(total)
+    assert got[finite].tobytes() == (total[finite] / 2.0).tobytes()
+    assert np.isfinite(got).all()
+    assert (got[~finite] == x[~finite] / 2.0 + y[~finite] / 2.0).all()
