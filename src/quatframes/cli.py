@@ -174,8 +174,7 @@ def cmd_stability(args) -> int:
         else:
             params = Theorem2Params(args.lam or 0.0, args.mu or 0.0)
         check = check_stability_t2
-    # a fitted mu is ||A_F - A_R||, which the check then does not recompute
-    verdict = check(f, r, params, seed=args.seed, _norm=params.mu if args.fit else None)
+    verdict = check(f, r, params, seed=args.seed)
 
     doc = _head("stability", input_digest_f=digest_f, input_digest_r=digest_r)
     doc.update(verdict.to_record())

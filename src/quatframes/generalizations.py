@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     QMatrix,
     _finite_chi,
+    _unit,
     frobenius_distance,
     orthonormalize,
     orthonormalize_each,
@@ -40,6 +41,7 @@ from .reporting import (
     FrameReport,
     _FrameCore,
     _normal_bounds,
+    _refuse_zero,
     build_report,
     extremal_eigenvalues,
     gram,
@@ -170,7 +172,7 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     orthonormal basis, giving one 1 x dim(subspace) functional each.
 
     Raises NotAFrameOnSubspace when the restricted analyzers fail the
-    frame inequality on the subspace.
+    frame inequality on the subspace, and NonFinite when their S underflows to 0.
     """
     if not pair.basis.cols:
         raise NotAFrameOnSubspace("subspace is trivial")
@@ -178,7 +180,9 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     # of entries <x_a|b_k> acting from the left (the eigensolve refuses inf)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = pair.analysis_matrix() @ pair.basis
-    if not has_frame_bounds(*extremal_eigenvalues(gram(rows))):
+    lower, upper = extremal_eigenvalues(gram(rows))
+    _refuse_zero(rows, upper)
+    if not has_frame_bounds(lower, upper):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
     return OperatorFrame.from_analysis(rows, [1] * rows.rows)
@@ -228,13 +232,6 @@ class QuasiCheck(NamedTuple):
     compatible: bool
 
 
-def _unit_scaled(p: QMatrix) -> QMatrix:
-    """p divided by the power of two of its largest |entry|, exactly in
-    range, so that its entries are below 1 in magnitude."""
-    _, exp = np.frexp(np.abs(p.data).max(initial=0.0))
-    return QMatrix(np.ldexp(p.data, -exp))
-
-
 def _resolution_and_self_adjoint(system: QuasiProjectorSystem) -> tuple[bool, bool]:
     """Whether sum_j P_j is the identity to STRUCTURE_TOL, and whether every
     P_j equals its adjoint to STRUCTURE_TOL times ||P_j||_F."""
@@ -243,10 +240,10 @@ def _resolution_and_self_adjoint(system: QuasiProjectorSystem) -> tuple[bool, bo
     with np.errstate(over="ignore", invalid="ignore"):
         total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
         resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
-    # the test is scale-free, and on P_j scaled below 1 nothing overflows
+    # the test is scale-free, and on P_j at unit scale nothing overflows
+    units = (QMatrix(_unit(p.data)[0]) for p in system.projectors)
     self_adjoint = all(
-        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius()
-        for p in map(_unit_scaled, system.projectors))
+        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius() for p in units)
     return resolution_ok, self_adjoint
 
 

@@ -71,15 +71,19 @@ def _join(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
 
 
-def _norm(a: np.ndarray, axis=None):
-    """2-norm of all entries, or of each slice along axis.  Each slice is
-    scaled by the power of two nearest its largest magnitude before
-    squaring, so that squares of entries above 1e154 do not overflow (nor
-    those below 1e-154 underflow); a power of two scales exactly, so in
-    between the digits are unchanged."""
+def _unit(a: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:
+    """a / 2^e and e (of a's rank), 2^e the power of two of the largest |entry|
+    of a, or of each slice along axis: every entry ends below 1, and in the
+    normal range, where a power of two scales exactly, with its digits."""
     _, exp = np.frexp(np.abs(a).max(axis=axis, initial=0.0, keepdims=True))
-    scaled = np.linalg.norm(np.ldexp(a, -exp), axis=axis)
-    return np.ldexp(scaled, exp.squeeze(axis))
+    return np.ldexp(a, -exp), exp
+
+
+def _norm(a: np.ndarray, axis=None):
+    """2-norm of all entries, or of each slice along axis, at unit scale, where
+    squares of entries above 1e154 do not overflow (nor below 1e-154 underflow)."""
+    unit, exp = _unit(a, axis)
+    return np.ldexp(np.linalg.norm(unit, axis=axis), exp.squeeze(axis))
 
 
 def _midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -350,13 +354,12 @@ def _hermitian_chi(s: QMatrix) -> np.ndarray:
     """chi(S) of a self-adjoint S, averaged with its conjugate transpose:
     LAPACK reads one triangle only, and the average keeps the round-off
     asymmetry that HERMITIAN_RTOL admits out of the result.  chi scales
-    ||S - S*|| and ||S|| alike, so the test runs on chi, scaled by a power
-    of two to entries below 1, where neither norm overflows."""
+    ||S - S*|| and ||S|| alike, so the test runs on chi at unit scale,
+    where neither norm overflows."""
     h = _finite_chi(s)
     if s.rows != s.cols:
         raise DimensionMismatch(f"spectral routines need square input, got {s.shape}")
-    flat = h.view(np.float64)
-    unit = np.ldexp(flat, -np.frexp(np.abs(flat).max(initial=0.0))[1])
+    unit = _unit(h.view(np.float64))[0]
     c = unit.view(complex)
     if np.linalg.norm((c - c.conj().T).view(np.float64)) > HERMITIAN_RTOL * np.linalg.norm(unit):
         raise NotHermitian("matrix is not self-adjoint to working tolerance")
@@ -465,8 +468,7 @@ def _gram_schmidt(columns: np.ndarray, widths, drop_tol: float) -> tuple[np.ndar
     for width in sorted(set(widths.tolist()) - {0}):
         sets = np.flatnonzero(widths == width)
         c = columns[starts[sets, None] + np.arange(width)].view(np.float64)
-        exp = np.frexp(np.abs(c).max(axis=2, initial=0.0, keepdims=True))[1]
-        c = np.ldexp(c, -exp).view(complex)
+        c = _unit(c, 2)[0].view(complex)
         floors = drop_tol * _row_norms(c.reshape(-1, 2 * n)).reshape(-1, width)
         # kept column i of a set and its partner: span[set, :, i, 0 and 1];
         # a set that spans H^n already writes the zeros of a dropped

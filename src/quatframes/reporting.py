@@ -140,6 +140,13 @@ def _refuse_subnormal(upper: float) -> None:
                         f"{upper:.3e} is subnormal; rescale the input")
 
 
+def _refuse_zero(a: QMatrix, upper: float) -> None:
+    """NonFinite when upper, the largest eigenvalue of S = A* A, is 0 though A is not."""
+    if upper == 0.0 and a.data.any():
+        raise NonFinite("the frame operator underflows to 0 from a nonzero family;"
+                        " rescale the input")
+
+
 def _normal_bounds(s: QMatrix) -> tuple[float, float]:
     """The extremal eigenvalues of a frame operator s, a subnormal largest
     one refused with NonFinite."""
@@ -160,10 +167,12 @@ def build_report(a: QMatrix, dims) -> FrameReport:
 
     Exactness means every single removal destroys the frame property:
     no member's rows can be deleted with the rest still passing the
-    frame test.  A subnormal largest eigenvalue of S raises NonFinite.
+    frame test.  A subnormal largest eigenvalue of S, or an S of 0 from a
+    nonzero a, raises NonFinite.
     """
     s = gram(a)
     lower, upper = _normal_bounds(s)
+    _refuse_zero(a, upper)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL
@@ -187,17 +196,19 @@ def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     chi(S) = v diag(w) v* of S = A* A: chi(S^p) = v diag(w^p) v*.
 
     The pair-collapsed w decide the frame test, NotAFrame when it fails.
-    Before it, the Parseval normalization refuses a subnormal largest
-    eigenvalue; after it, the dual refuses an S^-1 whose norm 1/min(w)
-    overflows, both with NonFinite.  A frame's w are all positive, and no
-    singular value test is needed: with SINGULAR_RTOL * sqrt(MAX_DIM) below
-    FRAME_TOL, the frame test implies the one inverse_matrix applies.
+    Before it, an S of 0 from a nonzero A, and for the Parseval
+    normalization a subnormal largest eigenvalue, are refused; after it,
+    the dual refuses an S^-1 whose norm 1/min(w) overflows, all with
+    NonFinite.  A frame's w are all positive, and no singular value test
+    is needed: with SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the
+    frame test implies the one inverse_matrix applies.
     """
     w, v = np.linalg.eigh(_hermitian_chi(gram(a)))
     vals = _collapse_pairs(w)
     lower, upper = float(vals[0]), float(vals[-1])
     if parseval:
         _refuse_subnormal(upper)
+    _refuse_zero(a, upper)
     _require_frame(lower, upper)
     if parseval:
         power = 1.0 / np.sqrt(w)

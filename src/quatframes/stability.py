@@ -40,6 +40,7 @@ as a negative number instead of a silently squared positive one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import inf, isfinite, sqrt
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import ConditionViolated, DimensionMismatch, InvalidParams, NotAFrame
 from .linalg import hermitian_eigenvalues
 from .operator_frames import OperatorFrame, op_frame_operator
-from .reporting import extremal_eigenvalues, has_frame_bounds
+from .reporting import _refuse_zero, extremal_eigenvalues, has_frame_bounds
 from .sampling import random_columns
 
 # relative slack of the sampled hypothesis and of the predicted-vs-measured
@@ -148,9 +149,11 @@ def difference_frame(f: OperatorFrame, r: OperatorFrame) -> OperatorFrame:
                                        f.codomain_dims)
 
 
+@lru_cache(maxsize=1)
 def _difference_norm(f: OperatorFrame, r: OperatorFrame) -> float:
     """||A_F - A_R||, the square root of the top eigenvalue of the Gram
-    operator of the differences."""
+    operator of the differences.  Frames are read-only, so the last pair's
+    norm is kept: a fit and the check that follows it compute it once."""
     top = hermitian_eigenvalues(op_frame_operator(difference_frame(f, r)))[-1]
     # the Gram operator is positive; tiny negatives are rounding
     return sqrt(max(top, 0.0))
@@ -174,22 +177,22 @@ def fit_params_t2(f: OperatorFrame, r: OperatorFrame) -> Theorem2Params:
 
 def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
     bounds = extremal_eigenvalues(op_frame_operator(f))
+    _refuse_zero(f.analysis_matrix(), bounds[1])
     if not has_frame_bounds(*bounds):
         raise NotAFrame("reference family is not a frame of operators")
     return bounds
 
 
 def _hypothesis_ok(f: OperatorFrame, r: OperatorFrame, constants: tuple,
-                   mu: float, adjoint: bool, seed: int, norm: float | None) -> bool:
+                   mu: float, adjoint: bool, seed: int) -> bool:
     """||D x|| <= sum_k c_k ||M_k x|| + mu ||x|| with D = A_F - A_R and
     M = (A_F, A_R) cut to the constants c given, or all their adjoints.
 
     With every c_k = 0 this is ||D|| <= mu (||D*|| = ||D||), decided
-    exactly, on ||D|| = norm when that is given; otherwise it is tested on
-    DEFAULT_SAMPLES seeded random columns.
+    exactly; otherwise it is tested on DEFAULT_SAMPLES seeded random columns.
     """
     if not any(constants):
-        return (_difference_norm(f, r) if norm is None else norm) <= mu
+        return _difference_norm(f, r) <= mu
     families = (difference_frame(f, r), f, r)[:1 + len(constants)]
     ops = [g.analysis_matrix() for g in families]
     if adjoint:
@@ -234,14 +237,12 @@ def _verdict(theorem: int, params, seed: int, hypothesis_ok: bool,
 
 
 def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Params,
-                       seed: int = 0, *, _norm: float | None = None) -> StabilityVerdict:
+                       seed: int = 0) -> StabilityVerdict:
     """Test the analysis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     With lambda1 = lambda2 = 0 the hypothesis is decided exactly;
     otherwise it is sampled on DEFAULT_SAMPLES seeded random vectors.
-    _norm is ||A_F - A_R|| when the caller has it already, as after
-    fit_params_t1, so that the exact test does not compute it again.
     """
     params.validate()
     bounds = _frame_bounds_of(f)
@@ -249,20 +250,19 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
     shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
     predicted = _predicted(bounds, 1.0 - shift / (1.0 + params.lambda2),
                            1.0 + shift / (1.0 - params.lambda2))
-    hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2),
-                                   params.mu, False, seed, _norm)
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lambda1, params.lambda2), params.mu, False, seed)
     return _verdict(1, params, seed, hypothesis_ok, predicted, measured)
 
 
 def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Params,
-                       seed: int = 0, *, _norm: float | None = None) -> StabilityVerdict:
+                       seed: int = 0) -> StabilityVerdict:
     """Test the synthesis-side hypothesis and compare predicted bounds
     with the measured bounds of the perturbed family.
 
     Raises ConditionViolated when (lambda + mu/sqrt(r1)) >= 1, in which
     case the theorem is silent.  With lambda = 0 the hypothesis is
     decided exactly; otherwise it is sampled on DEFAULT_SAMPLES seeded
-    random block vectors.  _norm is as for check_stability_t1.
+    random block vectors.
     """
     params.validate()
     r1, r2 = bounds = _frame_bounds_of(f)
@@ -272,5 +272,5 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
     measured = extremal_eigenvalues(op_frame_operator(r))
     predicted = _predicted(bounds, 1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2))
-    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed, _norm)
+    hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
     return _verdict(2, params, seed, hypothesis_ok, predicted, measured, T2_NOTE)

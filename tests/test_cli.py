@@ -336,6 +336,42 @@ def test_subnormal_frame_operator_is_refused(capsys, tmp_path, doc, command):
     assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
+def tiny_basis(scale):
+    """The standard basis of H^2 times scale, as vector file documents."""
+    return [{"dim": 2, "data": [[scale * (k == 0), 0, 0, 0], [scale * (k == 1), 0, 0, 0]]}
+            for k in (0, 1)]
+
+
+# the standard basis of H^2 times 1e-170, a tight frame whose S = 1e-340 I
+# underflows to exactly 0: as a vector frame, as pseudo analyzers, and as
+# one operator member
+ZERO_S_DOCS = {
+    "vector": {"kind": "vector_frame", "dim": 2, "members": tiny_basis(1e-170)},
+    "pseudo": {"kind": "pseudo", "dim": 2, "analyzers": tiny_basis(1e-170),
+               "synthesizers": tiny_basis(1e170), "subspace": tiny_basis(1.0)},
+    "operator": {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 2, "cols": 2, "data": [v["data"] for v in tiny_basis(1e-170)]}]},
+}
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("vector", ["analyze", "F"]),
+    ("vector", ["parseval", "F", "-o", "OUT"]),
+    ("vector", ["dual", "F", "-o", "OUT"]),
+    ("vector", ["reconstruct", "F", "--random", "2"]),
+    ("pseudo", ["convert", "F", "-o", "OUT"]),
+    ("operator", ["stability", "F", "F", "--fit"]),
+], ids=["analyze", "parseval", "dual", "reconstruct", "convert", "stability"])
+def test_frame_operator_underflowing_to_zero_is_refused(capsys, tmp_path, kind, argv):
+    # an S of 0 says nothing of a nonzero family, so no command may answer "not a frame"
+    path = str(tmp_path / "frame.json")
+    write_document(path, ZERO_S_DOCS[kind])
+    names = {"F": path, "OUT": str(tmp_path / "out.json")}
+    code, out, err = run(capsys, *(names.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
+
+
 def test_analyze_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
     _, second, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")

@@ -7,14 +7,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import analysis_row
 from quatframes import cli
 from quatframes.cli import RECONSTRUCT_TOL
-from quatframes.errors import QuatFramesError
-from quatframes.fileio import operator_frame_obj, vector_frame_obj, vector_obj, write_document
+from quatframes.errors import NonFinite, QuatFramesError
+from quatframes.fileio import (
+    load_frame,
+    operator_frame_obj,
+    vector_frame_obj,
+    vector_obj,
+    write_document,
+)
 from quatframes.generalizations import (
     FusionFrame,
     PseudoFramePair,
@@ -55,6 +61,12 @@ from quatframes.reporting import (
     synthesis,
 )
 from quatframes.sampling import random_columns
+from quatframes.stability import (
+    check_stability_t1,
+    check_stability_t2,
+    fit_params_t1,
+    fit_params_t2,
+)
 from quatframes.vector_frames import (
     VectorFrame,
     canonical_dual,
@@ -241,6 +253,26 @@ def test_flags_invariant_under_unitaries(f, seed):
     u = orthonormalize(QMatrix.from_columns(
         [QVector(gen.standard_normal((n, 4))) for _ in range(n)]))
     assert flags(rotated(f, u)) == flags(f)
+
+
+@EXAMPLES
+# scaled by 2^-600, a 9-member frame of H^3 whose entries are normal floats
+# from 1e-183 to 6e-181
+@example(VectorFrame(3, [QVector(v) for v in np.random.default_rng(0).standard_normal((9, 3, 4))]))
+@given(families())
+def test_scaling_to_a_zero_frame_operator_refuses_or_keeps_flags(f):
+    # every product in S of the scaled family underflows to 0
+    small = scaled(f, 2.0**-600)
+    try:
+        small_flags = flags(small)
+    except NonFinite:
+        pass
+    else:
+        assert small_flags == flags(f)
+    if flags(f)[0]:
+        for route in (dual_rows, parseval_rows):
+            with pytest.raises(NonFinite):
+                route(small.analysis_matrix())
 
 
 @st.composite
@@ -432,10 +464,19 @@ def test_dual_parseval_and_reconstruct_run_one_eigh(lapack_calls, small_files, t
         assert lapack_calls == Counter({("core", "eigh"): 1, **summary}), kind
 
 
-@pytest.mark.parametrize("theorem", ["1", "2"])
-def test_stability_fit_runs_three_eigvalsh(lapack_calls, small_files, theorem):
+@pytest.mark.parametrize("theorem, route", [
+    ("1", "cli"), ("2", "cli"), ("1", "library"), ("2", "library"),
+], ids=["1", "2", "1-library", "2-library"])
+def test_stability_fit_runs_three_eigvalsh(lapack_calls, small_files, theorem, route):
     # the bounds of F and of R, and ||A_F - A_R||, which the fit and the
     # exact hypothesis test share
-    argv = ["stability", small_files["operator"], small_files["perturbed"], "--fit"]
-    assert cli.main([*argv, "--theorem", theorem]) == 0
+    if route == "cli":
+        argv = ["stability", small_files["operator"], small_files["perturbed"], "--fit"]
+        assert cli.main([*argv, "--theorem", theorem]) == 0
+    else:
+        # a pair read afresh, whose norm no earlier call has computed
+        f, r = (load_frame(small_files[name])[1] for name in ("operator", "perturbed"))
+        fit, check = {"1": (fit_params_t1, check_stability_t1),
+                      "2": (fit_params_t2, check_stability_t2)}[theorem]
+        assert check(f, r, fit(f, r)).hypothesis_ok
     assert lapack_calls == Counter({("core", "eigvalsh"): 3})
