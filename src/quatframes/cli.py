@@ -38,7 +38,7 @@ from .generalizations import (
 )
 from .linalg import QMatrix
 from .operator_frames import op_dual, op_parseval, op_report, reconstruct
-from .reporting import extremal_eigenvalues, gram
+from .reporting import frame_bounds
 from .sampling import random_columns
 from .stability import (
     Theorem1Params,
@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
 
 
 def _write_summary(command: str, digest: str, out: str, frame) -> None:
-    bounds = list(extremal_eigenvalues(gram(frame.analysis_matrix())))
+    bounds = list(frame_bounds(frame.analysis_matrix()))
     obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
     doc = _head(command, input_digest=digest)
     doc["output_kind"] = obj["kind"]

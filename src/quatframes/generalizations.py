@@ -41,9 +41,8 @@ from .reporting import (
     FrameReport,
     _FrameCore,
     _normal_bounds,
-    _refuse_zero,
     build_report,
-    extremal_eigenvalues,
+    frame_bounds,
     gram,
     has_frame_bounds,
     split_rows,
@@ -172,7 +171,8 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     orthonormal basis, giving one 1 x dim(subspace) functional each.
 
     Raises NotAFrameOnSubspace when the restricted analyzers fail the
-    frame inequality on the subspace, and NonFinite when their S underflows to 0.
+    frame inequality on the subspace, and NonFinite when their S is out of
+    scale (reporting._refuse_scale).
     """
     if not pair.basis.cols:
         raise NotAFrameOnSubspace("subspace is trivial")
@@ -180,9 +180,7 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     # of entries <x_a|b_k> acting from the left (the eigensolve refuses inf)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = pair.analysis_matrix() @ pair.basis
-    lower, upper = extremal_eigenvalues(gram(rows))
-    _refuse_zero(rows, upper)
-    if not has_frame_bounds(lower, upper):
+    if not has_frame_bounds(*frame_bounds(rows)):
         raise NotAFrameOnSubspace(
             "restricted analyzers fail the frame inequality on the subspace")
     return OperatorFrame.from_analysis(rows, [1] * rows.rows)
@@ -251,8 +249,9 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     """Diagnose the three structural properties of the system.
 
     resolution_ok: sum_j P_j is the identity to STRUCTURE_TOL.
-    bessel_bound:  largest eigenvalue of sum_j P_j* P_j; a subnormal one
-                   raises NonFinite, as the frame core's bounds do.
+    bessel_bound:  largest eigenvalue of sum_j P_j* P_j, out of scale
+                   refused as the frame core's bounds are
+                   (reporting._refuse_scale), but answered when exactly 0.
     self_adjoint:  every P_j equals its adjoint to STRUCTURE_TOL ||P_j||_F.
     compatible:    P_j acts through its own subspace, P_j pi_{W_j} = P_j,
                    to STRUCTURE_TOL ||P_j||_F, with W_j = D_j(W_0) or else

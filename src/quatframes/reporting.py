@@ -38,6 +38,7 @@ from .linalg import (
     _from_complex_blocks,
     _hermitian_chi,
     _midpoint,
+    _unit,
     gram,
     hermitian_eigenvalues,
 )
@@ -131,28 +132,33 @@ def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
-def _refuse_subnormal(upper: float) -> None:
-    """NonFinite when upper, the largest eigenvalue of a frame operator S, is
-    subnormal: S then keeps too few significant digits to classify or
-    normalize the family."""
-    if 0.0 < upper < np.finfo(float).tiny:
-        raise NonFinite(f"the frame operator underflows: its largest eigenvalue "
-                        f"{upper:.3e} is subnormal; rescale the input")
+# S = A* A is refused when its largest eigenvalue is at most this, or inf:
+# then 1 / lambda_max(S), or lambda_max(S) itself, is not finite
+SCALE_FLOOR = 2.0**-1024
 
 
-def _refuse_zero(a: QMatrix, upper: float) -> None:
-    """NonFinite when upper, the largest eigenvalue of S = A* A, is 0 though A is not."""
-    if upper == 0.0 and a.data.any():
-        raise NonFinite("the frame operator underflows to 0 from a nonzero family;"
-                        " rescale the input")
+def _refuse_scale(a: QMatrix, upper: float) -> None:
+    """NonFinite when a is not 0 and upper, the largest eigenvalue of its
+    frame operator, or 1/upper is not finite.  Every command that reads an
+    S applies this one rule before it answers."""
+    if not SCALE_FLOOR < upper < inf and a.data.any():
+        side = "underflows" if upper <= SCALE_FLOOR else "overflows"
+        raise NonFinite(f"the frame operator {side}: its largest eigenvalue is "
+                        f"{upper:.3e}; rescale the input")
+
+
+def frame_bounds(a: QMatrix, s: QMatrix | None = None) -> tuple[float, float]:
+    """The extremal eigenvalues of S = A* A, or of s when S is already
+    formed, refused by _refuse_scale."""
+    lower, upper = extremal_eigenvalues(gram(a) if s is None else s)
+    _refuse_scale(a, upper)
+    return lower, upper
 
 
 def _normal_bounds(s: QMatrix) -> tuple[float, float]:
-    """The extremal eigenvalues of a frame operator s, a subnormal largest
-    one refused with NonFinite."""
-    lower, upper = extremal_eigenvalues(s)
-    _refuse_subnormal(upper)
-    return lower, upper
+    """The extremal eigenvalues of a frame operator s under the scale rule,
+    taken on s itself: an s of exactly 0 has the bounds (0, 0)."""
+    return frame_bounds(s, s)
 
 
 def _redundant(a: QMatrix, rows: slice) -> bool:
@@ -167,12 +173,10 @@ def build_report(a: QMatrix, dims) -> FrameReport:
 
     Exactness means every single removal destroys the frame property:
     no member's rows can be deleted with the rest still passing the
-    frame test.  A subnormal largest eigenvalue of S, or an S of 0 from a
-    nonzero a, raises NonFinite.
+    frame test.  An S out of scale raises NonFinite (_refuse_scale).
     """
     s = gram(a)
-    lower, upper = _normal_bounds(s)
-    _refuse_zero(a, upper)
+    lower, upper = frame_bounds(a, s)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL
@@ -193,44 +197,37 @@ def _require_frame(lower: float, upper: float) -> None:
 
 def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     """A S^-1/2 with parseval, else A S^-1, from the one eigendecomposition
-    chi(S) = v diag(w) v* of S = A* A: chi(S^p) = v diag(w^p) v*.
+    chi(S_u) = v diag(w) v* of S_u = U* U at unit scale, U = A / 2^e: as
+    S = 4^e S_u, A S^-1 = 2^-e U S_u^-1 and A S^-1/2 = U S_u^-1/2.
 
-    The pair-collapsed w decide the frame test, NotAFrame when it fails.
-    Before it, an S of 0 from a nonzero A, and for the Parseval
-    normalization a subnormal largest eigenvalue, are refused; after it,
-    the dual refuses an S^-1 whose norm 1/min(w) overflows, all with
-    NonFinite.  A frame's w are all positive, and no singular value test
-    is needed: with SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the
-    frame test implies the one inverse_matrix applies.
+    The bounds 4^e w are held to _refuse_scale, then to the frame test
+    (NotAFrame).  A frame that passes both has lower > 1e-10 * 2^-1024, so
+    neither result overflows.  No singular value test is needed: with
+    SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the frame test implies
+    the one inverse_matrix applies.
     """
-    w, v = np.linalg.eigh(_hermitian_chi(gram(a)))
-    vals = _collapse_pairs(w)
-    lower, upper = float(vals[0]), float(vals[-1])
-    if parseval:
-        _refuse_subnormal(upper)
-    _refuse_zero(a, upper)
+    unit, exp = _unit(a.data)
+    e = exp.item()
+    u = QMatrix(unit)
+    w, v = np.linalg.eigh(_hermitian_chi(gram(u)))
+    with np.errstate(over="ignore"):  # an S that overflows is refused next
+        lower, upper = (float(x) for x in np.ldexp(_collapse_pairs(w)[[0, -1]], 2 * e))
+    _refuse_scale(a, upper)
     _require_frame(lower, upper)
-    if parseval:
-        power = 1.0 / np.sqrt(w)
-    else:
-        smallest = float(w[0])
-        if 1.0 / smallest == inf:
-            raise NonFinite(f"the inverse overflows: smallest singular value {smallest:.3e};"
-                            " rescale the input")
-        power = 1.0 / w
-    m = (v * power) @ v.conj().T
-    return a @ _from_complex_blocks(_midpoint(m, m.conj().T))
+    m = (v * (1.0 / (np.sqrt(w) if parseval else w))) @ v.conj().T
+    rows = u @ _from_complex_blocks(_midpoint(m, m.conj().T))
+    return rows if parseval else QMatrix(np.ldexp(rows.data, -e))
 
 
 def dual_rows(a: QMatrix) -> QMatrix:
     """A S^-1, the stacked analysis matrix of the canonical dual; raises
-    NotAFrame when S fails the frame test and NonFinite when S^-1
-    overflows."""
+    NotAFrame when S fails the frame test and NonFinite when S is out of
+    scale (_refuse_scale)."""
     return _canonical_rows(a, parseval=False)
 
 
 def parseval_rows(a: QMatrix) -> QMatrix:
     """A S^-1/2, the stacked analysis matrix of the canonical Parseval
     normalization; raises NotAFrame when S fails the frame test and
-    NonFinite when it underflows."""
+    NonFinite when S is out of scale (_refuse_scale)."""
     return _canonical_rows(a, parseval=True)

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ConditionViolated, DimensionMismatch, InvalidParams, NotAFrame
 from .linalg import hermitian_eigenvalues
 from .operator_frames import OperatorFrame, op_frame_operator
-from .reporting import _refuse_zero, extremal_eigenvalues, has_frame_bounds
+from .reporting import frame_bounds, has_frame_bounds
 from .sampling import random_columns
 
 # relative slack of the sampled hypothesis and of the predicted-vs-measured
@@ -176,8 +176,7 @@ def fit_params_t2(f: OperatorFrame, r: OperatorFrame) -> Theorem2Params:
 
 
 def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
-    bounds = extremal_eigenvalues(op_frame_operator(f))
-    _refuse_zero(f.analysis_matrix(), bounds[1])
+    bounds = frame_bounds(f.analysis_matrix(), op_frame_operator(f))
     if not has_frame_bounds(*bounds):
         raise NotAFrame("reference family is not a frame of operators")
     return bounds
@@ -246,7 +245,7 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
     """
     params.validate()
     bounds = _frame_bounds_of(f)
-    measured = extremal_eigenvalues(op_frame_operator(r))
+    measured = frame_bounds(r.analysis_matrix(), op_frame_operator(r))
     shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
     predicted = _predicted(bounds, 1.0 - shift / (1.0 + params.lambda2),
                            1.0 + shift / (1.0 - params.lambda2))
@@ -270,7 +269,7 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
     if shift >= 1.0:
         raise ConditionViolated(
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
-    measured = extremal_eigenvalues(op_frame_operator(r))
+    measured = frame_bounds(r.analysis_matrix(), op_frame_operator(r))
     predicted = _predicted(bounds, 1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
     return _verdict(2, params, seed, hypothesis_ok, predicted, measured, T2_NOTE)

@@ -372,6 +372,56 @@ def test_frame_operator_underflowing_to_zero_is_refused(capsys, tmp_path, kind, 
     assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
+# the standard basis of H^2 times 1e-160, whose S = 1e-320 I is subnormal:
+# as pseudo analyzers and as one operator member
+SUBNORMAL_S_DOCS = {
+    "pseudo": {"kind": "pseudo", "dim": 2, "analyzers": tiny_basis(1e-160),
+               "synthesizers": tiny_basis(1e160), "subspace": tiny_basis(1.0)},
+    "operator": {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 2, "cols": 2, "data": [v["data"] for v in tiny_basis(1e-160)]}]},
+}
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("pseudo", ["convert", "F", "-o", "OUT"]),
+    ("operator", ["stability", "F", "F", "--fit", "--theorem", "1"]),
+    ("operator", ["stability", "F", "F", "--fit", "--theorem", "2"]),
+], ids=["convert", "stability-t1", "stability-t2"])
+def test_subnormal_frame_operator_is_refused_by_convert_and_stability(
+        capsys, tmp_path, kind, argv):
+    # the bounds were printed as 9.99988867183e-321, digits of noise
+    path = str(tmp_path / "frame.json")
+    write_document(path, SUBNORMAL_S_DOCS[kind])
+    names = {"F": path, "OUT": str(tmp_path / "out.json")}
+    code, out, err = run(capsys, *(names.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-600, -513, -511, -300, 0, 300, 511, 513])
+@pytest.mark.parametrize("kind", ["vector", "operator"])
+def test_every_reader_of_s_answers_or_refuses_at_one_scale(capsys, tmp_path, kind, k):
+    # S is about 4^k I: out of scale at most 2^-1024 and at inf, so -513 and
+    # 513 are refused and -511 and 511 are answered, by every command alike
+    basis = tiny_basis(2.0**k)
+    doc = ({"kind": "vector_frame", "dim": 2, "members": basis} if kind == "vector" else
+           {"kind": "operator_frame", "dim": 2, "members": [
+               {"rows": 2, "cols": 2, "data": [v["data"] for v in basis]}]})
+    path, out_path = str(tmp_path / "frame.json"), str(tmp_path / "out.json")
+    write_document(path, doc)
+    argvs = [["analyze", path], ["dual", path, "-o", out_path],
+             ["parseval", path, "-o", out_path], ["reconstruct", path, "--random", "2"]]
+    if kind == "operator":
+        argvs.append(["stability", path, path, "--fit"])
+    results = [run(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in results} == {0 if -513 < k < 513 else 2}
+    for code, out, err in results:
+        assert (err == "") if code == 0 else (out == "" and err.count("\n") == 1)
+        if k < 0 and code:
+            assert err.startswith("error: the frame operator underflows")
+
+
 def test_analyze_is_deterministic(files, capsys):
     _, first, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
     _, second, _ = run(capsys, "analyze", files["pseudo"], "--seed", "3")
@@ -733,7 +783,7 @@ def test_reconstruct_refuses_a_dual_that_overflows(capsys, tmp_path):
         {"rows": 3, "cols": 3, "data": members}]})
     code, out, err = run(capsys, "reconstruct", path, "--random", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error: the inverse overflows") and err.count("\n") == 1
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
 def test_reconstruct_vector_dim_mismatch(files, capsys, tmp_path):

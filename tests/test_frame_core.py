@@ -56,6 +56,7 @@ from quatframes.reporting import (
     analysis,
     dual_rows,
     extremal_eigenvalues,
+    frame_bounds,
     parseval_rows,
     split_rows,
     synthesis,
@@ -273,6 +274,17 @@ def test_scaling_to_a_zero_frame_operator_refuses_or_keeps_flags(f):
         for route in (dual_rows, parseval_rows):
             with pytest.raises(NonFinite):
                 route(small.analysis_matrix())
+
+
+def test_frame_bounds_refuse_a_largest_eigenvalue_up_to_2_to_the_minus_1024():
+    # 1/2^-1024 overflows; with one more row of 2^-537, S = 2^-1024 + 2^-1074
+    # is the next float up, whose reciprocal is finite
+    floor = QMatrix(np.array([[[2.0**-512, 0, 0, 0]]]))
+    with pytest.raises(NonFinite, match="^the frame operator underflows"):
+        frame_bounds(floor)
+    above = QMatrix(np.array([[[2.0**-512, 0, 0, 0]], [[2.0**-537, 0, 0, 0]]]))
+    up = np.nextafter(2.0**-1024, 1.0)
+    assert frame_bounds(above) == (up, up)
 
 
 @st.composite
