@@ -15,13 +15,16 @@ A file whose arrays and objects nest deeper than MAX_DEPTH is refused
 before either decoder runs, with one ParseError whatever the caller's
 stack: orjson 3.8 builds nested values by C recursion without a limit,
 and json refuses at the interpreter's recursion limit less the stack
-already in use.  orjson decodes a file unless it holds an integer literal
-of 19 digits or more (orjson 3.8 reads one from 2^64 on, or below -2^63,
-as a float); on other text it returns what json.loads returns or refuses
-it, as it refuses a lone surrogate escape.  json.loads decodes the rest
-and every text orjson refuses (NaN, Infinity, 1e400, a BOM, bytes that
-are not UTF-8, malformed JSON), so the values read are json's and every
-refusal of the text keeps json's wording, line and column.
+already in use.  orjson decodes every other file, and the frame or vector
+is parsed from its reading.  json.loads re-reads only a file whose text
+orjson refuses (NaN, Infinity, 1e400, a BOM, bytes that are not UTF-8, a
+lone surrogate escape, malformed JSON) or whose reading the parser
+refuses, and the parser reads json's value; so every refusal keeps json's
+wording, line and column.  On text both accept, orjson 3.8 returns what
+json returns but for an integer literal from 2^64 on, or below -2^63,
+which it reads as float(int(literal)), or refuses past the largest
+float: at a count or a kind the parser refuses that float, and at a leaf
+or a weight it reads json's integer as the same float.
 
 Structural problems (wrong JSON, wrong types, missing fields) raise
 ParseError; declared dimensions that disagree with the payload raise
@@ -41,12 +44,12 @@ import re
 from array import array
 from itertools import chain, takewhile
 from operator import itemgetter
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 import orjson
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, QuatFramesError, ValidationError
 from .generalizations import FusionFrame, PseudoFramePair, QuasiProjectorSystem
 from .linalg import QMatrix, QVector, _conj4
 from .operator_frames import OperatorFrame
@@ -64,11 +67,6 @@ MAX_DEPTH = 64
 
 _REAL = (int, float)
 
-# digits (bytes 48-57) as "0", the decimal point (46) kept and any other
-# byte a space: an integer literal of 19 digits or more, never a
-# fraction's digits, is then a space and 19 zeros
-_DIGIT_RUNS = (b" " * 46 + b". " + b"0" * 10).ljust(256)
-_LONG_INTEGER = b" " + b"0" * 19
 # a backslash and the byte it escapes
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 # translating with these keeps only brackets, all as [ and ], and quotes
@@ -311,28 +309,23 @@ def _depth(raw: bytes) -> int:
     return int(np.cumsum(92 - outside.astype(np.int64)).max(initial=0))
 
 
-def _orjson_reads(raw: bytes) -> bool:
-    """Whether orjson may decode raw, nested at most MAX_DEPTH deep, as the
-    module docstring says."""
-    return _LONG_INTEGER not in (b" " + raw).translate(_DIGIT_RUNS)
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
 
 
-def _decode(raw: bytes, path: str) -> Any:
-    """The JSON value of raw, the bytes of the file at path."""
+def _load(path: str, parse: Callable[[Any], Any]) -> tuple[bytes, Any]:
+    """The bytes of the file at path and parse of their JSON value, read
+    as the module docstring says."""
+    raw = _read(path)
     if _depth(raw) > MAX_DEPTH:
         raise ParseError(f"{path}: arrays and objects nest deeper than {MAX_DEPTH} levels")
-    if _orjson_reads(raw):
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
     try:
-        return json.loads(raw.decode("utf-8"))
+        return raw, parse(orjson.loads(raw))
+    except (orjson.JSONDecodeError, QuatFramesError):
+        pass
+    try:
+        value = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -340,22 +333,18 @@ def _decode(raw: bytes, path: str) -> Any:
         # bytes that are not UTF-8 or an integer literal beyond Python's
         # digit limit
         raise ParseError(f"{path}: {exc}") from exc
-
-
-def _load_json(path: str) -> Any:
-    return _decode(_read(path), path)
+    return raw, parse(value)
 
 
 def load_frame(path: str):
     """Read and parse a frame file, opening it once; returns (kind, frame,
     digest), digest being the sha256 hex digest of the bytes decoded."""
-    raw = _read(path)
-    kind, frame = parse_frame(_decode(raw, path))
+    raw, (kind, frame) = _load(path, parse_frame)
     return kind, frame, hashlib.sha256(raw).hexdigest()
 
 
 def load_vector(path: str) -> QVector:
-    return parse_vector(_load_json(path), "vector")
+    return _load(path, lambda value: parse_vector(value, "vector"))[1]
 
 
 # ====== serialization ======

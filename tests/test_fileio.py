@@ -1,10 +1,12 @@
 """File formats: parsing with field diagnostics, the deterministic
 12-digit writer, and round trips through both."""
 
+import hashlib
 import json
 import sys
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,12 @@ from conftest import (
     standard_basis,
 )
 from quatframes import fileio
-from quatframes.errors import ParseError, ValidationError
+from quatframes.errors import ParseError, QuatFramesError, ValidationError
 from quatframes.fileio import (
     dumps12,
     file_digest,
     load_frame,
+    load_vector,
     matrix_obj,
     operator_frame_obj,
     parse_frame,
@@ -656,6 +659,48 @@ def reader_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("reader")
 
 
+def frame_read(read, path):
+    """What a reader makes of the frame file at path: (kind, frame class,
+    the bytes of A, codomain dims, digest), or (error class, message)."""
+    try:
+        kind, frame, digest = read(path)
+    except QuatFramesError as exc:
+        return type(exc), str(exc)
+    return (kind, type(frame), frame.analysis_matrix().data.tobytes(),
+            frame.codomain_dims, digest)
+
+
+def json_load_frame(path):
+    """load_frame with the file read by json_reader."""
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return (*parse_frame(json_reader(path)), digest)
+
+
+# integer literals that orjson reads as floats (2^64, -2^63 - 1, 10^30),
+# refuses past the largest float (10^400), or reads as the largest float
+# it rounds to (one past its integer value)
+BIG_INTEGERS = [str(2**64), str(-2**63 - 1), str(10**30), str(10**400),
+                str(int(sys.float_info.max) + 1)]
+# a kind and an unknown key that hold a number, and the number of each
+# place a splice reaches: a count, a leaf, a fusion weight, the kind and
+# the unknown key
+NUMBER_KIND = {**CLEAN_VECTOR_FRAME, "kind": 0}
+UNKNOWN_KEY = {**CLEAN_VECTOR_FRAME, "note": 0}
+CLEAN_FUSION = {"kind": "fusion", "dim": 1, "weights": [0.5],
+                "subspaces": [[{"dim": 1, "data": [[1.0, 0.0, 0.0, 0.0]]}]]}
+BIG_INTEGER_PLACES = [(CLEAN_VECTOR_FRAME, 0), (CLEAN_VECTOR_FRAME, 3), (CLEAN_FUSION, 1),
+                      (NUMBER_KIND, 0), (UNKNOWN_KEY, 6)]
+
+
+def big_integer_examples(test):
+    for doc, index in BIG_INTEGER_PLACES:
+        for splice in BIG_INTEGERS:
+            test = example(doc=doc, mutation="splice", index=index, byte=0,
+                           splice=splice)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=documents(), mutation=st.sampled_from(MUTATIONS), index=st.integers(0, 2**16),
        byte=BYTES, splice=SPLICES)
@@ -665,32 +710,87 @@ def reader_dir(tmp_path_factory):
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=3, byte=0, splice=DEEP)
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=4, byte=0, splice=ESCAPES)
 @example(doc=CLEAN_VECTOR_FRAME, mutation="splice", index=5, byte=0, splice=ESCAPED_DEEP)
+@big_integer_examples
 def test_reader_returns_what_json_returns(reader_dir, doc, mutation, index, byte, splice):
-    """The reader returns json.loads's document, with the same repr at
-    every leaf (int or float, -0.0), or raises json's ParseError text; both
-    refuse for its depth the splice nested 1,100 deep, and the one nested
-    65 deep behind an escaped quote."""
+    """load_frame reads what parse_frame reads from json.loads's document:
+    the same kind, frame class, A, codomain dims and digest, or the same
+    error class and message; both refuse for its depth the splice nested
+    1,100 deep, and the one nested 65 deep behind an escaped quote."""
     path = reader_dir / "doc.json"
     path.write_bytes(mutated(json.dumps(doc).encode(), mutation, index, byte, splice))
+    assert frame_read(load_frame, str(path)) == frame_read(json_load_frame, str(path))
+
+
+@pytest.mark.parametrize("splice", BIG_INTEGERS)
+@pytest.mark.parametrize("index", [0, 1], ids=["dim", "leaf"])
+def test_vector_reader_returns_what_json_returns(tmp_path, index, splice):
+    path = tmp_path / "vector.json"
+    path.write_bytes(mutated(json.dumps({"dim": 1, "data": [[1.0, 0.0, 0.0, 0.0]]}).encode(),
+                             "splice", index, 0, splice))
     try:
-        expected = json_reader(str(path))
-    except ParseError as exc:
-        with pytest.raises(ParseError) as info:
-            fileio._load_json(str(path))
+        expected = parse_vector(json_reader(str(path)), "vector").data.tobytes()
+    except QuatFramesError as exc:
+        with pytest.raises(type(exc)) as info:
+            load_vector(str(path))
         assert str(info.value) == str(exc)
     else:
-        assert repr(fileio._load_json(str(path))) == repr(expected)
+        assert load_vector(str(path)).data.tobytes() == expected
 
 
-def test_orjson_reads_written_frame_files():
-    # repr and "%.12g" floats, whose leading zeros after the point make a
-    # run of 19 digits or more, are no long integer literal; orjson reads
-    # an escaped quote as json reads it
-    floats = [0.00012778954670351638, -1.2345678901234567e+22, 5e-324, 1e-05]
-    for text in (json.dumps(floats), dumps12({"data": np.array(floats)}), '["\\""]'):
-        assert fileio._orjson_reads(text.encode())
-    for text in ("[1000000000000000000]", "-1000000000000000000", "[1e0000000000000000001]"):
-        assert not fileio._orjson_reads(text.encode())
+# the largest float rounds up to the first integer that float() refuses
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+@example(str(2**64))
+@example(str(-2**63 - 1))
+@example(str(FLOAT_OVERFLOW - 1))
+@example(str(FLOAT_OVERFLOW))
+@example(str(-FLOAT_OVERFLOW))
+@given(st.one_of(st.from_regex(r"-?[1-9][0-9]{19,399}", fullmatch=True),
+                 st.integers(10**19, 10**400).map(str),
+                 st.integers(FLOAT_OVERFLOW - 2**971, FLOAT_OVERFLOW + 2**971).map(str)))
+def test_orjson_reads_a_long_integer_as_float_reads_it(literal):
+    """The one way orjson's reading of text that json reads differs from
+    json's: an integer literal outside [-2^63, 2^64) reads as
+    float(int(literal)), or is refused where float() refuses it."""
+    try:
+        value = orjson.loads(literal)
+    except orjson.JSONDecodeError:
+        return
+    number = int(literal)
+    expected = number if -2**63 <= number < 2**64 else float(number)
+    assert type(value) is type(expected) and value == expected
+
+
+def test_json_reads_only_what_orjson_or_the_parser_refuses(tmp_path, monkeypatch):
+    calls = {"orjson": 0, "json": 0}
+
+    def counted(name, loads):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return loads(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orjson, "loads", counted("orjson", orjson.loads))
+    monkeypatch.setattr(json, "loads", counted("json", json.loads))
+    # repr floats below 0.01 have 19 digits or more after the point
+    floats = [0.0049223739685802575, -1.2345678901234567e+22, 5e-324, 1e-05]
+    doc = {"kind": "vector_frame", "dim": 1, "members": [{"dim": 1, "data": [floats]}]}
+    accepted = {"repr": json.dumps(doc),
+                "dumps12": dumps12({**doc, "members": [{"dim": 1, "data": np.array([floats])}]}),
+                "19 digits": json.dumps(doc).replace("5e-324", "1000000000000000000")}
+    path = tmp_path / "frame.json"
+    for name, text in accepted.items():
+        path.write_text(text)
+        calls.update(orjson=0, json=0)
+        assert load_frame(str(path))[0] == "vector_frame"
+        assert calls == {"orjson": 1, "json": 0}, name
+    # orjson reads this dim as a float, which the parser refuses
+    path.write_text(json.dumps({**doc, "dim": 2**64}))
+    calls.update(orjson=0, json=0)
+    with pytest.raises(ValidationError, match=r"^frame\.dim: must be <= 4096$"):
+        load_frame(str(path))
+    assert calls == {"orjson": 1, "json": 1}
 
 
 # JSON nested 65 deep, 1,100 deep, and 65 deep past a string that holds an
@@ -711,7 +811,7 @@ def test_nesting_deeper_than_64_is_refused_whatever_the_stack(tmp_path, limit):
             path.write_bytes(raw)
             assert nesting_depth(raw) > 64
             with pytest.raises(ParseError) as info:
-                fileio._load_json(str(path))
+                fileio._load(str(path), lambda value: value)[1]
             assert str(info.value) == f"{path}: arrays and objects nest deeper than 64 levels"
     finally:
         sys.setrecursionlimit(before)
@@ -724,4 +824,4 @@ def test_nesting_deeper_than_64_is_refused_whatever_the_stack(tmp_path, limit):
 def test_nesting_64_deep_reads_as_json_reads_it(tmp_path, raw):
     path = tmp_path / "deep.json"
     path.write_bytes(raw)
-    assert repr(fileio._load_json(str(path))) == repr(json.loads(raw))
+    assert repr(fileio._load(str(path), lambda value: value)[1]) == repr(json.loads(raw))
