@@ -34,13 +34,11 @@ from .linalg import (
     frobenius_distance,
     orthonormalize,
     orthonormalize_each,
-    projection,
 )
 from .operator_frames import OperatorFrame
 from .reporting import (
     FrameReport,
     _FrameCore,
-    _normal_bounds,
     build_report,
     frame_bounds,
     gram,
@@ -192,7 +190,7 @@ class QuasiProjectorSystem(_FrameCore):
     """Family {P_j} meant to resolve the identity, sum_j P_j = I, with a
     finite Bessel-type energy bound.
 
-    `decomposition`, when given, is a pair (d_ops, w0): bounded operators
+    `decomposition`, when given, is a pair (d_ops, w0): n x n operators
     D_j and an n x k matrix whose columns span a base subspace W_0, with
     W_j = D_j(W_0); compatibility is then checked against those subspaces
     instead of range(P_j).  The frame core stores the P_j stacked one
@@ -216,9 +214,10 @@ class QuasiProjectorSystem(_FrameCore):
                 raise DimensionMismatch(
                     f"{len(d_ops)} displacement operators vs"
                     f" {len(projectors)} projectors")
-            if w0.rows != space_dim:
-                raise DimensionMismatch(
-                    f"W_0 vectors of dim {w0.rows} vs space dim {space_dim}")
+            shapes = {d.shape for d in d_ops} - {(space_dim, space_dim)}
+            if w0.rows != space_dim or shapes:
+                raise DimensionMismatch(f"W_0 vectors of dim {w0.rows} and D_j of shapes"
+                                        f" {sorted(shapes)} vs space dim {space_dim}")
             decomposition = (d_ops, w0)
         self.decomposition = decomposition
 
@@ -249,25 +248,28 @@ def quasi_projector_check(system: QuasiProjectorSystem) -> QuasiCheck:
     """Diagnose the three structural properties of the system.
 
     resolution_ok: sum_j P_j is the identity to STRUCTURE_TOL.
-    bessel_bound:  largest eigenvalue of sum_j P_j* P_j, out of scale
-                   refused as the frame core's bounds are
-                   (reporting._refuse_scale), but answered when exactly 0.
+    bessel_bound:  largest eigenvalue of sum_j P_j* P_j, the frame core's
+                   upper bound (reporting.frame_bounds): out of scale it is
+                   refused, and it is 0 only for projectors all 0.
     self_adjoint:  every P_j equals its adjoint to STRUCTURE_TOL ||P_j||_F.
     compatible:    P_j acts through its own subspace, P_j pi_{W_j} = P_j,
                    to STRUCTURE_TOL ||P_j||_F, with W_j = D_j(W_0) or else
-                   the range of P_j.
+                   the range of P_j, every W_j orthonormalized in one sweep.
     """
     resolution_ok, self_adjoint = _resolution_and_self_adjoint(system)
-    _, bessel_bound = _normal_bounds(gram(system.analysis_matrix()))
+    _, bessel_bound = frame_bounds(system.analysis_matrix())
     projectors = system.projectors
     if system.decomposition is not None:
         d_ops, w0 = system.decomposition
         spanning = [d @ w0 for d in d_ops]
     else:
         spanning = projectors
-    compatible = all(
-        frobenius_distance(p @ projection(span), p) <= STRUCTURE_TOL * p.frobenius()
-        for p, span in zip(projectors, spanning))
+    vectors = np.concatenate([np.zeros((system.space_dim, 0, 4)),
+                              *(s.data for s in spanning)], 1)
+    bases, dims = orthonormalize_each(QMatrix(vectors), [s.cols for s in spanning])
+    compatible = all(  # b is B_j*, B_j the orthonormal basis of W_j: pi_{W_j} = gram(B_j*)
+        frobenius_distance(p @ gram(QMatrix(b)), p) <= STRUCTURE_TOL * p.frobenius()
+        for p, b in zip(projectors, split_rows(bases.adjoint().data, dims)))
     return QuasiCheck(resolution_ok=resolution_ok, bessel_bound=bessel_bound,
                       self_adjoint=self_adjoint, compatible=compatible)
 

@@ -147,18 +147,12 @@ def _refuse_scale(a: QMatrix, upper: float) -> None:
                         f"{upper:.3e}; rescale the input")
 
 
-def frame_bounds(a: QMatrix, s: QMatrix | None = None) -> tuple[float, float]:
-    """The extremal eigenvalues of S = A* A, or of s when S is already
-    formed, refused by _refuse_scale."""
-    lower, upper = extremal_eigenvalues(gram(a) if s is None else s)
+def frame_bounds(a: QMatrix) -> tuple[float, float]:
+    """The extremal eigenvalues of S = A* A under _refuse_scale, (0, 0) for
+    an A of exactly 0; build_report applies the same rule to the S it keeps."""
+    lower, upper = extremal_eigenvalues(gram(a))
     _refuse_scale(a, upper)
     return lower, upper
-
-
-def _normal_bounds(s: QMatrix) -> tuple[float, float]:
-    """The extremal eigenvalues of a frame operator s under the scale rule,
-    taken on s itself: an s of exactly 0 has the bounds (0, 0)."""
-    return frame_bounds(s, s)
 
 
 def _redundant(a: QMatrix, rows: slice) -> bool:
@@ -176,7 +170,8 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     frame test.  An S out of scale raises NonFinite (_refuse_scale).
     """
     s = gram(a)
-    lower, upper = frame_bounds(a, s)
+    lower, upper = extremal_eigenvalues(s)
+    _refuse_scale(a, upper)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL

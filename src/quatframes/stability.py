@@ -176,7 +176,7 @@ def fit_params_t2(f: OperatorFrame, r: OperatorFrame) -> Theorem2Params:
 
 
 def _frame_bounds_of(f: OperatorFrame) -> tuple[float, float]:
-    bounds = frame_bounds(f.analysis_matrix(), op_frame_operator(f))
+    bounds = frame_bounds(f.analysis_matrix())
     if not has_frame_bounds(*bounds):
         raise NotAFrame("reference family is not a frame of operators")
     return bounds
@@ -245,7 +245,7 @@ def check_stability_t1(f: OperatorFrame, r: OperatorFrame, params: Theorem1Param
     """
     params.validate()
     bounds = _frame_bounds_of(f)
-    measured = frame_bounds(r.analysis_matrix(), op_frame_operator(r))
+    measured = frame_bounds(r.analysis_matrix())
     shift = params.lambda1 + params.lambda2 + params.mu / sqrt(bounds[0])
     predicted = _predicted(bounds, 1.0 - shift / (1.0 + params.lambda2),
                            1.0 + shift / (1.0 - params.lambda2))
@@ -269,7 +269,7 @@ def check_stability_t2(f: OperatorFrame, r: OperatorFrame, params: Theorem2Param
     if shift >= 1.0:
         raise ConditionViolated(
             "(lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem")
-    measured = frame_bounds(r.analysis_matrix(), op_frame_operator(r))
+    measured = frame_bounds(r.analysis_matrix())
     predicted = _predicted(bounds, 1.0 - shift, 1.0 + params.lam + params.mu / sqrt(r2))
     hypothesis_ok = _hypothesis_ok(f, r, (params.lam,), params.mu, True, seed)
     return _verdict(2, params, seed, hypothesis_ok, predicted, measured, T2_NOTE)

@@ -43,6 +43,7 @@ from quatframes.fileio import (
 )
 from quatframes.linalg import QMatrix, QVector, orthonormalize, outer
 from quatframes.operator_frames import OperatorFrame
+from quatframes.stability import NO_CLAIM_NOTE
 from quatframes.vector_frames import VectorFrame
 
 
@@ -127,6 +128,17 @@ def test_analyze_operator_and_fusion_kinds(files, capsys):
     assert code == 0 and doc["bounds"] == [1, 2]
     code, doc, _ = run_json(capsys, "analyze", files["fusion"])
     assert code == 0 and doc["bounds"] == [1, 2]
+
+
+def test_analyze_exact_operator_frame_that_a_removal_leaves_square(capsys, tmp_path):
+    # {[e1; e1], [e2]} on H^2, S = diag(2, 1): without [e2] two rows remain,
+    # as many as the dim, yet they span only e1, so no removal keeps a frame
+    e1, e2 = [[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]
+    path = str(tmp_path / "op.json")
+    write_document(path, {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 2, "cols": 2, "data": [e1, e1]}, {"rows": 1, "cols": 2, "data": [e2]}]})
+    code, doc, _ = run_json(capsys, "analyze", path)
+    assert code == 0 and doc["bounds"] == [1, 2] and doc["is_exact"] is True
 
 
 def test_analyze_quasi_checks(files, capsys):
@@ -286,8 +298,9 @@ def test_fusion_with_tiny_basis_vectors_is_parseval(capsys, tmp_path):
 TINY = {"dim": 2, "data": [[1e-320, 0, 0, 0], [0, 0, 0, 0]]}
 E1 = {"dim": 2, "data": [[1, 0, 0, 0], [0, 0, 0, 0]]}
 E2 = {"dim": 2, "data": [[0, 0, 0, 0], [1, 0, 0, 0]]}
-# the subspace of TINY is that of E1, so each file has the answer it would
-# have with E1 in its place
+# the subspace of TINY is that of E1, so the fusion and pseudo files have
+# the answer they would have with E1 in its place; the quasi file's S is
+# 1e-640, which rounds to 0
 SUBNORMAL_DOCS = {
     "fusion": {"kind": "fusion", "dim": 2, "weights": [1, 1], "subspaces": [[TINY], [E2]]},
     "pseudo": {"kind": "pseudo", "dim": 2, "analyzers": [E1], "synthesizers": [E1],
@@ -300,7 +313,6 @@ SUBNORMAL_DOCS = {
 @pytest.mark.parametrize("kind, keys", [
     ("fusion", ["is_parseval"]),
     ("pseudo", ["checks", "holds"]),
-    ("quasi", ["checks", "compatible"]),
 ])
 def test_subnormal_basis_vector_normalizes(capsys, tmp_path, kind, keys):
     path = str(tmp_path / f"{kind}.json")
@@ -309,6 +321,26 @@ def test_subnormal_basis_vector_normalizes(capsys, tmp_path, kind, keys):
     for key in keys:
         doc = doc[key]
     assert code == 0 and err == "" and doc is True
+
+
+def test_quasi_projector_whose_frame_operator_underflows_is_refused(capsys, tmp_path):
+    # its Bessel bound is read under the scale rule of every other S, so a
+    # nonzero system is not given the bound 0
+    path = str(tmp_path / "quasi.json")
+    write_document(path, SUBNORMAL_DOCS["quasi"])
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
+
+
+def test_all_zero_quasi_system_has_bessel_bound_zero(capsys, tmp_path):
+    path = str(tmp_path / "quasi.json")
+    write_document(path, {"kind": "quasi", "dim": 2, "projectors": [
+        {"rows": 2, "cols": 2, "data": [[[0, 0, 0, 0]] * 2] * 2}]})
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    for line in ('"bessel_bound": 0,', '"self_adjoint": true,', '"compatible": true'):
+        assert line in out
 
 
 # frames whose S has a subnormal largest eigenvalue, near 1e-319 and 1e-320:
@@ -400,18 +432,23 @@ def test_subnormal_frame_operator_is_refused_by_convert_and_stability(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", [-600, -513, -511, -300, 0, 300, 511, 513])
-@pytest.mark.parametrize("kind", ["vector", "operator"])
+@pytest.mark.parametrize("kind", ["vector", "operator", "quasi"])
 def test_every_reader_of_s_answers_or_refuses_at_one_scale(capsys, tmp_path, kind, k):
     # S is about 4^k I: out of scale at most 2^-1024 and at inf, so -513 and
-    # 513 are refused and -511 and 511 are answered, by every command alike
+    # 513 are refused and -511 and 511 are answered, by every command alike;
+    # parseval and convert need the one quasi projector 2^k I to sum to I,
+    # which it does only at k = 0, so the quasi file is analyzed only
     basis = tiny_basis(2.0**k)
-    doc = ({"kind": "vector_frame", "dim": 2, "members": basis} if kind == "vector" else
-           {"kind": "operator_frame", "dim": 2, "members": [
-               {"rows": 2, "cols": 2, "data": [v["data"] for v in basis]}]})
+    member = {"rows": 2, "cols": 2, "data": [v["data"] for v in basis]}
+    doc = {"vector": {"kind": "vector_frame", "dim": 2, "members": basis},
+           "operator": {"kind": "operator_frame", "dim": 2, "members": [member]},
+           "quasi": {"kind": "quasi", "dim": 2, "projectors": [member]}}[kind]
     path, out_path = str(tmp_path / "frame.json"), str(tmp_path / "out.json")
     write_document(path, doc)
     argvs = [["analyze", path], ["dual", path, "-o", out_path],
              ["parseval", path, "-o", out_path], ["reconstruct", path, "--random", "2"]]
+    if kind == "quasi":
+        argvs = argvs[:1]
     if kind == "operator":
         argvs.append(["stability", path, path, "--fit"])
     results = [run(capsys, *argv) for argv in argvs]
@@ -693,6 +730,38 @@ def test_stability_refuses_an_overflowing_predicted_bound(capsys, tmp_path, flag
     assert code == 2 and out == ""
     assert err == ("error: predicted frame bound overflows; the constants are "
                    "too large for these frame bounds\n")
+
+
+def identity_pair(tmp_path):
+    """F = I and R = 2I on H^2, each one operator member: bounds (1, 1) and
+    (4, 4), and ||A_F - A_R|| = 1."""
+    identity = QMatrix.identity(2)
+    return write_pair(tmp_path, OperatorFrame(2, [identity]), OperatorFrame(2, [identity * 2.0]))
+
+
+def test_stability_t1_with_mu_zero_fails_its_hypothesis_and_its_claim(capsys, tmp_path):
+    # ||A_F - A_R|| = 1 > mu, and R's bounds (4, 4) exceed the predicted (1, 1)
+    code, doc, _ = run_json(capsys, "stability", *identity_pair(tmp_path), "--mu", "0")
+    assert code == 1 and doc["hypothesis_ok"] is False
+    assert doc["predicted"] == [1, 1] and doc["measured"] == [4, 4]
+    assert doc["consistent"] is False
+
+
+def test_stability_t1_with_a_predicted_lower_bound_of_zero_makes_no_claim(capsys, tmp_path):
+    # lambda1 = 1 puts the lower factor at 1 - 1 = 0 exactly
+    code, doc, _ = run_json(capsys, "stability", *identity_pair(tmp_path), "--lambda1", "1")
+    assert code == 0 and doc["hypothesis_ok"] is True
+    assert doc["predicted"][0] == 0 and doc["frame_claim"] is False
+    assert doc["note"] == NO_CLAIM_NOTE
+
+
+def test_stability_t2_refuses_a_shift_of_exactly_one(capsys, tmp_path):
+    # lambda + mu/sqrt(r1) = 0.5 + 0.5/1 = 1, at which the theorem is silent
+    path = identity_pair(tmp_path)[0]
+    code, out, err = run(capsys, "stability", path, path, "--theorem", "2",
+                         "--lambda", "0.5", "--mu", "0.5")
+    assert code == 2 and out == ""
+    assert err == "error: (lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem\n"
 
 
 def test_stability_seed_echoed(files, capsys):

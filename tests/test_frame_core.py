@@ -51,7 +51,7 @@ from quatframes.operator_frames import (
 from quatframes.quaternion import Quaternion
 from quatframes.reporting import (
     FRAME_TOL,
-    _normal_bounds,
+    _refuse_scale,
     _require_frame,
     analysis,
     dual_rows,
@@ -385,7 +385,9 @@ def library_rows(a, parseval):
     A inverse_matrix(positive_sqrt(S))."""
     s = gram(a)
     if parseval:
-        _require_frame(*_normal_bounds(s))
+        lower, upper = extremal_eigenvalues(s)
+        _refuse_scale(s, upper)
+        _require_frame(lower, upper)
         return a @ inverse_matrix(positive_sqrt(s))
     _require_frame(*extremal_eigenvalues(s))
     return a @ inverse_matrix(s)

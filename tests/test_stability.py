@@ -14,7 +14,7 @@ from conftest import (
     random_unit_qvector,
     shifted_basis_operator_frame,
 )
-from quatframes import operator_frames
+from quatframes import operator_frames, reporting
 from quatframes.errors import (
     ConditionViolated,
     DimensionMismatch,
@@ -125,7 +125,10 @@ def test_t1_detects_hypothesis_violation():
 def test_t1_builds_each_gram_once(monkeypatch):
     calls = []
     real = operator_frames.gram
-    monkeypatch.setattr(operator_frames, "gram", lambda a: calls.append(a) or real(a))
+    # S_F and S_R are formed by reporting.frame_bounds, the differences'
+    # Gram by operator_frames.op_frame_operator
+    for module in (operator_frames, reporting):
+        monkeypatch.setattr(module, "gram", lambda a: calls.append(a) or real(a))
     f = shifted_basis_operator_frame(4)
     r = scaled(f, 0.9)
     # S_F, S_R and, for the exact route, the Gram of the differences
