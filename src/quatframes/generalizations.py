@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import (
     QMatrix,
+    _conj4,
     _finite_chi,
     _unit,
     frobenius_distance,
@@ -231,16 +232,19 @@ class QuasiCheck(NamedTuple):
 
 def _resolution_and_self_adjoint(system: QuasiProjectorSystem) -> tuple[bool, bool]:
     """Whether sum_j P_j is the identity to STRUCTURE_TOL, and whether every
-    P_j equals its adjoint to STRUCTURE_TOL times ||P_j||_F."""
+    P_j equals its adjoint to STRUCTURE_TOL times ||P_j||_F, both in one pass
+    over the stacked (k n) x n analysis matrix."""
     n = system.space_dim
+    blocks = system.analysis_matrix().data.reshape(len(system), n, n, 4)
     # a sum, or its distance from I, that overflows is not I
     with np.errstate(over="ignore", invalid="ignore"):
-        total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
-        resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
-    # the test is scale-free, and on P_j at unit scale nothing overflows
-    units = (QMatrix(_unit(p.data)[0]) for p in system.projectors)
-    self_adjoint = all(
-        frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius() for p in units)
+        resolution_ok = frobenius_distance(QMatrix(blocks.sum(axis=0)),
+                                           QMatrix.identity(n)) <= STRUCTURE_TOL
+    # the test is scale-free, and on each P_j at unit scale nothing overflows
+    units = _unit(blocks, axis=(1, 2, 3))[0]
+    defects = units - _conj4(np.swapaxes(units, 1, 2))
+    self_adjoint = bool(np.all((defects * defects).sum(axis=(1, 2, 3))
+                               <= STRUCTURE_TOL**2 * (units * units).sum(axis=(1, 2, 3))))
     return resolution_ok, self_adjoint
 
 

@@ -141,6 +141,26 @@ def test_analyze_exact_operator_frame_that_a_removal_leaves_square(capsys, tmp_p
     assert code == 0 and doc["bounds"] == [1, 2] and doc["is_exact"] is True
 
 
+def test_analyze_converted_coordinate_projectors_is_exact(files, capsys, tmp_path):
+    # criterion 7's system on H^4, written as four 4 x 4 members with S = I:
+    # deleting P_j loses e_j though 12 rows remain.  A repeated member, or a
+    # zero one, can be deleted with the rest still a frame.
+    path = str(tmp_path / "projectors.json")
+    assert main(["convert", files["quasi"], "--out", path]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        frame = json.load(fh)
+    members = frame["members"]
+    zero = {"rows": 1, "cols": 4, "data": [[[0, 0, 0, 0]] * 4]}
+    for name, extra, bounds, exact in (("converted", [], [1, 1], True),
+                                       ("repeated", [members[1]], [1, 2], False),
+                                       ("zero", [zero], [1, 1], False)):
+        doc_path = str(tmp_path / f"{name}.json")
+        write_document(doc_path, {**frame, "members": members + extra})
+        code, doc, _ = run_json(capsys, "analyze", doc_path)
+        assert (code, doc["bounds"], doc["is_exact"]) == (0, bounds, exact), name
+
+
 def test_analyze_quasi_checks(files, capsys):
     code, doc, _ = run_json(capsys, "analyze", files["quasi"])
     assert code == 0

@@ -4,6 +4,7 @@ pseudo-frame pairs and quasi-projector systems), against per-member
 loops kept here as the reference."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import analysis_row
-from quatframes import cli
+from quatframes import cli, reporting
 from quatframes.cli import RECONSTRUCT_TOL
 from quatframes.errors import NonFinite, QuatFramesError
 from quatframes.fileio import (
@@ -229,15 +230,77 @@ def test_synthesis_is_adjoint_of_analysis(f, seed):
     assert abs(coefficients.norm_sq() - energy) <= 1e-12 * scale
 
 
+@st.composite
+def exact_families(draw):
+    """An exact frame of operators on H^n with members of one or more rows:
+    a basis split into blocks, or the n coordinate projectors e_i e_i*, each
+    member optionally times a random square matrix on the left, which keeps
+    the span of its rows and so keeps the family exact."""
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = np.split(gen.standard_normal((n, n, 4)), cuts)
+    else:
+        blocks = [np.zeros((n, n, 4)) for _ in range(n)]
+        for i, b in enumerate(blocks):
+            b[i, i, 0] = 1.0
+    mixed = draw(st.booleans())
+    return OperatorFrame(n, [QMatrix(gen.standard_normal((len(b), len(b), 4))) @ QMatrix(b)
+                             if mixed else QMatrix(b) for b in blocks])
+
+
+def appended(f, i):
+    """f with its member i repeated, or with a zero member for i None."""
+    n = f.space_dim
+    if isinstance(f, VectorFrame):
+        return VectorFrame(n, f.members + [QVector.zeros(n) if i is None else f.members[i]])
+    if isinstance(f, FusionFrame):
+        base, weight = (QMatrix.zeros(n, 0), 1.0) if i is None else (f.bases[i], f.weights[i])
+        return FusionFrame(n, f.bases + [base], f.weights + [weight])
+    return OperatorFrame(n, f.members + [QMatrix.zeros(1, n) if i is None else f.members[i]])
+
+
+@st.composite
+def exactness_families(draw):
+    """families() or exact_families(), as drawn or with one member repeated
+    or a zero member appended, scaled by 2^k for k in {-40, 0, 40}."""
+    f = draw(st.one_of(families(), exact_families()))
+    change = draw(st.sampled_from(["none", "repeat", "zero"]))
+    if change == "zero" or change == "repeat" and len(f):
+        f = appended(f, draw(st.integers(0, len(f) - 1)) if change == "repeat" else None)
+    return scaled(f, 2.0 ** draw(st.sampled_from([-40, 0, 40])))
+
+
+# e1 and s e2 twice on H^2, s^2 = 0.75 FRAME_TOL: S = diag(1, 1.5 FRAME_TOL) is a
+# frame and no member can go, but g = 1/2 for each s e2, so the bracket
+# [0.75 FRAME_TOL, 0.5] on lambda_min(S_i) straddles the threshold and both
+# are deleted
+STRADDLE = VectorFrame(2, [QVector([[1, 0, 0, 0], [0, 0, 0, 0]])]
+                       + [QVector([[0, 0, 0, 0], [np.sqrt(0.75 * FRAME_TOL), 0, 0, 0]])] * 2)
+
+# e1, w e2 and a vector tilted toward e1, on H^2: deleting e1 leaves a frame
+# of H^2 whose own S is below 2e-10 (its lambda_min is near 4.5e-12), so e1's
+# bracket, set against lambda_max(S) = 1, decides nothing: a deletion does
+TILTED = VectorFrame(2, [QVector(np.pad(np.array(row)[:, None], ((0, 0), (0, 3))))
+                         for row in ([1, 0], [0, 9.75e-6], [2.7e-6, 7.4e-6])])
+
+
+@example(STRADDLE)
+@example(TILTED)
 @EXAMPLES
-@given(families())
+@given(exactness_families())
 def test_exactness_matches_dropping_each_member(f):
     members = reference_members(f)
     n = f.space_dim
     expected = (reference_is_frame(members, n) and len(members) > 0
                 and not any(reference_is_frame(members[:i] + members[i + 1:], n)
                             for i in range(len(members))))
-    assert report_of(f).is_exact == expected
+    with mock.patch.object(reporting, "gram", wraps=reporting.gram) as grams:
+        assert report_of(f).is_exact == expected
+    if f is STRADDLE:
+        # S, then one deletion for each straddling member
+        assert expected and grams.call_count == 3
 
 
 @EXAMPLES
@@ -476,6 +539,49 @@ def test_dual_parseval_and_reconstruct_run_one_eigh(lapack_calls, small_files, t
         lapack_calls.clear()
         assert cli.main([command, small_files[kind], *extra]) == 0
         assert lapack_calls == Counter({("core", "eigh"): 1, **summary}), kind
+
+
+@pytest.fixture
+def exactness_calls(monkeypatch):
+    """Calls of eigvalsh, of cholesky and of the frame core's Gram."""
+    calls = Counter()
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "cholesky"), (reporting, "gram")):
+        def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_decides_exactness_without_deleting_a_member(exactness_calls, capsys,
+                                                              tmp_path):
+    gen = np.random.default_rng(5)
+    # 48 vectors of H^8: a member's squared norm is below lambda_min(S), so the
+    # row norms alone show that it can be deleted
+    path = str(tmp_path / "redundant.json")
+    write_document(path, vector_frame_obj(
+        VectorFrame(8, [QVector(v) for v in gen.standard_normal((48, 8, 4))])))
+    assert cli.main(["analyze", path]) == 0
+    assert exactness_calls == Counter({"gram": 1, "eigvalsh": 1})
+    assert '"is_exact": false' in capsys.readouterr().out
+    # frames of operators: the coordinate projectors P_i of H^4, as they are
+    # and as P_i U for a random unitary U (S = I and ||P_i||_F = 1, so only
+    # the trace bound keeps lambda_max(S_i) off 0), as V_i P_i for random V_i
+    # (g_i needs the eigensolve), and a basis of H^3 as members of 1 and 2
+    # rows with the 2-row member repeated
+    projectors = [QMatrix.from_real(np.diag(row)) for row in np.eye(4)]
+    unitary = orthonormalize(QMatrix(gen.standard_normal((4, 4, 4))))
+    basis = [QMatrix.from_real(rows) for rows in np.split(np.eye(3), [1])]
+    for members, exact in ((projectors, "true"),
+                           ([p @ unitary for p in projectors], "true"),
+                           ([QMatrix(gen.standard_normal((4, 4, 4))) @ p for p in projectors],
+                            "true"),
+                           (basis + basis[1:], "false")):
+        write_document(path, operator_frame_obj(OperatorFrame(members[0].cols, members)))
+        exactness_calls.clear()
+        assert cli.main(["analyze", path]) == 0
+        assert exactness_calls["cholesky"] <= 1 and exactness_calls["gram"] == 1
+        assert f'"is_exact": {exact}' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theorem, route", [

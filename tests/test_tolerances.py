@@ -5,6 +5,8 @@ the source."""
 import ast
 import re
 from math import sqrt
+
+import numpy as np
 from pathlib import Path
 
 from quatframes.fileio import MAX_DIM
@@ -70,3 +72,11 @@ def test_frame_test_implies_the_singular_value_test():
     # lambda_min > FRAME_TOL lambda_max clears SINGULAR_RTOL ||S||_F: the
     # frame core inverts S without the SVD that inverse_matrix runs
     assert SINGULAR_RTOL * sqrt(MAX_DIM) < FRAME_TOL
+
+
+def test_exactness_band_is_wider_than_round_off():
+    # is_exact decides a deletion from S when its bracket clears the frame
+    # test by a factor of 2 either way (reporting._is_exact); the band that
+    # leaves, FRAME_TOL / 2 of lambda_max, must exceed the round-off of an
+    # eigensolve of S on H^n, about n eps lambda_max, for every n <= MAX_DIM
+    assert MAX_DIM * np.finfo(float).eps < FRAME_TOL / 2
