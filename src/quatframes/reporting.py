@@ -39,7 +39,6 @@ from .linalg import (
     _hermitian_chi,
     _midpoint,
     _unit,
-    complex_adjoint_rep,
     gram,
     hermitian_eigenvalues,
 )
@@ -156,85 +155,31 @@ def frame_bounds(a: QMatrix) -> tuple[float, float]:
     return lower, upper
 
 
-def _block_gains(top: np.ndarray, bottom: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """lambda_max(W_i^H W_i) of each member i's columns W_i = [top_i bottom_i],
-    dims[i] >= 1 consecutive columns of top and of bottom each, in one
-    batched eigvalsh of blocks padded with zero columns to the widest."""
-    width = np.arange(dims.max())
-    cols = np.minimum(np.cumsum(dims)[:, None] - dims[:, None] + width, top.shape[1] - 1)
-    pad = (width < dims[:, None])[:, None, :]
-    blocks = np.concatenate([np.where(pad, half[:, cols].transpose(1, 0, 2), 0.0)
-                             for half in (top, bottom)], axis=2)
-    return np.linalg.eigvalsh(blocks.conj().transpose(0, 2, 1) @ blocks)[:, -1]
+def _is_exact(a: QMatrix, dims, lower: float, upper: float) -> bool:
+    """Whether no member of the frame with stacked analysis matrix a and
+    bounds (lower, upper) can be deleted with the rest still passing the
+    frame test.  Deleting member i leaves S_i = S - A_i* A_i, with
+    lambda_max(S_i) <= upper and, by Weyl's inequality,
 
+        lambda_min(S_i) >= lower - ||A_i||_F^2.
 
-def _is_exact(a: QMatrix, dims, s: QMatrix, lower: float, upper: float) -> bool:
-    """Whether no member of the frame with stacked analysis matrix a, frame
-    operator s and bounds (lower, upper) can be deleted with the rest still
-    passing the frame test.  Deleting member i leaves S_i = S - A_i* A_i, and
-    with g_i = lambda_max(A_i S^-1 A_i*) (W. Sun, J. Math. Anal. Appl. 322,
-    2006)
-
-        lambda_min(S_i) in [lower (1 - g_i), upper (1 - g_i)],
-        lambda_max(S_i) in [max(upper - ||A_i||_F^2, (tr S - ||A_i||_F^2) / n), upper].
-
-    A member whose deletion leaves fewer rows than n is kept.  Member i is
-    deletable when the lower end of lambda_min(S_i) is above 2 FRAME_TOL
-    upper, and kept when its upper end is at most FRAME_TOL / 2 times the
-    lower end of lambda_max(S_i): the factor 2 each way is far wider than the
-    round-off of a bracket or of an eigensolve of S_i.  Tighter brackets on
-    g_i come in turn, each at unit scale, until every member is decided:
-
-    1. g_i <= ||A_i||_F^2 / lower, from the row norms;
-    2. one Cholesky chi(S) = L L^H and W = L^-1 [A1 A2]^H, the top block row
-       of chi(A)^H: member i's columns of W hold the diagonal of G_i =
-       A_i S^-1 A_i*, whose largest entry and sum bound g_i from below and
-       above, and both are g_i for a member of one row;
-    3. g_i itself for a member of more rows, from W and the bottom block row
-       (_block_gains);
-    4. a member still undecided is deleted, and the S_i of the rest solved.
+    So when the row norms, taken at unit scale, put that above 2 FRAME_TOL
+    upper for some member, the family is not exact: the factor 2 is far
+    wider than the round-off of the eigensolves of S and of S_i, and a
+    member whose deletion leaves fewer rows than n, so a singular S_i,
+    never passes.  Otherwise each member is deleted in turn and the S_i of
+    the rest solved.
     """
-    dims = np.asarray(dims, dtype=int)
-    n = a.cols
-    # fewer rows than the space dimension cannot span it
-    candidates = a.rows - dims >= n
-    if not candidates.any():
-        return True
     unit, exp = _unit(a.data)
-    e = exp.item()
-    lo, hi = np.ldexp([lower, upper], -2 * e)
-    owner = np.repeat(np.arange(len(dims)), dims)
-    norms = np.bincount(owner, (unit * unit).sum(axis=(1, 2)), len(dims))
-    floor = np.maximum(hi - norms, (norms.sum() - norms) / n)
-
-    def deletable(g_above):
-        return (candidates & (lo * (1.0 - g_above) > 2 * FRAME_TOL * hi)).any()
-
-    def kept(g_below):
-        return hi * (1.0 - g_below) <= FRAME_TOL / 2 * floor
-
-    if deletable(norms / lo):
+    lo, hi = np.ldexp([lower, upper], -2 * exp.item())
+    norms = np.bincount(np.repeat(np.arange(len(dims)), dims),
+                        (unit * unit).sum(axis=(1, 2)), len(dims))
+    if lo - norms.min() > 2 * FRAME_TOL * hi:
         return False
-    factor = np.linalg.cholesky(_hermitian_chi(QMatrix(np.ldexp(s.data, -2 * e))))
-    chi = complex_adjoint_rep(QMatrix(unit))
-    top = np.linalg.solve(factor, chi[:a.rows].conj().T)
-    diag = (top.conj() * top).real.sum(axis=0)
-    peak = np.zeros(len(dims))
-    np.maximum.at(peak, owner, diag)
-    if deletable(np.bincount(owner, diag, len(dims))):
-        return False
-    undecided = candidates & ~kept(peak)
-    wide = undecided & (dims > 1)
-    if wide.any():
-        rows = np.flatnonzero(wide[owner])
-        bottom = np.linalg.solve(factor, chi[a.rows + rows].conj().T)
-        # peak is now g_i for every undecided member: a one-row member's was
-        peak[wide] = _block_gains(top[:, rows], bottom, dims[wide])
-        if deletable(peak):
-            return False
-        undecided &= ~kept(peak)
-    return not any(has_frame_bounds(*extremal_eigenvalues(gram(QMatrix(a.data[owner != i]))))
-                   for i in np.flatnonzero(undecided))
+    # fewer rows than the space dimension cannot span it
+    return not any(a.rows - d >= a.cols and has_frame_bounds(*extremal_eigenvalues(gram(
+        QMatrix(np.delete(a.data, slice(stop - d, stop), axis=0)))))
+        for d, stop in zip(dims, np.cumsum(dims, dtype=int)))
 
 
 def build_report(a: QMatrix, dims) -> FrameReport:
@@ -243,9 +188,9 @@ def build_report(a: QMatrix, dims) -> FrameReport:
 
     Exactness means every single removal destroys the frame property:
     no member's rows can be deleted with the rest still passing the
-    frame test.  It is read off S itself (_is_exact): a row-norm
-    certificate first, then the g_i from one Cholesky of S, and a deletion
-    and eigensolve only for a member whose bracket straddles the threshold.
+    frame test.  The row norms and the bounds of S certify most redundant
+    families without rebuilding S (_is_exact); only a family they leave
+    undecided is re-solved with each member deleted in turn.
     An S out of scale raises NonFinite (_refuse_scale).
     """
     s = gram(a)
@@ -254,7 +199,7 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL
-    is_exact = is_frame and len(dims) > 0 and _is_exact(a, dims, s, lower, upper)
+    is_exact = is_frame and len(dims) > 0 and _is_exact(a, dims, lower, upper)
     return FrameReport(lower=lower, upper=upper, is_bessel=True,
                        is_frame=is_frame, is_tight=is_tight,
                        is_parseval=is_parseval, is_exact=is_exact,

@@ -23,15 +23,18 @@ from quatframes.fileio import (
     write_document,
 )
 from quatframes.generalizations import (
+    STRUCTURE_TOL,
     FusionFrame,
     PseudoFramePair,
     QuasiProjectorSystem,
+    _resolution_and_self_adjoint,
     fusion_frame_operator,
     fusion_report,
 )
 from quatframes.linalg import (
     QMatrix,
     QVector,
+    _unit,
     frobenius_distance,
     gram,
     hermitian_eigenvalues,
@@ -273,21 +276,29 @@ def exactness_families(draw):
 
 
 # e1 and s e2 twice on H^2, s^2 = 0.75 FRAME_TOL: S = diag(1, 1.5 FRAME_TOL) is a
-# frame and no member can go, but g = 1/2 for each s e2, so the bracket
-# [0.75 FRAME_TOL, 0.5] on lambda_min(S_i) straddles the threshold and both
-# are deleted
+# frame and no member can go, but the row-norm bound lambda_min(S) - s^2 on
+# an s e2's remainder does not show that, so every member is deleted in turn
 STRADDLE = VectorFrame(2, [QVector([[1, 0, 0, 0], [0, 0, 0, 0]])]
                        + [QVector([[0, 0, 0, 0], [np.sqrt(0.75 * FRAME_TOL), 0, 0, 0]])] * 2)
 
-# e1, w e2 and a vector tilted toward e1, on H^2: deleting e1 leaves a frame
-# of H^2 whose own S is below 2e-10 (its lambda_min is near 4.5e-12), so e1's
-# bracket, set against lambda_max(S) = 1, decides nothing: a deletion does
+# e1, w e2 and a vector tilted toward e1, on H^2, with lambda_min(S) near
+# 1e-10 lambda_max(S): deleting e1 leaves a frame of H^2, but the row norms
+# cannot show it, so a deletion decides
 TILTED = VectorFrame(2, [QVector(np.pad(np.array(row)[:, None], ((0, 0), (0, 3))))
                          for row in ([1, 0], [0, 9.75e-6], [2.7e-6, 7.4e-6])])
 
 
+# e1, s e2 and t e2 on H^2, s^2 = 8.8 FRAME_TOL, t^2 = 1.2 FRAME_TOL: S is
+# diag(1, 10 FRAME_TOL), condition number 1e9, and g = 0.88 for s e2, yet
+# deleting it leaves diag(1, 1.2 FRAME_TOL), still a frame
+ILL_CONDITIONED = VectorFrame(2, [QVector(np.pad(np.array(row)[:, None], ((0, 0), (0, 3))))
+                                  for row in ([1, 0], [0, np.sqrt(8.8 * FRAME_TOL)],
+                                              [0, np.sqrt(1.2 * FRAME_TOL)])])
+
+
 @example(STRADDLE)
 @example(TILTED)
+@example(ILL_CONDITIONED)
 @EXAMPLES
 @given(exactness_families())
 def test_exactness_matches_dropping_each_member(f):
@@ -299,8 +310,58 @@ def test_exactness_matches_dropping_each_member(f):
     with mock.patch.object(reporting, "gram", wraps=reporting.gram) as grams:
         assert report_of(f).is_exact == expected
     if f is STRADDLE:
-        # S, then one deletion for each straddling member
-        assert expected and grams.call_count == 3
+        # S, then one deletion for each member
+        assert expected and grams.call_count == 4
+
+
+def reference_quasi_structure(system):
+    """sum_j P_j = I and every P_j = P_j*, to STRUCTURE_TOL, one projector
+    at a time, each self-adjointness test on P_j at its own unit scale."""
+    n = system.space_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = QMatrix(sum((p.data for p in system.projectors), np.zeros((n, n, 4))))
+        resolution_ok = frobenius_distance(total, QMatrix.identity(n)) <= STRUCTURE_TOL
+    units = (QMatrix(_unit(p.data)[0]) for p in system.projectors)
+    self_adjoint = all(frobenius_distance(p, p.adjoint()) <= STRUCTURE_TOL * p.frobenius()
+                       for p in units)
+    return resolution_ok, self_adjoint
+
+
+def unit_direction(gen, n, sign):
+    """A random n x n quaternion matrix X of Frobenius norm 1 with X* = sign X."""
+    x = gen.standard_normal((n, n, 4))
+    x = x + sign * QMatrix(x).adjoint().data
+    return x / np.sqrt((x * x).sum())
+
+
+@st.composite
+def quasi_structures(draw):
+    """Projectors on H^n near either threshold of the quasi structure checks.
+    Either they are self-adjoint and sum to I + r STRUCTURE_TOL D, or each is
+    c_j (H_j + r_j STRUCTURE_TOL K_j / 2), ||H_j||_F = ||K_j||_F = 1, H_j
+    self-adjoint and K_j skew, so P_j - P_j* is r_j STRUCTURE_TOL ||P_j||_F,
+    with c_j 0 or 2^k for k in {-600, 0, 600}, each its own.  Each r sits 10%
+    from 1, far from it, or at 0."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratios = st.sampled_from([0.0, 0.5, 0.9, 1.1, 2.0, 1e4])
+    if draw(st.booleans()):
+        parts = [unit_direction(gen, n, 1) for _ in range(k - 1)]
+        rest = (np.eye(n)[:, :, None] * [1, 0, 0, 0] - sum(parts, np.zeros((n, n, 4)))
+                + draw(ratios) * STRUCTURE_TOL * unit_direction(gen, n, 1))
+        projectors = parts + [rest]
+    else:
+        projectors = [draw(st.sampled_from([0.0, 2.0**-600, 1.0, 2.0**600]))
+                      * (unit_direction(gen, n, 1)
+                         + draw(ratios) * STRUCTURE_TOL / 2 * unit_direction(gen, n, -1))
+                      for _ in range(k)]
+    return QuasiProjectorSystem(n, [QMatrix(p) for p in projectors])
+
+
+@EXAMPLES
+@given(st.one_of(quasi_structures(), quasi_systems()))
+def test_quasi_structure_checks_match_projector_loop(system):
+    assert _resolution_and_self_adjoint(system) == reference_quasi_structure(system)
 
 
 @EXAMPLES
@@ -556,32 +617,15 @@ def exactness_calls(monkeypatch):
 def test_analyze_decides_exactness_without_deleting_a_member(exactness_calls, capsys,
                                                               tmp_path):
     gen = np.random.default_rng(5)
-    # 48 vectors of H^8: a member's squared norm is below lambda_min(S), so the
-    # row norms alone show that it can be deleted
+    # 48 vectors of H^8 and one three times as long: a short member's squared
+    # norm is below lambda_min(S), so the row norms alone show that it can be
+    # deleted, though the long member's norm is above lambda_min(S)
     path = str(tmp_path / "redundant.json")
-    write_document(path, vector_frame_obj(
-        VectorFrame(8, [QVector(v) for v in gen.standard_normal((48, 8, 4))])))
+    vectors = gen.standard_normal((49, 8, 4)) * np.r_[np.ones(48), 3.0][:, None, None]
+    write_document(path, vector_frame_obj(VectorFrame(8, [QVector(v) for v in vectors])))
     assert cli.main(["analyze", path]) == 0
     assert exactness_calls == Counter({"gram": 1, "eigvalsh": 1})
     assert '"is_exact": false' in capsys.readouterr().out
-    # frames of operators: the coordinate projectors P_i of H^4, as they are
-    # and as P_i U for a random unitary U (S = I and ||P_i||_F = 1, so only
-    # the trace bound keeps lambda_max(S_i) off 0), as V_i P_i for random V_i
-    # (g_i needs the eigensolve), and a basis of H^3 as members of 1 and 2
-    # rows with the 2-row member repeated
-    projectors = [QMatrix.from_real(np.diag(row)) for row in np.eye(4)]
-    unitary = orthonormalize(QMatrix(gen.standard_normal((4, 4, 4))))
-    basis = [QMatrix.from_real(rows) for rows in np.split(np.eye(3), [1])]
-    for members, exact in ((projectors, "true"),
-                           ([p @ unitary for p in projectors], "true"),
-                           ([QMatrix(gen.standard_normal((4, 4, 4))) @ p for p in projectors],
-                            "true"),
-                           (basis + basis[1:], "false")):
-        write_document(path, operator_frame_obj(OperatorFrame(members[0].cols, members)))
-        exactness_calls.clear()
-        assert cli.main(["analyze", path]) == 0
-        assert exactness_calls["cholesky"] <= 1 and exactness_calls["gram"] == 1
-        assert f'"is_exact": {exact}' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theorem, route", [

@@ -5,9 +5,9 @@ the source."""
 import ast
 import re
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
-from pathlib import Path
 
 from quatframes.fileio import MAX_DIM
 from quatframes.linalg import SINGULAR_RTOL
@@ -75,8 +75,9 @@ def test_frame_test_implies_the_singular_value_test():
 
 
 def test_exactness_band_is_wider_than_round_off():
-    # is_exact decides a deletion from S when its bracket clears the frame
-    # test by a factor of 2 either way (reporting._is_exact); the band that
-    # leaves, FRAME_TOL / 2 of lambda_max, must exceed the round-off of an
-    # eigensolve of S on H^n, about n eps lambda_max, for every n <= MAX_DIM
+    # is_exact certifies a deletion from the row norms and the bounds of S
+    # when they clear the frame test by a factor of 2 (reporting._is_exact);
+    # the margin that leaves, FRAME_TOL of lambda_max, must exceed the
+    # round-off of the eigensolves of S and of S with the member deleted on
+    # H^n, about n eps lambda_max each, for every n <= MAX_DIM
     assert MAX_DIM * np.finfo(float).eps < FRAME_TOL / 2
