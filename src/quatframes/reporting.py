@@ -147,12 +147,20 @@ def _refuse_scale(a: QMatrix, upper: float) -> None:
                         f"{upper:.3e}; rescale the input")
 
 
+def _gram_bounds(a: QMatrix) -> tuple[QMatrix, float, float]:
+    """S = A* A at raw scale and its extremal eigenvalues under _refuse_scale,
+    to which an S with an inf or nan entry, from an overflow, is one whose
+    largest eigenvalue is inf."""
+    s = gram(a)
+    lower, upper = extremal_eigenvalues(s) if np.isfinite(s.data).all() else (-inf, inf)
+    _refuse_scale(a, upper)
+    return s, lower, upper
+
+
 def frame_bounds(a: QMatrix) -> tuple[float, float]:
     """The extremal eigenvalues of S = A* A under _refuse_scale, (0, 0) for
-    an A of exactly 0; build_report applies the same rule to the S it keeps."""
-    lower, upper = extremal_eigenvalues(gram(a))
-    _refuse_scale(a, upper)
-    return lower, upper
+    an A of exactly 0; build_report reads the S it keeps the same way."""
+    return _gram_bounds(a)[1:]
 
 
 def _is_exact(a: QMatrix, dims, lower: float, upper: float) -> bool:
@@ -193,9 +201,7 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     undecided is re-solved with each member deleted in turn.
     An S out of scale raises NonFinite (_refuse_scale).
     """
-    s = gram(a)
-    lower, upper = extremal_eigenvalues(s)
-    _refuse_scale(a, upper)
+    s, lower, upper = _gram_bounds(a)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL

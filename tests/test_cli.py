@@ -9,8 +9,11 @@ import hashlib
 import io
 import json
 import operator
+import shutil
+import subprocess
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -206,19 +209,6 @@ def test_analyze_pseudo_checks(files, capsys):
     assert doc["seed"] == 0
 
 
-@pytest.mark.filterwarnings("error")
-def test_overflowing_pseudo_residual_exits_two(capsys, tmp_path):
-    # the residual of x = e_1 is 1e400 e_1, refused before LAPACK sees it
-    basis = [vector_obj(b * 1e200) for b in standard_basis(4)]
-    path = str(tmp_path / "huge_pseudo.json")
-    write_document(path, {"kind": "pseudo", "dim": 4, "analyzers": basis,
-                          "synthesizers": basis,
-                          "subspace": [vector_obj(standard_basis(4)[0])]})
-    code, out, err = run(capsys, "analyze", path)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_analyze_nonframe_still_reports(files, capsys):
     code, doc, _ = run_json(capsys, "analyze", files["not_frame"])
     assert code == 0
@@ -238,19 +228,6 @@ def test_analyze_tiny_orthonormal_basis_is_a_tight_frame(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "parseval", path,
                             "-o", str(tmp_path / "pv.json"))
     assert code == 0 and doc["bounds"] == [1, 1]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["analyze", "dual", "parseval"])
-def test_overflowing_frame_operator_exits_two(capsys, tmp_path, command):
-    # finite input whose frame operator overflows is refused before LAPACK
-    e1, e2 = standard_basis(2)
-    path = str(tmp_path / "huge.json")
-    write_document(path, vector_frame_obj(VectorFrame(2, [e1 * 1e200, e2])))
-    out_args = [] if command == "analyze" else ["-o", str(tmp_path / "out.json")]
-    code, out, err = run(capsys, command, path, *out_args)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -424,38 +401,12 @@ def test_frame_operator_underflowing_to_zero_is_refused(capsys, tmp_path, kind, 
     assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
 
 
-# the standard basis of H^2 times 1e-160, whose S = 1e-320 I is subnormal:
-# as pseudo analyzers and as one operator member
-SUBNORMAL_S_DOCS = {
-    "pseudo": {"kind": "pseudo", "dim": 2, "analyzers": tiny_basis(1e-160),
-               "synthesizers": tiny_basis(1e160), "subspace": tiny_basis(1.0)},
-    "operator": {"kind": "operator_frame", "dim": 2, "members": [
-        {"rows": 2, "cols": 2, "data": [v["data"] for v in tiny_basis(1e-160)]}]},
-}
-
-
-@pytest.mark.parametrize("kind, argv", [
-    ("pseudo", ["convert", "F", "-o", "OUT"]),
-    ("operator", ["stability", "F", "F", "--fit", "--theorem", "1"]),
-    ("operator", ["stability", "F", "F", "--fit", "--theorem", "2"]),
-], ids=["convert", "stability-t1", "stability-t2"])
-def test_subnormal_frame_operator_is_refused_by_convert_and_stability(
-        capsys, tmp_path, kind, argv):
-    # the bounds were printed as 9.99988867183e-321, digits of noise
-    path = str(tmp_path / "frame.json")
-    write_document(path, SUBNORMAL_S_DOCS[kind])
-    names = {"F": path, "OUT": str(tmp_path / "out.json")}
-    code, out, err = run(capsys, *(names.get(a, a) for a in argv))
-    assert code == 2 and out == ""
-    assert err.startswith("error: the frame operator underflows") and err.count("\n") == 1
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", [-600, -513, -511, -300, 0, 300, 511, 513])
 @pytest.mark.parametrize("kind", ["vector", "operator", "quasi"])
 def test_every_reader_of_s_answers_or_refuses_at_one_scale(capsys, tmp_path, kind, k):
     # S is about 4^k I: out of scale at most 2^-1024 and at inf, so -513 and
-    # 513 are refused and -511 and 511 are answered, by every command alike;
+    # 513 are refused in one wording and -511 and 511 answered, by every command alike;
     # parseval and convert need the one quasi projector 2^k I to sum to I,
     # which it does only at k = 0, so the quasi file is analyzed only
     basis = tiny_basis(2.0**k)
@@ -475,8 +426,9 @@ def test_every_reader_of_s_answers_or_refuses_at_one_scale(capsys, tmp_path, kin
     assert {code for code, _, _ in results} == {0 if -513 < k < 513 else 2}
     for code, out, err in results:
         assert (err == "") if code == 0 else (out == "" and err.count("\n") == 1)
-        if k < 0 and code:
-            assert err.startswith("error: the frame operator underflows")
+        if code:
+            side = "underflows" if k < 0 else "overflows: its largest eigenvalue is inf"
+            assert err.startswith(f"error: the frame operator {side}")
 
 
 def test_analyze_is_deterministic(files, capsys):
@@ -568,12 +520,7 @@ def test_convert_writes_each_fusion_member_on_its_subspace(capsys, tmp_path):
     subspace as one zero row; the written file reads back with the bounds
     convert printed."""
     path, out = str(tmp_path / "fusion.json"), str(tmp_path / "conv.json")
-    write_document(path, {"kind": "fusion", "dim": 2, "weights": [1.0, 2.0, 0.5],
-                          "subspaces": [
-                              [],
-                              [{"dim": 2, "data": [[1, 0, 0, 0], [1, 0, 0, 0]]}],
-                              [{"dim": 2, "data": [[0, 0, 0, 0], [0, 0, 0, 0]]},
-                               {"dim": 2, "data": [[0, 0, 0, 0], [0, 1, 0, 0]]}]]})
+    write_document(path, FILES["zero_subspace.json"])
     code, converted, _ = run_json(capsys, "convert", path, "-o", out)
     assert code == 0
     with open(out, encoding="utf-8") as handle:
@@ -737,21 +684,6 @@ IDENTITY_OP = {"kind": "operator_frame", "dim": 2, "members": [
                                     [[0, 0, 0, 0], [1, 0, 0, 0]]]}]}
 
 
-@pytest.mark.parametrize("flags", [
-    ["--mu", "1e200"], ["--lambda1", "0.5", "--mu", "1e300"],
-    ["--lambda1", "0.5", "--mu", "1e308"],
-], ids=" ".join)
-def test_stability_refuses_an_overflowing_predicted_bound(capsys, tmp_path, flags):
-    # r1 = r2 = 1, so the predicted bounds are about -mu^2 and mu^2; the
-    # refusal comes before the sampled test, whose mu * ||x|| would overflow
-    path = str(tmp_path / "op.json")
-    write_document(path, IDENTITY_OP)
-    code, out, err = run(capsys, "stability", path, path, *flags)
-    assert code == 2 and out == ""
-    assert err == ("error: predicted frame bound overflows; the constants are "
-                   "too large for these frame bounds\n")
-
-
 def identity_pair(tmp_path):
     """F = I and R = 2I on H^2, each one operator member: bounds (1, 1) and
     (4, 4), and ||A_F - A_R|| = 1."""
@@ -894,17 +826,6 @@ def test_reconstruct_needs_positive_count(files, capsys):
     assert code == 2
 
 
-# counts above MAX_DIM only: one at or just below it would allocate a
-# matrix of that many columns
-@pytest.mark.parametrize("count", [MAX_DIM + 1, 10**12])
-def test_reconstruct_refuses_a_count_above_max_dim(capsys, tmp_path, count):
-    path = str(tmp_path / "vf.json")
-    write_document(path, vector_frame_obj(VectorFrame(2, standard_basis(2))))
-    code, out, err = run(capsys, "reconstruct", path, "--random", str(count))
-    assert code == 2 and out == ""
-    assert err == f"error: --random needs a count of at most {MAX_DIM}\n"
-
-
 # ====== common ======
 
 def test_malformed_file_reports_location(capsys, tmp_path):
@@ -1035,11 +956,6 @@ def test_dim_bound_precedes_the_payload(capsys, tmp_path):
                           "members": [{"dim": 1, "data": [[True, 0, 0, 0]]}]})
     code, _, err = run(capsys, "analyze", path)
     assert code == 2 and err == f"error: frame.dim: must be <= {MAX_DIM}\n"
-
-
-def test_missing_file_is_usage_error(capsys, tmp_path):
-    code, _, _ = run(capsys, "analyze", str(tmp_path / "absent.json"))
-    assert code == 2
 
 
 def test_usage_error_from_argparse(files):
@@ -1450,3 +1366,215 @@ def test_mutated_documents_never_end_in_a_traceback(scratch, mutated_docs):
         for theorem in ("1", "2"):
             assert_ends_cleanly(["stability", *map(str, paths), "--theorem", theorem, "--fit"],
                                 reports_failure=True)
+
+
+# ====== the CLI table ======
+
+def h1(*quaternion):
+    """A vector frame of H^1 whose one member is the given quaternion."""
+    return {"kind": "vector_frame", "dim": 1, "members": [{"dim": 1, "data": [list(quaternion)]}]}
+
+
+def op(*rows):
+    """An operator frame of H^2 whose one member has the given rows."""
+    return {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": len(rows), "cols": 2, "data": list(rows)}]}
+
+
+ZERO = [0, 0, 0, 0]
+HUGE_BASIS4 = [vector_obj(b * 1e200) for b in standard_basis(4)]
+# each file a row names, as JSON or as the bytes written
+FILES = {
+    "bool.json": h1(0, True, 0, 0),
+    "false.json": h1(0.5, False, 0.25, 2),
+    "string.json": {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 1, "cols": 2, "data": [[[1, 0, 0, 0], [0, 0, "1.5", 0]]]}]},
+    "real.json": {"kind": "vector_frame", "dim": 2, "members": [
+        {"dim": 2, "data": [[0.5, 0, 0, 0], [1, 0, 0, 0]]},
+        {"dim": 2, "data": [ZERO, [-2.5, 0, 0, 0]]}]},
+    "no_payload.json": {"kind": "vector_frame", "dim": 10**30, "members": []},
+    "big_leaf.json": h1(2**64, 0, 0, 0),
+    "nan.json": h1(0, float("nan"), 0, 0),
+    "max_dim.json": {"kind": "vector_frame", "dim": 4097, "members": []},
+    "basis.json": {"kind": "vector_frame", "dim": 2, "members": [E1, E2]},
+    "big_dim_vector.json": {"dim": 2**64, "data": [[1, 0, 0, 0]]},
+    "escaped_kind.json": rb'{"kind": "vector_\u0066rame", "dim": 1, "members": '
+                         rb'[{"dim": 1, "data": [[1, 0, 0, 0]]}]}',
+    "op.json": IDENTITY_OP,
+    "deep.json": b"[" * 65 + b"]" * 65,
+    "op_scaled.json": op([[0.9, 0, 0, 0], ZERO], [ZERO, [0.9, 0, 0, 0]]),
+    "subnormal_s.json": op([[1e-160, 0, 0, 0], [0, 5e-161, 0, 0]], [ZERO, [2e-160, 0, 0, 0]]),
+    "zero_s.json": ZERO_S_DOCS["vector"],
+    # the standard basis of H^2 times 1e-160 as pseudo analyzers, and as one operator member
+    "subnormal_pseudo.json": {"kind": "pseudo", "dim": 2, "analyzers": tiny_basis(1e-160),
+                              "synthesizers": tiny_basis(1e160), "subspace": tiny_basis(1.0)},
+    "subnormal_op.json": op([[1e-160, 0, 0, 0], ZERO], [ZERO, [1e-160, 0, 0, 0]]),
+    "huge_residual.json": HUGE_RESIDUAL_PSEUDO,
+    "huge_pseudo.json": json_doc({"kind": "pseudo", "dim": 4, "analyzers": HUGE_BASIS4,
+                                  "synthesizers": HUGE_BASIS4,
+                                  "subspace": [vector_obj(standard_basis(4)[0])]}),
+    "huge_quasi.json": HUGE_DEFECT_QUASI,
+    "subnormal.json": SUBNORMAL_DOCS["pseudo"],
+    "zero_subspace.json": {"kind": "fusion", "dim": 2, "weights": [1, 2, 0.5], "subspaces": [
+        [], [{"dim": 2, "data": [[1, 0, 0, 0], [1, 0, 0, 0]]}],
+        [{"dim": 2, "data": [ZERO, ZERO]}, {"dim": 2, "data": [ZERO, [0, 1, 0, 0]]}]]},
+    "ragged.json": {"kind": "fusion", "dim": 3, "weights": [1, 2, 0.5], "subspaces": [
+        [], [{"dim": 3, "data": [[1, 0, 0, 0], ZERO, ZERO]}],
+        [{"dim": 3, "data": [ZERO, [1, 2, 0, 0], [0, 0, 1, 0]]},
+         {"dim": 3, "data": [ZERO, ZERO, [0, 0, 0, 3]]},
+         {"dim": 3, "data": [ZERO, [-2.5, -5, 0, 0], [0, 0, -2.5, 0]]}]]},
+    # each S has an entry that overflows, near 1e400 or 1e320
+    "huge.json": {"kind": "vector_frame", "dim": 2, "members": [
+        {"dim": 2, "data": [[1e200, 0, 0, 0], ZERO]}, E2]},
+    "huge_op.json": op([[1e200, 0, 0, 0], ZERO], [ZERO, [1, 0, 0, 0]]),
+    "huge_fusion.json": {"kind": "fusion", "dim": 2, "weights": [1e160, 1],
+                         "subspaces": [[E1], [E2]]},
+}
+TEXT = {name: doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        for name, doc in FILES.items()}
+DIGEST = {name: hashlib.sha256(text).hexdigest() for name, text in TEXT.items()}
+UNDERFLOWS = "error: the frame operator underflows: its largest eigenvalue is %s; rescale the input"
+OVERFLOWS = "error: the frame operator overflows: its largest eigenvalue is inf; rescale the input"
+
+
+class Case(NamedTuple):
+    """Why the row is here; its command line, run in a directory holding
+    the FILES it names ("first; last" runs first, which must exit 0 with
+    an empty stderr); the exit code; the one stderr line, "" for none; and
+    stdout substrings, in which %(name)s is the sha256 of FILES[name]."""
+
+    why: str
+    argv: str
+    code: int = 2
+    err: str = ""
+    out: tuple = ()
+
+
+def refused(why, err, *argvs):
+    return [Case(why, argv, 2, err) for argv in argvs]
+
+
+CASES = [
+    Case("a file that is not there is a usage error", "analyze missing.json",
+         err="error: [Errno 2] No such file or directory: 'missing.json'"),
+    Case("a bool is not a number", "analyze bool.json",
+         err="error: frame.members[0].data[0][1]: expected a number"),
+    Case("the reader checks the types of the leaves it reads as 0 or 1, one of which a bool "
+         "reads as", "analyze false.json",
+         err="error: frame.members[0].data[0][1]: expected a number"),
+    Case('"1.5" is a string, not a number', "analyze string.json",
+         err="error: frame.members[0].data[0][1][2]: expected a number"),
+    Case("three leaves in four of a real-valued frame read as 0, so every leaf's type is checked",
+         "analyze real.json", 0, out=('"is_frame": true',)),
+    Case("no vector or matrix fixes this dim, which no array could have; orjson reads this "
+         "integer literal as a float, which the reader refuses, so json re-reads the file and "
+         "the refusal is json's", "analyze no_payload.json",
+         err="error: frame.dim: must be <= 4096"),
+    Case("orjson reads this leaf as the float json's integer reads as: 2^64, S = 2^128",
+         "analyze big_leaf.json", 0, out=('"bounds": [3.40282366921e+38, 3.40282366921e+38]',)),
+    Case("json reads the NaN token that orjson refuses; the reader refuses it at its path",
+         "analyze nan.json",
+         err="error: frame.members[0].data[0][1]: expected a finite number, got nan"),
+    Case("one above fileio.MAX_DIM (4096): refused by the bound, before the payload",
+         "analyze max_dim.json", err="error: frame.dim: must be <= 4096"),
+    *refused("counts above MAX_DIM only, as one at or just below it would allocate a matrix of "
+             "that many columns; 10^12 random vectors of H^2 would take 58 TiB, and the count "
+             "is refused first", "error: --random needs a count of at most 4096",
+             "reconstruct basis.json --random 4097",
+             "reconstruct basis.json --random 1000000000000"),
+    Case("a vector file's dim that orjson reads as a float is refused, and json's re-read words "
+         'the refusal ("expected an integer" otherwise)',
+         "reconstruct basis.json --vector big_dim_vector.json",
+         err="error: vector.data: declared dim 18446744073709551616 but has 1 entries"),
+    Case("numpy's generator takes no negative seed", "reconstruct basis.json --random 2 --seed -1",
+         err="error: --seed must be nonnegative"),
+    Case("reconstruction goes through the library's reconstruct on all 3 columns at once",
+         "reconstruct basis.json --random 3", 0, out=('"ok": true',)),
+    Case("a kind spelled with a string escape reads as json reads it",
+         "analyze escaped_kind.json", 0, out=('"kind": "vector_frame"',)),
+    *refused("the identity as one operator member: theorem 1 predicts about -mu^2 and mu^2, which "
+             "overflow; the refusal comes before the sampled test, whose mu * ||x|| would overflow",
+             "error: predicted frame bound overflows; the constants are too large for these frame "
+             "bounds", "stability op.json op.json --mu 1e200",
+             "stability op.json op.json --lambda1 0.5 --mu 1e300",
+             "stability op.json op.json --lambda1 0.5 --mu 1e308"),
+    Case("valid JSON nested 65 deep: refused for its depth, whatever the stack",
+         "analyze deep.json",
+         err="error: deep.json: arrays and objects nest deeper than 64 levels"),
+    *(Case("each printed input digest is the sha256 of the bytes the command read", argv, 0,
+           out=out) for argv, out in (
+        ("analyze basis.json", ('"input_digest": "%(basis.json)s"',)),
+        ("stability op.json op_scaled.json --fit",
+         ('"input_digest_f": "%(op.json)s"', '"input_digest_r": "%(op_scaled.json)s"')))),
+    Case("the same file twice is read once, and both digests are its own",
+         "stability op.json op.json --fit", 0,
+         out=('"input_digest_f": "%(op.json)s"', '"input_digest_r": "%(op.json)s"')),
+    *(Case("the Parseval normalization and the dual of 0.9 I come from one eigendecomposition of "
+           "S, and read back as Parseval and as tight", argv, 0, out=(out,)) for argv, out in (
+        ("parseval op_scaled.json --out p.json; analyze p.json", '"is_parseval": true'),
+        ("dual op_scaled.json --out d.json; analyze d.json", '"is_tight": true'))),
+    *refused("entries near 1e-160 give a frame operator near 1e-320, below the smallest normal "
+             "float, whose few digits cannot classify or whiten it", UNDERFLOWS % "4.325e-320",
+             "parseval subnormal_s.json --out parseval.json", "analyze subnormal_s.json"),
+    *refused("the standard basis of H^2 times 1e-170, a tight frame whose S of 1e-340 I underflows "
+             'to exactly 0: refused, not called "not a frame"', UNDERFLOWS % "0.000e+00",
+             "analyze zero_s.json", "parseval zero_s.json --out parseval.json"),
+    *refused("analyzers 1e-160 (e1, e2) restricted to span(e1, e2), and the same as one operator "
+             "member, have S = 1e-320 I: convert and stability refuse it as analyze does, not "
+             "printing noise such as 9.99988867183e-321 for bounds", UNDERFLOWS % "1.000e-320",
+             "convert subnormal_pseudo.json --out converted.json",
+             "stability subnormal_op.json subnormal_op.json --fit --theorem 1",
+             "stability subnormal_op.json subnormal_op.json --fit --theorem 2"),
+    Case("every entry of the pseudo residual (Psi Phi - I) B is finite, but its largest singular "
+         "value overflows", "analyze huge_residual.json",
+         err="error: pseudo-frame residual norm overflows; rescale the input"),
+    Case("the residual of x = e_1 is 1e400 e_1, refused before LAPACK sees it",
+         "analyze huge_pseudo.json",
+         err="error: matrix has inf or nan entries, such as from an overflow; rescale the input"),
+    Case("P - P* of this projector overflows, so self-adjointness is decided on P scaled below 1, "
+         "with no numpy warning on stderr", "analyze huge_quasi.json", err=OVERFLOWS),
+    Case("a subspace spanned by a vector of norm 1e-320, whose reciprocal overflows: Gram-Schmidt "
+         "must still normalize it, without a warning", "analyze subnormal.json", 0,
+         out=('"holds": true',)),
+    Case("a fusion file with a {0} subspace: convert writes it as one zero row, the zero map into "
+         "H^1, and the written file must read back",
+         "convert zero_subspace.json --out zero.op.json; analyze zero.op.json", 0),
+    *(Case("a ragged fusion file, subspaces of widths 0, 1 and 3 whose third column is a real "
+           "multiple of the first: Gram-Schmidt sweeps every width of the file at once, and the "
+           "written operator frame reads back", argv, 0, out=out) for argv, out in (
+        ("analyze ragged.json", ('"is_frame": true',)),
+        ("convert ragged.json --out ragged.op.json; analyze ragged.op.json", ()))),
+    *refused("finite input whose frame operator overflows is refused before LAPACK, by the one "
+             "scale rule of every command that reads S", OVERFLOWS,
+             "analyze huge.json", "dual huge.json --out d.json", "parseval huge.json --out p.json",
+             "reconstruct huge.json --random 2", "analyze huge_op.json",
+             "stability huge_op.json huge_op.json --fit", "analyze huge_fusion.json",
+             "convert huge_fusion.json --out c.json"),
+]
+
+
+# the console script that `pip install` puts on PATH, if any
+SCRIPT = shutil.which("quatframes")
+
+
+def script(*argv):
+    done = subprocess.run([SCRIPT, *argv], capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.argv)
+def test_cli_case(case, capsys, monkeypatch, tmp_path):
+    """The row holds through cli.main, and through the installed script."""
+    monkeypatch.chdir(tmp_path)
+    for name in TEXT.keys() & set(case.argv.split()):
+        Path(name).write_bytes(TEXT[name])
+    *first, last = case.argv.split("; ")
+    for runner in [lambda *argv: run(capsys, *argv)] + ([script] if SCRIPT else []):
+        for argv in first:
+            assert runner(*argv.split())[::2] == (0, ""), case.why
+        code, out, err = runner(*last.split())
+        assert (code, err) == (case.code, case.err and case.err + "\n"), case.why
+        assert not (case.err and out), case.why
+        for want in case.out:
+            assert want % DIGEST in out, case.why

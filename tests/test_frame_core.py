@@ -58,6 +58,7 @@ from quatframes.reporting import (
     _refuse_scale,
     _require_frame,
     analysis,
+    build_report,
     dual_rows,
     extremal_eigenvalues,
     frame_bounds,
@@ -368,6 +369,23 @@ def test_quasi_structure_checks_match_projector_loop(system):
 @given(families(), st.integers(-8, 8))
 def test_flags_invariant_under_scaling(f, k):
     assert flags(scaled(f, 10.0 ** k)) == flags(f)
+
+
+@EXAMPLES
+@given(families(), st.integers(-60, 60))
+def test_power_of_two_scaling_is_exact(f, k):
+    # 2^k scales every entry, product and eigenvalue without rounding, so
+    # the bounds scale by 4^k and the rest is the same bit for bit
+    a, dims = f.analysis_matrix(), f.codomain_dims
+    big = QMatrix(np.ldexp(a.data, k))
+    assert frame_bounds(big) == tuple(np.ldexp(frame_bounds(a), 2 * k))
+    small, large = build_report(a, dims), build_report(big, dims)
+    # all flags but is_parseval, which reads the bounds that 2^k moves off 1
+    assert ((large.is_frame, large.is_tight, large.is_exact)
+            == (small.is_frame, small.is_tight, small.is_exact))
+    if small.is_frame:
+        assert np.array_equal(parseval_rows(big).data, parseval_rows(a).data)
+        assert np.array_equal(dual_rows(big).data, np.ldexp(dual_rows(a).data, -k))
 
 
 @EXAMPLES
