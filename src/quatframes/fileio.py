@@ -53,7 +53,6 @@ from .errors import ParseError, QuatFramesError, ValidationError
 from .generalizations import FusionFrame, PseudoFramePair, QuasiProjectorSystem
 from .linalg import QMatrix, QVector, _conj4
 from .operator_frames import OperatorFrame
-from .quaternion import Quaternion
 from .reporting import split_rows
 from .vector_frames import VectorFrame
 
@@ -111,21 +110,14 @@ def _as_count(value: Any, where: str) -> int:
     return value
 
 
-def _quaternion_parts(obj: Any, where: str) -> list[float]:
-    if not isinstance(obj, list) or len(obj) != 4:
-        raise ParseError(f"{where}: a quaternion is a 4-array [r0, r1, r2, r3]")
-    return [_as_real(c, f"{where}[{k}]") for k, c in enumerate(obj)]
-
-
-def parse_quaternion(obj: Any, where: str) -> Quaternion:
-    return Quaternion(*_quaternion_parts(obj, where))
-
-
 def _walk(data: Any, axes: tuple[str, ...], shape: tuple[int, ...], where: str) -> None:
     """Raise at the first entry of `data`, depth first, that is not an
     array of the declared length along `axes` or a quaternion."""
     if not axes:
-        _quaternion_parts(data, where)
+        if not isinstance(data, list) or len(data) != 4:
+            raise ParseError(f"{where}: a quaternion is a 4-array [r0, r1, r2, r3]")
+        for k, c in enumerate(data):
+            _as_real(c, f"{where}[{k}]")
         return
     if not isinstance(data, list):
         raise ParseError(f"{where}: expected an array")

@@ -30,8 +30,8 @@ from .errors import (
 from .linalg import (
     QMatrix,
     _conj4,
-    _finite_chi,
     _unit,
+    complex_adjoint_rep,
     frobenius_distance,
     orthonormalize,
     orthonormalize_each,
@@ -158,7 +158,8 @@ def pseudo_frame_check(pair: PseudoFramePair) -> PseudoCheck:
         return PseudoCheck(holds=True, max_residual=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = pair.synthesis @ (pair.analysis_matrix() @ b) - b
-    max_residual = float(np.linalg.norm(_finite_chi(residual), 2))
+    max_residual = (float(np.linalg.norm(complex_adjoint_rep(residual), 2))
+                    if np.isfinite(residual.data).all() else np.inf)
     if not np.isfinite(max_residual):
         raise NonFinite("pseudo-frame residual norm overflows; rescale the input")
     return PseudoCheck(holds=max_residual <= PSEUDO_TOL,
@@ -176,7 +177,7 @@ def pseudo_to_op_frame(pair: PseudoFramePair) -> OperatorFrame:
     if not pair.basis.cols:
         raise NotAFrameOnSubspace("subspace is trivial")
     # on coordinates c against the basis, <x_a|sum_k b_k c_k> is the row
-    # of entries <x_a|b_k> acting from the left (the eigensolve refuses inf)
+    # of entries <x_a|b_k> acting from the left (frame_bounds refuses inf)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = pair.analysis_matrix() @ pair.basis
     if not has_frame_bounds(*frame_bounds(rows)):

@@ -147,46 +147,49 @@ def _refuse_scale(a: QMatrix, upper: float) -> None:
                         f"{upper:.3e}; rescale the input")
 
 
-def _gram_bounds(a: QMatrix) -> tuple[QMatrix, float, float]:
-    """S = A* A at raw scale and its extremal eigenvalues under _refuse_scale,
-    to which an S with an inf or nan entry, from an overflow, is one whose
-    largest eigenvalue is inf."""
-    s = gram(a)
-    lower, upper = extremal_eigenvalues(s) if np.isfinite(s.data).all() else (-inf, inf)
+def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, QMatrix]:
+    """U = A / 2^e (linalg._unit), e, and S_u = U* U = S / 4^e, in which no
+    product of entries under- or overflows.  An A with an inf or nan entry,
+    from an overflow, has lambda_max(S) = inf, and _refuse_scale refuses it."""
+    if not np.isfinite(a.data).all():
+        _refuse_scale(a, inf)
+    unit, exp = _unit(a.data)
+    u = QMatrix(unit)
+    return u, exp.item(), gram(u)
+
+
+def _scaled_bounds(a: QMatrix, exp: int, vals: np.ndarray) -> tuple[float, float]:
+    """4^e vals[0] and 4^e vals[-1], the bounds of S from S_u's, under _refuse_scale."""
+    with np.errstate(over="ignore"):  # an S that overflows is refused next
+        lower, upper = (float(x) for x in np.ldexp(vals[[0, -1]], 2 * exp))
     _refuse_scale(a, upper)
-    return s, lower, upper
+    return lower, upper
 
 
 def frame_bounds(a: QMatrix) -> tuple[float, float]:
-    """The extremal eigenvalues of S = A* A under _refuse_scale, (0, 0) for
-    an A of exactly 0; build_report reads the S it keeps the same way."""
-    return _gram_bounds(a)[1:]
+    """The extremal eigenvalues of S = A* A under _refuse_scale; (0, 0) for A = 0."""
+    _, exp, s = _unit_gram(a)
+    return _scaled_bounds(a, exp, hermitian_eigenvalues(s))
 
 
-def _is_exact(a: QMatrix, dims, lower: float, upper: float) -> bool:
-    """Whether no member of the frame with stacked analysis matrix a and
-    bounds (lower, upper) can be deleted with the rest still passing the
-    frame test.  Deleting member i leaves S_i = S - A_i* A_i, with
-    lambda_max(S_i) <= upper and, by Weyl's inequality,
-
-        lambda_min(S_i) >= lower - ||A_i||_F^2.
-
-    So when the row norms, taken at unit scale, put that above 2 FRAME_TOL
-    upper for some member, the family is not exact: the factor 2 is far
-    wider than the round-off of the eigensolves of S and of S_i, and a
-    member whose deletion leaves fewer rows than n, so a singular S_i,
-    never passes.  Otherwise each member is deleted in turn and the S_i of
-    the rest solved.
-    """
-    unit, exp = _unit(a.data)
-    lo, hi = np.ldexp([lower, upper], -2 * exp.item())
+def _is_exact(u: QMatrix, dims, lower: float, upper: float) -> bool:
+    """Whether no member of the frame with stacked analysis matrix u and
+    bounds (lower, upper), both at unit scale (_unit_gram), can be deleted
+    with the rest still passing the frame test.  Deleting member i leaves
+    S_i = S_u - U_i* U_i, with lambda_max(S_i) <= upper and, by Weyl's
+    inequality, lambda_min(S_i) >= lower - ||U_i||_F^2.  When the row norms
+    put that above 2 FRAME_TOL upper for some member, the family is not
+    exact: the factor 2 is far wider than the round-off of the eigensolves
+    of S_u and of S_i, and a member whose deletion leaves fewer rows than
+    n, so a singular S_i, never passes.  Otherwise each member is deleted
+    in turn and the S_i of the rest solved."""
     norms = np.bincount(np.repeat(np.arange(len(dims)), dims),
-                        (unit * unit).sum(axis=(1, 2)), len(dims))
-    if lo - norms.min() > 2 * FRAME_TOL * hi:
+                        (u.data * u.data).sum(axis=(1, 2)), len(dims))
+    if lower - norms.min() > 2 * FRAME_TOL * upper:
         return False
     # fewer rows than the space dimension cannot span it
-    return not any(a.rows - d >= a.cols and has_frame_bounds(*extremal_eigenvalues(gram(
-        QMatrix(np.delete(a.data, slice(stop - d, stop), axis=0)))))
+    return not any(u.rows - d >= u.cols and has_frame_bounds(*extremal_eigenvalues(gram(
+        QMatrix(np.delete(u.data, slice(stop - d, stop), axis=0)))))
         for d, stop in zip(dims, np.cumsum(dims, dtype=int)))
 
 
@@ -199,17 +202,19 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     frame test.  The row norms and the bounds of S certify most redundant
     families without rebuilding S (_is_exact); only a family they leave
     undecided is re-solved with each member deleted in turn.
-    An S out of scale raises NonFinite (_refuse_scale).
+    S is read at unit scale; one out of scale raises NonFinite (_refuse_scale).
     """
-    s, lower, upper = _gram_bounds(a)
+    u, exp, s = _unit_gram(a)
+    vals = hermitian_eigenvalues(s)
+    lower, upper = _scaled_bounds(a, exp, vals)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
     is_parseval = is_tight and abs(lower - 1.0) <= TIGHT_RTOL
-    is_exact = is_frame and len(dims) > 0 and _is_exact(a, dims, lower, upper)
+    is_exact = is_frame and len(dims) > 0 and _is_exact(u, dims, vals[0], vals[-1])
     return FrameReport(lower=lower, upper=upper, is_bessel=True,
                        is_frame=is_frame, is_tight=is_tight,
                        is_parseval=is_parseval, is_exact=is_exact,
-                       frame_operator=s)
+                       frame_operator=QMatrix(np.ldexp(s.data, 2 * exp)))
 
 
 def _require_frame(lower: float, upper: float) -> None:
@@ -220,7 +225,7 @@ def _require_frame(lower: float, upper: float) -> None:
 
 def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     """A S^-1/2 with parseval, else A S^-1, from the one eigendecomposition
-    chi(S_u) = v diag(w) v* of S_u = U* U at unit scale, U = A / 2^e: as
+    chi(S_u) = v diag(w) v* of S_u = U* U at unit scale (_unit_gram): as
     S = 4^e S_u, A S^-1 = 2^-e U S_u^-1 and A S^-1/2 = U S_u^-1/2.
 
     The bounds 4^e w are held to _refuse_scale, then to the frame test
@@ -229,14 +234,9 @@ def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the frame test implies
     the one inverse_matrix applies.
     """
-    unit, exp = _unit(a.data)
-    e = exp.item()
-    u = QMatrix(unit)
-    w, v = np.linalg.eigh(_hermitian_chi(gram(u)))
-    with np.errstate(over="ignore"):  # an S that overflows is refused next
-        lower, upper = (float(x) for x in np.ldexp(_collapse_pairs(w)[[0, -1]], 2 * e))
-    _refuse_scale(a, upper)
-    _require_frame(lower, upper)
+    u, e, s = _unit_gram(a)
+    w, v = np.linalg.eigh(_hermitian_chi(s))
+    _require_frame(*_scaled_bounds(a, e, _collapse_pairs(w)))
     m = (v * (1.0 / (np.sqrt(w) if parseval else w))) @ v.conj().T
     rows = u @ _from_complex_blocks(_midpoint(m, m.conj().T))
     return rows if parseval else QMatrix(np.ldexp(rows.data, -e))

@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, InvalidParams, NotAFrame
 from .linalg import hermitian_eigenvalues
-from .operator_frames import OperatorFrame, op_frame_operator
-from .reporting import frame_bounds, has_frame_bounds
+from .operator_frames import OperatorFrame
+from .reporting import _refuse_scale, _unit_gram, frame_bounds, has_frame_bounds
 from .sampling import random_columns
 
 # relative slack of the sampled hypothesis and of the predicted-vs-measured
@@ -151,12 +151,18 @@ def difference_frame(f: OperatorFrame, r: OperatorFrame) -> OperatorFrame:
 
 @lru_cache(maxsize=1)
 def _difference_norm(f: OperatorFrame, r: OperatorFrame) -> float:
-    """||A_F - A_R||, the square root of the top eigenvalue of the Gram
-    operator of the differences.  Frames are read-only, so the last pair's
-    norm is kept: a fit and the check that follows it compute it once."""
-    top = hermitian_eigenvalues(op_frame_operator(difference_frame(f, r)))[-1]
+    """||D|| = 2^e sqrt(lambda_max(S_u)) for D = A_F - A_R at unit scale
+    (reporting._unit_gram), where D* D neither under- nor overflows.  Frames
+    are read-only, so the last pair's norm is kept: a fit and the check that
+    follows it compute it once."""
+    d = difference_frame(f, r).analysis_matrix()
+    _, exp, s = _unit_gram(d)
     # the Gram operator is positive; tiny negatives are rounding
-    return sqrt(max(top, 0.0))
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(sqrt(max(hermitian_eigenvalues(s)[-1], 0.0)), exp))
+    if norm == inf:  # then so is lambda_max(S) of F or of R
+        _refuse_scale(d, norm)
+    return norm
 
 
 def fit_params_t1(f: OperatorFrame, r: OperatorFrame) -> Theorem1Params:

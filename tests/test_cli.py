@@ -1429,6 +1429,20 @@ FILES = {
     "huge_op.json": op([[1e200, 0, 0, 0], ZERO], [ZERO, [1, 0, 0, 0]]),
     "huge_fusion.json": {"kind": "fusion", "dim": 2, "weights": [1e160, 1],
                          "subspaces": [[E1], [E2]]},
+    # analyzer (1.7e308, 1.7e308) on the span of (1, 1): Phi B has the entry 2.4e308
+    "huge_restriction.json": {"kind": "pseudo", "dim": 2,
+                              "analyzers": [{"dim": 2, "data": [[1.7e308, 0, 0, 0]] * 2}],
+                              "synthesizers": [{"dim": 2, "data": [ZERO, ZERO]}],
+                              "subspace": [{"dim": 2, "data": [[1, 0, 0, 0]] * 2}]},
+    # the identity of op.json with entry (0, 1) set to 1e-170 or 1e-160
+    "bump170.json": op([[1, 0, 0, 0], [1e-170, 0, 0, 0]], [ZERO, [1, 0, 0, 0]]),
+    "bump160.json": op([[1, 0, 0, 0], [1e-160, 0, 0, 0]], [ZERO, [1, 0, 0, 0]]),
+    # 1e154 I and -1e154 I
+    "big_op.json": op([[1e154, 0, 0, 0], ZERO], [ZERO, [1e154, 0, 0, 0]]),
+    "big_neg_op.json": op([[-1e154, 0, 0, 0], ZERO], [ZERO, [-1e154, 0, 0, 0]]),
+    # an entry of modulus 2.1e308, which overflows though its parts do not, and the zero family
+    "huge_entry_op.json": op([[1.5e308, 1.5e308, 0, 0], ZERO], [ZERO, [1, 0, 0, 0]]),
+    "zero_op.json": op([ZERO, ZERO], [ZERO, ZERO]),
 }
 TEXT = {name: doc if isinstance(doc, bytes) else json.dumps(doc).encode()
         for name, doc in FILES.items()}
@@ -1528,9 +1542,9 @@ CASES = [
     Case("every entry of the pseudo residual (Psi Phi - I) B is finite, but its largest singular "
          "value overflows", "analyze huge_residual.json",
          err="error: pseudo-frame residual norm overflows; rescale the input"),
-    Case("the residual of x = e_1 is 1e400 e_1, refused before LAPACK sees it",
+    Case("the residual of x = e_1 is 1e400 e_1, an entry that overflows, so its norm does too",
          "analyze huge_pseudo.json",
-         err="error: matrix has inf or nan entries, such as from an overflow; rescale the input"),
+         err="error: pseudo-frame residual norm overflows; rescale the input"),
     Case("P - P* of this projector overflows, so self-adjointness is decided on P scaled below 1, "
          "with no numpy warning on stderr", "analyze huge_quasi.json", err=OVERFLOWS),
     Case("a subspace spanned by a vector of norm 1e-320, whose reciprocal overflows: Gram-Schmidt "
@@ -1550,6 +1564,25 @@ CASES = [
              "reconstruct huge.json --random 2", "analyze huge_op.json",
              "stability huge_op.json huge_op.json --fit", "analyze huge_fusion.json",
              "convert huge_fusion.json --out c.json"),
+    Case("the analyzers restricted to the subspace have an entry that overflows: the one scale "
+         "rule refuses it as an S that overflows, before any product of it is formed",
+         "convert huge_restriction.json --out c.json", err=OVERFLOWS),
+    *(Case("R is F = I with entry (0, 1) = 1e-170 or 1e-160, and ||A_F - A_R|| is that entry: "
+           "read at unit scale, where D* D does not underflow to 0 or lose digits", argv, code,
+           out=(out,)) for argv, code, out in (
+        ("stability op.json bump170.json --mu 0", 1, '"hypothesis_ok": false'),
+        ("stability op.json bump170.json --fit", 0, '"mu": 1e-170'),
+        ("stability op.json bump160.json --fit", 0, '"mu": 1e-160'))),
+    *(Case("F = 1e154 I and R = -F: ||A_F - A_R|| = 2e154, whose square overflows, is read at "
+           "unit scale, and each theorem refuses mu / sqrt(r1) = 2 by its own rule",
+           f"stability big_op.json big_neg_op.json --fit --theorem {theorem}", err=err)
+      for theorem, err in (
+        ("1", "error: predicted frame bound overflows; the constants are too large for these "
+              "frame bounds"),
+        ("2", "error: (lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem"))),
+    Case("||A_F - A_R|| is above the largest float, and so is lambda_max(S) of F: the fit refuses "
+         "it by the one scale rule", "stability huge_entry_op.json zero_op.json --fit",
+         err=OVERFLOWS),
 ]
 
 

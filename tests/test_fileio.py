@@ -35,7 +35,6 @@ from quatframes.fileio import (
     operator_frame_obj,
     parse_frame,
     parse_matrix,
-    parse_quaternion,
     parse_vector,
     vector_frame_obj,
     vector_obj,
@@ -55,15 +54,15 @@ def vec_obj(v):
 # ====== parsing ======
 
 def test_quaternion_round_trip():
-    q = parse_quaternion([1, -2.5, 0, 4], "q")
-    assert q == Quaternion(1.0, -2.5, 0.0, 4.0)
+    v = parse_vector({"dim": 1, "data": [[1, -2.5, 0, 4]]}, "v")
+    assert v[0] == Quaternion(1.0, -2.5, 0.0, 4.0)
 
 
 @pytest.mark.parametrize("bad", [[1, 2, 3], [1, 2, 3, 4, 5], "1+2i", {"r0": 1},
                                  [1, 2, 3, True], [1, None, 3, 4]])
 def test_quaternion_rejects_malformed(bad):
     with pytest.raises(ParseError):
-        parse_quaternion(bad, "q")
+        parse_vector({"dim": 1, "data": [bad]}, "v")
 
 
 def test_vector_parses_and_checks_dim():

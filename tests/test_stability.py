@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -65,6 +65,20 @@ def test_fit_single_member_difference_is_its_norm():
     r = OperatorFrame(3, [eye - bump])
     assert abs(fit_params_t1(f, r).mu - delta) <= 1e-12
     assert abs(fit_params_t2(f, r).mu - delta) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-560, 560))
+@example(0, -560)
+@example(0, 560)
+def test_fitted_mu_scales_with_the_pair_at_any_scale(seed, k):
+    # 2^k scales the difference D exactly, and ||D|| is read at unit scale,
+    # so mu scales by 2^k bit for bit, also where D* D under- or overflows
+    gen = np.random.default_rng(seed)
+    f = random_operator_frame(gen, 3, [1, 2, 2])
+    r = OperatorFrame(3, [m + random_qmatrix(gen, m.rows, 3) * 1e-3 for m in f.members])
+    mu = fit_params_t1(f, r).mu
+    assert fit_params_t1(scaled(f, 2.0**k), scaled(r, 2.0**k)).mu == np.ldexp(mu, k)
 
 
 def test_difference_frame_shape_checks():
