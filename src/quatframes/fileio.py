@@ -110,6 +110,13 @@ def _as_count(value: Any, where: str) -> int:
     return value
 
 
+def _as_weight(value: Any, where: str) -> float:
+    weight = _as_real(value, where)
+    if not weight > 0.0:
+        raise ValidationError(f"{where}: must be > 0")
+    return weight
+
+
 def _walk(data: Any, axes: tuple[str, ...], shape: tuple[int, ...], where: str) -> None:
     """Raise at the first entry of `data`, depth first, that is not an
     array of the declared length along `axes` or a quaternion."""
@@ -260,7 +267,7 @@ def parse_frame(obj: Any):
         weights_raw = _require(obj, "weights", "frame")
         if not isinstance(weights_raw, list):
             raise ParseError("frame.weights: expected an array")
-        weights = [_as_real(w, f"frame.weights[{k}]")
+        weights = [_as_weight(w, f"frame.weights[{k}]")
                    for k, w in enumerate(weights_raw)]
         subs_raw = _require(obj, "subspaces", "frame")
         if not isinstance(subs_raw, list):
@@ -391,7 +398,6 @@ def _scalar(value: Any) -> str | None:
         return "%.12g" % (value + 0.0)
     if isinstance(value, str):
         return json.dumps(value)
-    return None
 
 
 def _array_text(a: np.ndarray, pad: str) -> str:
@@ -427,9 +433,6 @@ def _emit(value: Any, indent: int, out: list[str]) -> None:
         out.append(_array_text(value, pad))
         return
     if isinstance(value, (list, tuple, np.ndarray)):
-        if not len(value):
-            out.append("[]")
-            return
         parts = [_scalar(entry) for entry in value]
         if all(p is not None for p in parts):
             out.append("[" + ", ".join(parts) + "]")

@@ -448,54 +448,46 @@ def _gram_schmidt(columns: np.ndarray, widths, drop_tol: float) -> tuple[np.ndar
     number it keeps of each set.
 
     The chi column c = [u1; -conj(u2)] of u = u1 + u2*j and its partner
-    [u2; conj(u1)] span the right multiples u*q.  One sweep per width takes
-    candidate j of every set of that width at once: scaled by a power of two
-    to unit size, exactly, so that no digit is lost at any scale, then
-    projected twice off the columns its set has kept and their partners.  It
-    is dropped when its residual norm is at most drop_tol times its norm or
-    its set spans H^n already; else the normalized residual and its partner
-    are kept, in a workspace of 2 min(width, n + 1) columns per set.  Every
-    set projects off the first 2 min(j, n) workspace columns, zero beyond
-    its kept ones, so a set gets the same basis swept alone or with others.
-    The sweep ends once every set spans H^n.
+    [u2; conj(u1)] span the right multiples u*q.  One sweep over the
+    candidate index j takes candidate j of every set that has one and does
+    not span H^n yet, all at once: scaled by a power of two to unit size,
+    exactly, so that no digit is lost at any scale, then projected twice off
+    the columns its set has kept and their partners.  It is dropped when
+    its residual norm is at most drop_tol times its norm; else the
+    normalized residual and its partner are kept, in the workspace slot of
+    the set's next kept column, one slot per candidate.  Every set projects
+    off its first min(j, n) slots, zero beyond its kept ones, so a set gets
+    the same basis swept alone or with others, and the sweep does the work
+    of each set only while it has candidates left and does not span H^n.
     """
     widths = np.asarray(widths, dtype=int)
-    n = columns.shape[1] // 2
-    starts = np.cumsum(widths) - widths
+    n, starts = columns.shape[1] // 2, np.cumsum(widths) - widths
     counts = np.zeros(len(widths), dtype=int)
-    # set i's kept columns land on its first counts[i] rows, which `kept` picks
-    out, kept = np.empty_like(columns, dtype=complex), np.zeros(len(columns), dtype=bool)
-    for width in sorted(set(widths.tolist()) - {0}):
-        sets = np.flatnonzero(widths == width)
-        c = columns[starts[sets, None] + np.arange(width)].view(np.float64)
-        c = _unit(c, 2)[0].view(complex)
-        floors = drop_tol * _row_norms(c.reshape(-1, 2 * n)).reshape(-1, width)
-        # kept column i of a set and its partner: span[set, :, i, 0 and 1];
-        # a set that spans H^n already writes the zeros of a dropped
-        # candidate into slot n, the one spare slot of a set wider than n
-        span = np.zeros((len(sets), 2 * n, min(width, n + 1), 2), dtype=complex)
-        flat, every = span.reshape(len(sets), 2 * n, -1), np.arange(len(sets))
-        k = np.zeros(len(sets), dtype=int)
-        for j in range(width):
-            q = flat[:, :, :2 * min(j, n)]
-            qh, r = q.conj().transpose(0, 2, 1), c[:, j, :, None]
-            for _ in range(2):
-                r = r - q @ (qh @ r)
-            norm = _row_norms(r)
-            keep = ~(norm <= floors[:, j]) & (k < n)
-            pair = np.zeros((len(sets), 2 * n, 2), dtype=complex)
-            r = np.divide(r[:, :, 0], norm[:, None], out=pair[:, :, 0], where=keep[:, None])
-            pair[:, :n, 1], pair[:, n:, 1] = -np.conj(r[:, n:]), np.conj(r[:, :n])
-            # a dropped candidate writes zeros into a slot that is zero still
-            span[every, :, k] = pair
-            k += keep
-            if width > n and k.min() == n:
-                break
-        rank = np.arange(span.shape[2])
-        at = starts[sets, None] + rank
-        out[at], kept[at] = span[:, :, :, 0].transpose(0, 2, 1), rank < k[:, None]
-        counts[sets] = k
-    return out[kept], counts
+    if not len(columns):  # no candidate, and no batch for _row_norms to reshape
+        return np.empty((0, 2 * n), dtype=complex), counts
+    c = _unit(np.ascontiguousarray(columns).view(np.float64), 1)[0].view(complex)
+    floors = drop_tol * _row_norms(c)
+    # kept column s of set i and its partner: span[starts[i] + s, :, 0 and 1]
+    span = np.zeros((len(c), 2 * n, 2), dtype=complex)
+    for j in range(widths.max()):
+        live = np.flatnonzero((widths > j) & (counts < n))
+        if not len(live):
+            break
+        at, m = starts[live], min(j, n)
+        q = span[at[:, None] + np.arange(m)].transpose(0, 2, 1, 3).reshape(len(live), 2 * n, 2 * m)
+        qh, r = q.conj().transpose(0, 2, 1), c[at + j, :, None]
+        for _ in range(2):
+            r = r - q @ (qh @ r)
+        norm = _row_norms(r)
+        keep = ~(norm <= floors[at + j])
+        pair = np.zeros((len(live), 2 * n, 2), dtype=complex)
+        r = np.divide(r[:, :, 0], norm[:, None], out=pair[:, :, 0], where=keep[:, None])
+        pair[:, :n, 1], pair[:, n:, 1] = -np.conj(r[:, n:]), np.conj(r[:, :n])
+        # a dropped candidate writes zeros into a slot that is zero still
+        span[at + counts[live]] = pair
+        counts[live] += keep
+    rank = np.arange(len(c)) - np.repeat(starts, widths)
+    return span[rank < np.repeat(counts, widths), :, 0], counts
 
 
 def _basis(rows: np.ndarray) -> QMatrix:

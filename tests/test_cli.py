@@ -33,7 +33,7 @@ from conftest import (
     shifted_basis_vector_frame,
     standard_basis,
 )
-from quatframes import cli, errors
+from quatframes import __version__, cli, errors
 from quatframes.cli import main
 from quatframes.fileio import (
     MAX_DIM,
@@ -1443,6 +1443,17 @@ FILES = {
     # an entry of modulus 2.1e308, which overflows though its parts do not, and the zero family
     "huge_entry_op.json": op([[1.5e308, 1.5e308, 0, 0], ZERO], [ZERO, [1, 0, 0, 0]]),
     "zero_op.json": op([ZERO, ZERO], [ZERO, ZERO]),
+    "zero_weight.json": {"kind": "fusion", "dim": 2, "weights": [1.0, 0.0],
+                         "subspaces": [[E1], [E2]]},
+    "negative_weight.json": {"kind": "fusion", "dim": 2, "weights": [1.0, -2.5],
+                             "subspaces": [[E1], [E2]]},
+    # members of 2 and 1 rows on H^2, and of 1 and 2: three rows each
+    "rows21.json": {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 2, "cols": 2, "data": [E1["data"], E2["data"]]},
+        {"rows": 1, "cols": 2, "data": [E1["data"]]}]},
+    "rows12.json": {"kind": "operator_frame", "dim": 2, "members": [
+        {"rows": 1, "cols": 2, "data": [E2["data"]]},
+        {"rows": 2, "cols": 2, "data": [E1["data"], E2["data"]]}]},
 }
 TEXT = {name: doc if isinstance(doc, bytes) else json.dumps(doc).encode()
         for name, doc in FILES.items()}
@@ -1503,7 +1514,12 @@ CASES = [
     Case("numpy's generator takes no negative seed", "reconstruct basis.json --random 2 --seed -1",
          err="error: --seed must be nonnegative"),
     Case("reconstruction goes through the library's reconstruct on all 3 columns at once",
-         "reconstruct basis.json --random 3", 0, out=('"ok": true',)),
+         "reconstruct basis.json --random 3", 0,
+         out=('"kind": "vector_frame"', '"ok": true')),
+    Case("reconstruct reads only the two kinds that have a dual",
+         "reconstruct ragged.json --random 2",
+         err="error: reconstruct requires a vector_frame or operator_frame file; "
+             "run convert first"),
     Case("a kind spelled with a string escape reads as json reads it",
          "analyze escaped_kind.json", 0, out=('"kind": "vector_frame"',)),
     *refused("the identity as one operator member: theorem 1 predicts about -mu^2 and mu^2, which "
@@ -1554,7 +1570,7 @@ CASES = [
          "H^1, and the written file must read back",
          "convert zero_subspace.json --out zero.op.json; analyze zero.op.json", 0),
     *(Case("a ragged fusion file, subspaces of widths 0, 1 and 3 whose third column is a real "
-           "multiple of the first: Gram-Schmidt sweeps every width of the file at once, and the "
+           "multiple of the first: Gram-Schmidt sweeps every subspace at once, and the "
            "written operator frame reads back", argv, 0, out=out) for argv, out in (
         ("analyze ragged.json", ('"is_frame": true',)),
         ("convert ragged.json --out ragged.op.json; analyze ragged.op.json", ()))),
@@ -1580,6 +1596,14 @@ CASES = [
         ("1", "error: predicted frame bound overflows; the constants are too large for these "
               "frame bounds"),
         ("2", "error: (lambda + mu/sqrt(r1)) must be < 1 for the synthesis theorem"))),
+    *refused("a fusion weight that is not positive is refused at its path, as a count is",
+             "error: frame.weights[1]: must be > 0",
+             "analyze zero_weight.json", "analyze negative_weight.json"),
+    Case("--lambda is theorem 2's constant", "stability op.json op.json --theorem 1 --lambda 0.5",
+         err="error: --lambda applies to --theorem 2; theorem 1 takes --lambda1/--lambda2/--mu"),
+    Case("the members of F and R differ in rows though A_F and A_R have the same shape, so they "
+         "are not subtracted across members", "stability rows21.json rows12.json --fit",
+         err="error: families differ in member count or codomain dimensions"),
     Case("||A_F - A_R|| is above the largest float, and so is lambda_max(S) of F: the fit refuses "
          "it by the one scale rule", "stability huge_entry_op.json zero_op.json --fit",
          err=OVERFLOWS),
@@ -1595,6 +1619,14 @@ def script(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
+def check_written(argv, out):
+    """A command that wrote --out FILE printed FILE's sha256 as its output_digest."""
+    words = argv.split()
+    if "--out" in words:
+        digest = hashlib.sha256(Path(words[words.index("--out") + 1]).read_bytes()).hexdigest()
+        assert f'"output_digest": "{digest}"' in out, argv
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.argv)
 def test_cli_case(case, capsys, monkeypatch, tmp_path):
@@ -1605,9 +1637,20 @@ def test_cli_case(case, capsys, monkeypatch, tmp_path):
     *first, last = case.argv.split("; ")
     for runner in [lambda *argv: run(capsys, *argv)] + ([script] if SCRIPT else []):
         for argv in first:
-            assert runner(*argv.split())[::2] == (0, ""), case.why
+            code, out, err = runner(*argv.split())
+            assert (code, err) == (0, ""), case.why
+            check_written(argv, out)
         code, out, err = runner(*last.split())
         assert (code, err) == (case.code, case.err and case.err + "\n"), case.why
         assert not (case.err and out), case.why
         for want in case.out:
             assert want % DIGEST in out, case.why
+        if not code:
+            check_written(last, out)
+
+
+def test_version_is_printed_in_process(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"quatframes {__version__}\n"

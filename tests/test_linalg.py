@@ -6,7 +6,7 @@ oracle on the complex adjoint representation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatframes.errors import (
@@ -606,15 +606,25 @@ def span_lists(draw):
     return spans
 
 
+# spans of H^2 of widths 0, 5 and 3, wider than n, and 1, 0 and 2
+WIDE_SPANS = [QMatrix(np.random.default_rng(SEED).standard_normal((2, w, 4)) * scale)
+              for w, scale in ((0, 1.0), (5, 1e300), (3, 1.0), (1, 2.0**-1060), (0, 1.0),
+                               (2, 1e-300))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(span_lists())
+@example(WIDE_SPANS)
+@example([QMatrix.zeros(3, 0)] * 2)
 def test_orthonormalize_each_matches_orthonormalize(spans):
     a = QMatrix(np.concatenate([s.data for s in spans], axis=1))
     bases, counts = orthonormalize_each(a, [s.cols for s in spans])
     assert bases.cols == sum(counts)
     for span, k, stop in zip(spans, counts, np.cumsum(counts)):
         b = QMatrix(bases.data[:, stop - k:stop])
-        assert k == orthonormalize(span).cols
+        # a set swept with others gets the basis it gets swept alone, bit for bit
+        alone = orthonormalize(span).data
+        assert b.data.shape == alone.shape and b.data.tobytes() == alone.tobytes()
         assert np.abs((b.adjoint() @ b).data - QMatrix.identity(k).data).max(initial=0.0) <= 1e-12
         expect = projection(span)
         assert frobenius_distance(gram(b.adjoint()), expect) <= 1e-12 * max(1.0, expect.frobenius())

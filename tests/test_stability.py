@@ -140,7 +140,7 @@ def test_t1_builds_each_gram_once(monkeypatch):
     calls = []
     real = operator_frames.gram
     # S_F and S_R are formed by reporting.frame_bounds, the differences'
-    # Gram by operator_frames.op_frame_operator
+    # Gram by reporting._unit_gram
     for module in (operator_frames, reporting):
         monkeypatch.setattr(module, "gram", lambda a: calls.append(a) or real(a))
     f = shifted_basis_operator_frame(4)
@@ -151,6 +151,15 @@ def test_t1_builds_each_gram_once(monkeypatch):
     calls.clear()
     check_stability_t1(f, r, Theorem1Params(0.2, 0.0, 0.0))
     assert len(calls) == 2
+
+
+def test_t2_samples_the_hypothesis_on_the_synthesis_side():
+    """F = {1, 1} and R = {1.1, 0.9} on H^1: ||D y|| <= 0.2 ||A_F y|| for
+    every y, but at x = (1, -1)/sqrt(2) the synthesis side has A_F* x = 0
+    and D* x != 0, so theorem 2's hypothesis fails on the sampled x."""
+    f = OperatorFrame(1, [QMatrix.from_real([[1.0]])] * 2)
+    r = OperatorFrame(1, [QMatrix.from_real([[1.1]]), QMatrix.from_real([[0.9]])])
+    assert not check_stability_t2(f, r, Theorem2Params(0.2, 0.0)).hypothesis_ok
 
 
 def test_t1_invalid_params():
