@@ -24,8 +24,6 @@ from .fileio import (
     dumps12,
     load_frame,
     load_vector,
-    operator_frame_obj,
-    vector_frame_obj,
     write_document,
 )
 from .generalizations import (
@@ -88,10 +86,9 @@ def cmd_analyze(args) -> int:
 
 def _write_summary(command: str, digest: str, out: str, frame) -> None:
     bounds = list(frame_bounds(frame.analysis_matrix()))
-    obj = (vector_frame_obj if isinstance(frame, VectorFrame) else operator_frame_obj)(frame)
     doc = _head(command, input_digest=digest)
-    doc["output_kind"] = obj["kind"]
-    doc["output_digest"] = write_document(out, obj)
+    doc["output_kind"] = "vector_frame" if isinstance(frame, VectorFrame) else "operator_frame"
+    doc["output_digest"] = write_document(out, frame)
     doc["bounds"] = bounds
     print(dumps12(doc))
 

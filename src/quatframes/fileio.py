@@ -32,7 +32,8 @@ ValidationError.  Both carry a field path so the offending entry can be
 located in large files.
 
 All numbers are written back with 12 significant digits in a fixed key
-order so that identical inputs produce byte-identical outputs.
+order so that identical inputs produce byte-identical outputs: dumps12
+fills one template, a "%.12g" field per number, with one %.
 """
 
 from __future__ import annotations
@@ -357,11 +358,7 @@ def vector_obj(v: QVector) -> dict:
 
 
 def matrix_obj(m: QMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "data": m.data,
-    }
+    return {"rows": m.rows, "cols": m.cols, "data": m.data}
 
 
 def vector_frame_obj(f: VectorFrame) -> dict:
@@ -385,79 +382,84 @@ def operator_frame_obj(f: OperatorFrame) -> dict:
 
 # ====== deterministic 12-digit JSON ======
 
-def _scalar(value: Any) -> str | None:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        # adding 0.0 turns -0.0 into 0.0, so zero is always spelled "0";
-        # _array_text spells payload numbers the same way
-        return "%.12g" % (value + 0.0)
+# the value types written inline, as json.dumps spells them but floats
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _lines(parts: list[str], pad: str, brackets: str = "[]") -> str:
+    """The parts one per line at indent pad + 2, between brackets at
+    indent pad; the brackets alone when there is no part."""
+    if not parts:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + brackets[1]
+
+
+def _array_template(shape: tuple[int, ...], pad: str) -> str:
+    """The layout of an array of this shape at indent pad, as the list
+    walk lays out its .tolist(), with a "%.12g" field per number."""
+    if len(shape) < 2:
+        return "[" + ", ".join(["%.12g"] * shape[0]) + "]" if shape else "%.12g"
+    return _lines([_array_template(shape[1:], pad + "  ")] * shape[0], pad)
+
+
+def _compile(value: Any, pad: str, numbers: list) -> str:
+    """The template of value at indent pad: literal text with % doubled
+    and a "%.12g" field per number, each number appended to numbers in
+    field order, plus 0.0 so that zero is always spelled "0"."""
     if isinstance(value, str):
-        return json.dumps(value)
-
-
-def _array_text(a: np.ndarray, pad: str) -> str:
-    """A rank-1 or rank-2 float array laid out as the list walk lays out
-    its .tolist(), from one "%.12g" template: a row inline, rows one per
-    line."""
-    text = "[" + ", ".join(["%.12g"] * a.shape[-1]) + "]"
-    if a.ndim == 2:
-        if not len(a):
-            return "[]"
-        text = "[\n" + ",\n".join([pad + "  " + text] * len(a)) + "\n" + pad + "]"
-    return text % tuple((a + 0.0).ravel().tolist())
-
-
-def _emit(value: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    scalar = _scalar(value)
-    if scalar is not None:
-        out.append(scalar)
-        return
+        return json.dumps(value).replace("%", "%%")
+    if isinstance(value, float):
+        numbers.append(value + 0.0)
+        return "%.12g"
+    if isinstance(value, _SCALARS):
+        # None, a bool or an int, as json.dumps spells it
+        return "null" if value is None else str(value).lower()
+    if isinstance(value, np.ndarray):
+        numbers += (value + 0.0).ravel().tolist()
+        return _array_template(value.shape, pad)
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, entry) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(entry, indent + 1, out)
-            out.append(",\n" if k + 1 < len(value) else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(value, np.ndarray) and value.ndim in (1, 2):
-        out.append(_array_text(value, pad))
-        return
-    if isinstance(value, (list, tuple, np.ndarray)):
-        parts = [_scalar(entry) for entry in value]
-        if all(p is not None for p in parts):
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for k, entry in enumerate(value):
-            out.append(pad + "  ")
-            _emit(entry, indent + 1, out)
-            out.append(",\n" if k + 1 < len(value) else "\n")
-        out.append(pad + "]")
-        return
+        return _lines([json.dumps(str(key)).replace("%", "%%") + ": "
+                       + _compile(entry, pad + "  ", numbers) for key, entry in value.items()],
+                      pad, "{}")
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(entry, _SCALARS) for entry in value):
+            return "[" + ", ".join([_compile(entry, pad, numbers) for entry in value]) + "]"
+        return _lines([_compile(entry, pad + "  ", numbers) for entry in value], pad)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _frame_template(f: VectorFrame | OperatorFrame, numbers: list) -> str:
+    """The template of f's document as vector_frame_obj or operator_frame_obj
+    spells it out, from one member template per codomain dimension; A,
+    conjugated for a vector frame, is appended to numbers."""
+    n, a = f.space_dim, f.analysis_matrix().data
+    if isinstance(f, VectorFrame):
+        kind, a = "vector_frame", _conj4(a)
+        member = lambda d: {"dim": n, "data": np.zeros((n, 4))}
+    else:
+        kind = "operator_frame"
+        member = lambda d: {"rows": d, "cols": n, "data": np.zeros((d, n, 4))}
+    shapes = {d: _compile(member(d), "    ", []) for d in set(f.codomain_dims)}
+    numbers += (a + 0.0).ravel().tolist()
+    members = _lines(list(map(shapes.get, f.codomain_dims)), "  ")
+    return _lines([f'"kind": "{kind}"', f'"dim": {n}', '"members": ' + members], "", "{}")
 
 
 def dumps12(obj: Any) -> str:
     """Fixed-layout JSON: insertion-order keys, 12 significant digits,
-    scalar-only arrays inline, everything else one entry per line."""
-    out: list[str] = []
-    _emit(obj, 0, out)
-    return "".join(out)
+    scalar-only arrays inline, everything else one entry per line; a
+    VectorFrame or OperatorFrame is written as its file document."""
+    numbers: list = []
+    frame = isinstance(obj, (VectorFrame, OperatorFrame))
+    text = _frame_template(obj, numbers) if frame else _compile(obj, "", numbers)
+    return text % tuple(numbers)
 
 
 def write_document(path: str, obj: Any) -> str:
-    """Write obj as dumps12 text and a newline; returns the sha256 hex
-    digest of the bytes written, which file_digest would read back."""
+    """Write obj, a document or a frame, as dumps12 text and a newline;
+    returns the sha256 hex digest of the bytes written, which file_digest
+    would read back."""
     raw = (dumps12(obj) + "\n").encode()
     with open(path, "wb") as handle:
         handle.write(raw)

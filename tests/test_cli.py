@@ -33,13 +33,15 @@ from conftest import (
     shifted_basis_vector_frame,
     standard_basis,
 )
-from quatframes import __version__, cli, errors
+from quatframes import __version__, cli, errors, fileio
 from quatframes.cli import main
 from quatframes.fileio import (
     MAX_DIM,
+    dumps12,
     load_frame,
     matrix_obj,
     operator_frame_obj,
+    parse_frame,
     vector_frame_obj,
     vector_obj,
     write_document,
@@ -905,6 +907,50 @@ def test_no_printed_document_holds_a_record(files, capsys, monkeypatch, tmp_path
         run(capsys, *argv)
     assert len(printed) == len(argvs)
     assert not any(map(_holds_a_record, printed))
+
+
+@pytest.mark.parametrize("argv", [("dual", "shifted_vec"), ("dual", "shifted_op"),
+                                  ("parseval", "orthonormal"), ("parseval", "fusion"),
+                                  ("convert", "fusion"), ("convert", "pseudo"),
+                                  ("convert", "quasi")], ids="-".join)
+def test_each_written_file_is_one_write_and_one_dumps12(files, capsys, monkeypatch,
+                                                        tmp_path, argv):
+    """A command that writes a frame makes one write_document call, which
+    formats the file with one dumps12 call, and prints its summary with one
+    more: each is wrapped wherever a quatframes module holds it, as the
+    benchmark's spans wrap them, and logged with how many calls are open."""
+    log, open_calls = [], []
+
+    def wrapped(name, real):
+        def wrapper(*args):
+            log.append((len(open_calls), name))
+            open_calls.append(name)
+            try:
+                return real(*args)
+            finally:
+                open_calls.pop()
+        return wrapper
+
+    for module in (cli, fileio):
+        for name in ("write_document", "dumps12"):
+            monkeypatch.setattr(module, name, wrapped(name, getattr(module, name)))
+    command, name = argv
+    code, _, err = run(capsys, command, files[name], "--out", str(tmp_path / "out.json"))
+    assert (code, err) == (0, "")
+    assert log == [(0, "write_document"), (1, "dumps12"), (0, "dumps12")]
+
+
+@pytest.mark.parametrize("name", ["zero_subspace.json", "ragged.json"])
+def test_a_converted_frame_is_written_as_its_document(capsys, tmp_path, name):
+    """convert writes the frame it makes, a {0} subspace as one zero row,
+    as the document operator_frame_obj spells out for that frame."""
+    path, out = str(tmp_path / name), str(tmp_path / "op.json")
+    write_document(path, FILES[name])
+    assert run(capsys, "convert", path, "--out", out)[0] == 0
+    frame = cli._to_operator_frame(*parse_frame(FILES[name]))
+    assert frame.codomain_dims[0] == 1
+    assert dumps12(frame) == dumps12(operator_frame_obj(frame))
+    assert Path(out).read_text(encoding="utf-8") == dumps12(frame) + "\n"
 
 
 # families that hold no vector or matrix, so nothing fixes the dimension;

@@ -321,6 +321,60 @@ def test_array_payloads_write_as_their_lists(payloads):
     assert dumps12(doc) == dumps12(listed)
 
 
+# the numbers of the frame property: the edge floats, 1e20 and 1/3 drawn
+# often, and any finite float
+FRAME_FLOATS = st.one_of(EDGE_FLOATS, st.sampled_from([1e20, 1 / 3]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def stacked_frames(draw):
+    """The analysis matrix A of one to four members of one to four rows
+    each on H^n, n <= 5, and the members' row counts."""
+    n = draw(st.integers(1, 5))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return QMatrix(draw(arrays(np.float64, (sum(dims), n, 4), elements=FRAME_FLOATS))), dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_frames())
+def test_a_frame_is_its_own_document(stacked):
+    """dumps12 lays a frame out as the document that operator_frame_obj or
+    vector_frame_obj spells out for it, byte for byte."""
+    a, dims = stacked
+    op = OperatorFrame.from_analysis(a, dims)
+    vf = VectorFrame.from_analysis(a, [1] * a.rows)
+    assert dumps12(op) == dumps12(operator_frame_obj(op))
+    assert dumps12(vf) == dumps12(vector_frame_obj(vf))
+
+
+# documents whose keys and strings hold % and %s, beside numbers and with
+# none, and the text each is written as
+PERCENT_DOCS = {
+    "beside numbers": (
+        {"100%": np.array([[0.5, -0.0]]), "%s": "50% of %s", "x": [1 / 3, "%"]},
+        """{
+  "100%": [
+    [0.5, 0]
+  ],
+  "%s": "50% of %s",
+  "x": [0.333333333333, "%"]
+}"""),
+    "no number": ({"%s": "%", "a%b": ["%d", None, True, 7]},
+                  """{
+  "%s": "%",
+  "a%b": ["%d", null, true, 7]
+}"""),
+    "a string": ("%s %%", '"%s %%"'),
+}
+
+
+@pytest.mark.parametrize("name", PERCENT_DOCS)
+def test_percent_in_literal_text_is_written_as_is(name):
+    doc, text = PERCENT_DOCS[name]
+    assert dumps12(doc) == text
+
+
 # ====== the array path against the per-entry walk ======
 
 EXAMPLES = settings(max_examples=80, deadline=None)
