@@ -33,6 +33,7 @@ from .linalg import (
     _unit,
     complex_adjoint_rep,
     frobenius_distance,
+    gram,
     orthonormalize,
     orthonormalize_each,
 )
@@ -42,7 +43,6 @@ from .reporting import (
     _FrameCore,
     build_report,
     frame_bounds,
-    gram,
     has_frame_bounds,
     split_rows,
 )

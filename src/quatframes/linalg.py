@@ -514,15 +514,19 @@ def orthonormalize(a: QMatrix) -> QMatrix:
     return orthonormalize_each(a, [a.cols])[0]
 
 
-def gram(a: QMatrix) -> QMatrix:
-    """A* A, pinned to exact self-adjointness.
+def _chi_gram(a: QMatrix) -> np.ndarray:
+    """chi(A* A) = chi(A)^H chi(A), one product, made exactly Hermitian for LAPACK."""
+    c = complex_adjoint_rep(a)
+    h = c.conj().T @ c
+    return _midpoint(h, h.conj().T)
 
-    Entries that overflow become inf or nan here without a warning; the
-    spectral routines refuse them with NonFinite before LAPACK runs.
-    """
+
+def gram(a: QMatrix) -> QMatrix:
+    """A* A, the pull-back of _chi_gram, exactly self-adjoint.  Entries that
+    overflow become inf or nan here without a warning; the spectral routines
+    refuse them with NonFinite before LAPACK runs."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = (a.adjoint() @ a).data
-        return QMatrix(_midpoint(s, _conj4(np.swapaxes(s, 0, 1))))
+        return _from_complex_blocks(_chi_gram(a))
 
 
 def projection(a: QMatrix) -> QMatrix:

@@ -24,14 +24,13 @@ one, so reconstruct is synthesis(g, analysis(f, u)).
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .linalg import QMatrix, QVector
+from .linalg import QMatrix, QVector, gram
 from .reporting import (
     FrameReport,
     _FrameCore,
     analysis,
     build_report,
     dual_rows,
-    gram,
     parseval_rows,
     split_rows,
     synthesis,

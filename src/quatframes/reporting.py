@@ -34,13 +34,11 @@ from .errors import DimensionMismatch, NonFinite, NotAFrame
 from .linalg import (
     QMatrix,
     QVector,
+    _chi_gram,
     _collapse_pairs,
     _from_complex_blocks,
-    _hermitian_chi,
     _midpoint,
     _unit,
-    gram,
-    hermitian_eigenvalues,
 )
 
 # a family is a frame when the smallest eigenvalue of S clears this
@@ -126,12 +124,6 @@ def synthesis(f: _FrameCore, x: QVector | QMatrix) -> QVector | QMatrix:
     return f.analysis_matrix().adjoint() @ x
 
 
-def extremal_eigenvalues(s: QMatrix) -> tuple[float, float]:
-    """The smallest and largest eigenvalue of a self-adjoint s."""
-    vals = hermitian_eigenvalues(s)
-    return float(vals[0]), float(vals[-1])
-
-
 # S = A* A is refused when its largest eigenvalue is at most this, or inf:
 # then 1 / lambda_max(S), or lambda_max(S) itself, is not finite
 SCALE_FLOOR = 2.0**-1024
@@ -147,15 +139,20 @@ def _refuse_scale(a: QMatrix, upper: float) -> None:
                         f"{upper:.3e}; rescale the input")
 
 
-def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, QMatrix]:
-    """U = A / 2^e (linalg._unit), e, and S_u = U* U = S / 4^e, in which no
-    product of entries under- or overflows.  An A with an inf or nan entry,
-    from an overflow, has lambda_max(S) = inf, and _refuse_scale refuses it."""
+def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, np.ndarray]:
+    """U = A / 2^e (linalg._unit), e, and chi(S_u) (linalg._chi_gram) for
+    S_u = U* U = S / 4^e, in which no product of entries under- or overflows.
+    An A with an inf or nan entry has lambda_max(S) = inf: _refuse_scale refuses it."""
     if not np.isfinite(a.data).all():
         _refuse_scale(a, inf)
     unit, exp = _unit(a.data)
     u = QMatrix(unit)
-    return u, exp.item(), gram(u)
+    return u, exp.item(), _chi_gram(u)
+
+
+def _eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of S from chi(S) = h, one per pair."""
+    return _collapse_pairs(np.linalg.eigvalsh(h))
 
 
 def _scaled_bounds(a: QMatrix, exp: int, vals: np.ndarray) -> tuple[float, float]:
@@ -168,8 +165,8 @@ def _scaled_bounds(a: QMatrix, exp: int, vals: np.ndarray) -> tuple[float, float
 
 def frame_bounds(a: QMatrix) -> tuple[float, float]:
     """The extremal eigenvalues of S = A* A under _refuse_scale; (0, 0) for A = 0."""
-    _, exp, s = _unit_gram(a)
-    return _scaled_bounds(a, exp, hermitian_eigenvalues(s))
+    _, exp, h = _unit_gram(a)
+    return _scaled_bounds(a, exp, _eigenvalues(h))
 
 
 def _is_exact(u: QMatrix, dims, lower: float, upper: float) -> bool:
@@ -188,9 +185,9 @@ def _is_exact(u: QMatrix, dims, lower: float, upper: float) -> bool:
     if lower - norms.min() > 2 * FRAME_TOL * upper:
         return False
     # fewer rows than the space dimension cannot span it
-    return not any(u.rows - d >= u.cols and has_frame_bounds(*extremal_eigenvalues(gram(
-        QMatrix(np.delete(u.data, slice(stop - d, stop), axis=0)))))
-        for d, stop in zip(dims, np.cumsum(dims, dtype=int)))
+    rests = (QMatrix(np.delete(u.data, slice(stop - d, stop), axis=0))
+             for d, stop in zip(dims, np.cumsum(dims, dtype=int)) if u.rows - d >= u.cols)
+    return not any(has_frame_bounds(*_eigenvalues(_chi_gram(r))[[0, -1]]) for r in rests)
 
 
 def build_report(a: QMatrix, dims) -> FrameReport:
@@ -204,8 +201,8 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     undecided is re-solved with each member deleted in turn.
     S is read at unit scale; one out of scale raises NonFinite (_refuse_scale).
     """
-    u, exp, s = _unit_gram(a)
-    vals = hermitian_eigenvalues(s)
+    u, exp, h = _unit_gram(a)
+    vals = _eigenvalues(h)
     lower, upper = _scaled_bounds(a, exp, vals)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
@@ -214,7 +211,7 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     return FrameReport(lower=lower, upper=upper, is_bessel=True,
                        is_frame=is_frame, is_tight=is_tight,
                        is_parseval=is_parseval, is_exact=is_exact,
-                       frame_operator=QMatrix(np.ldexp(s.data, 2 * exp)))
+                       frame_operator=QMatrix(np.ldexp(_from_complex_blocks(h).data, 2 * exp)))
 
 
 def _require_frame(lower: float, upper: float) -> None:
@@ -234,8 +231,8 @@ def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the frame test implies
     the one inverse_matrix applies.
     """
-    u, e, s = _unit_gram(a)
-    w, v = np.linalg.eigh(_hermitian_chi(s))
+    u, e, h = _unit_gram(a)
+    w, v = np.linalg.eigh(h)
     _require_frame(*_scaled_bounds(a, e, _collapse_pairs(w)))
     m = (v * (1.0 / (np.sqrt(w) if parseval else w))) @ v.conj().T
     rows = u @ _from_complex_blocks(_midpoint(m, m.conj().T))

@@ -15,7 +15,7 @@ is computed from it by the core in reporting.
 
 from __future__ import annotations
 
-from .linalg import QMatrix, QVector, _conj4
+from .linalg import QMatrix, QVector, _conj4, gram
 # analysis and synthesis are the core's, exported here for vector frames
 from .reporting import (
     FrameReport,
@@ -23,7 +23,6 @@ from .reporting import (
     analysis,
     build_report,
     dual_rows,
-    gram,
     parseval_rows,
     synthesis,
 )

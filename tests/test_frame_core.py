@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import analysis_row
-from quatframes import cli, reporting
+from quatframes import cli, linalg, reporting, stability
 from quatframes.cli import RECONSTRUCT_TOL
 from quatframes.errors import NonFinite, QuatFramesError
 from quatframes.fileio import (
@@ -60,7 +60,6 @@ from quatframes.reporting import (
     analysis,
     build_report,
     dual_rows,
-    extremal_eigenvalues,
     frame_bounds,
     parseval_rows,
     split_rows,
@@ -150,6 +149,12 @@ def reference_operator(members, n):
     for t in members:
         s = s + t.adjoint() @ t
     return s
+
+
+def extremal_eigenvalues(s):
+    """The smallest and largest eigenvalue of a self-adjoint s."""
+    vals = hermitian_eigenvalues(s)
+    return float(vals[0]), float(vals[-1])
 
 
 def reference_is_frame(members, n):
@@ -308,7 +313,7 @@ def test_exactness_matches_dropping_each_member(f):
     expected = (reference_is_frame(members, n) and len(members) > 0
                 and not any(reference_is_frame(members[:i] + members[i + 1:], n)
                             for i in range(len(members))))
-    with mock.patch.object(reporting, "gram", wraps=reporting.gram) as grams:
+    with mock.patch.object(reporting, "_chi_gram", wraps=reporting._chi_gram) as grams:
         assert report_of(f).is_exact == expected
     if f is STRADDLE:
         # S, then one deletion for each member
@@ -586,6 +591,21 @@ def lapack_calls(monkeypatch):
 
 
 @pytest.fixture
+def chi_calls(monkeypatch):
+    """Calls of linalg._hermitian_chi and of the Gram kernel linalg._chi_gram,
+    counted wherever a quatframes module binds them."""
+    calls = Counter()
+    for name in ("_hermitian_chi", "_chi_gram"):
+        def counted(*args, _name=name, _real=getattr(linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+        for module in (linalg, reporting, stability):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
 def small_files(tmp_path):
     gen = np.random.default_rng(11)
     members = [gen.standard_normal((d, 3, 4)) for d in (1, 2, 2)]
@@ -624,7 +644,8 @@ def test_dual_parseval_and_reconstruct_run_one_eigh(lapack_calls, small_files, t
 def exactness_calls(monkeypatch):
     """Calls of eigvalsh, of cholesky and of the frame core's Gram."""
     calls = Counter()
-    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "cholesky"), (reporting, "gram")):
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "cholesky"),
+                         (reporting, "_chi_gram")):
         def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
@@ -642,14 +663,15 @@ def test_analyze_decides_exactness_without_deleting_a_member(exactness_calls, ca
     vectors = gen.standard_normal((49, 8, 4)) * np.r_[np.ones(48), 3.0][:, None, None]
     write_document(path, vector_frame_obj(VectorFrame(8, [QVector(v) for v in vectors])))
     assert cli.main(["analyze", path]) == 0
-    assert exactness_calls == Counter({"gram": 1, "eigvalsh": 1})
+    assert exactness_calls == Counter({"_chi_gram": 1, "eigvalsh": 1})
     assert '"is_exact": false' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("theorem, route", [
     ("1", "cli"), ("2", "cli"), ("1", "library"), ("2", "library"),
 ], ids=["1", "2", "1-library", "2-library"])
-def test_stability_fit_runs_three_eigvalsh(lapack_calls, small_files, theorem, route):
+def test_stability_fit_runs_three_eigvalsh(lapack_calls, chi_calls, small_files, theorem,
+                                           route):
     # the bounds of F and of R, and ||A_F - A_R||, which the fit and the
     # exact hypothesis test share
     if route == "cli":
@@ -662,3 +684,15 @@ def test_stability_fit_runs_three_eigvalsh(lapack_calls, small_files, theorem, r
                       "2": (fit_params_t2, check_stability_t2)}[theorem]
         assert check(f, r, fit(f, r)).hypothesis_ok
     assert lapack_calls == Counter({("core", "eigvalsh"): 3})
+    # each reader of an S forms chi(S) once and hands it to LAPACK as it is
+    assert chi_calls == Counter({"_chi_gram": 3})
+
+
+def test_analyze_runs_one_eigvalsh_on_one_chi_gram(lapack_calls, chi_calls, tmp_path):
+    # 16 members of H^3 -> H^2: the row norms alone decide exactness
+    path = str(tmp_path / "operator.json")
+    members = np.random.default_rng(3).standard_normal((16, 2, 3, 4))
+    write_document(path, operator_frame_obj(OperatorFrame(3, [QMatrix(m) for m in members])))
+    assert cli.main(["analyze", path]) == 0
+    assert lapack_calls == Counter({("core", "eigvalsh"): 1})
+    assert chi_calls == Counter({"_chi_gram": 1})

@@ -4,6 +4,8 @@ The eigensolver is cross-checked against an independent power-iteration
 oracle on the complex adjoint representation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -655,6 +657,36 @@ def test_chi_is_multiplicative_and_inverts_at_n24(seed, k):
     expected = np.linalg.inv(ha)
     assert (np.linalg.norm(inv - expected)
             <= CHI_RTOL * np.linalg.cond(ha) * np.linalg.norm(expected))
+
+
+@st.composite
+def small_qmatrices(draw):
+    """An A of up to 6 x 4, rows possibly none, entries scaled by 10^k."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    return random_qmatrix(gen, rows, cols, 10.0 ** draw(st.integers(-8, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_qmatrices())
+@example(QMatrix(np.array([[[np.inf, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]])))
+def test_chi_gram_is_chi_of_a_star_a(a):
+    if not np.isfinite(a.data).all():
+        # an overflowed entry reaches the spectral routines, which refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = gram(a)
+        assert not np.isfinite(s.data).all()
+        with pytest.raises(NonFinite):
+            hermitian_eigenvalues(s)
+        return
+    h = linalg._chi_gram(a)
+    # exactly Hermitian (a signed zero compares equal to its negation)
+    assert np.array_equal(h, h.conj().T)
+    scale = a.frobenius() ** 2
+    assert np.abs(gram(a).data - (a.adjoint() @ a).data).max() <= 1e-12 * scale
+    pairs = np.linalg.eigvalsh(h).reshape(-1, 2)
+    assert np.abs(pairs[:, 1] - pairs[:, 0]).max(initial=0.0) <= 1e-12 * scale
 
 
 # finite floats with the largest, the subnormal and the signed zeros drawn often

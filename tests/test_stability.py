@@ -138,11 +138,11 @@ def test_t1_detects_hypothesis_violation():
 
 def test_t1_builds_each_gram_once(monkeypatch):
     calls = []
-    real = operator_frames.gram
     # S_F and S_R are formed by reporting.frame_bounds, the differences'
-    # Gram by reporting._unit_gram
-    for module in (operator_frames, reporting):
-        monkeypatch.setattr(module, "gram", lambda a: calls.append(a) or real(a))
+    # Gram by reporting._unit_gram, all as chi(S) by reporting._chi_gram
+    for module, name in ((operator_frames, "gram"), (reporting, "_chi_gram")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, _real=real: calls.append(a) or _real(a))
     f = shifted_basis_operator_frame(4)
     r = scaled(f, 0.9)
     # S_F, S_R and, for the exact route, the Gram of the differences
