@@ -372,10 +372,20 @@ def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
     return _midpoint(pairs[:, 0], pairs[:, 1])
 
 
-def hermitian_eigenvalues(s: QMatrix) -> np.ndarray:
+class _ChiGram(NamedTuple):
+    """chi(S) of S = A* A as _chi_gram forms it, exactly Hermitian by
+    construction, and the n rows of S."""
+
+    chi: np.ndarray
+    rows: int
+
+
+def hermitian_eigenvalues(s: QMatrix | _ChiGram) -> np.ndarray:
     """Ascending real eigenvalues of a self-adjoint matrix, one per
-    quaternionic eigenvector (pair-collapsed from the complex picture)."""
-    return _collapse_pairs(np.linalg.eigvalsh(_hermitian_chi(s)))
+    quaternionic eigenvector (pair-collapsed from the complex picture).
+    A _ChiGram goes to LAPACK as it is, with no self-adjointness test."""
+    h = s.chi if isinstance(s, _ChiGram) else _hermitian_chi(s)
+    return _collapse_pairs(np.linalg.eigvalsh(h))
 
 
 class Spectrum(NamedTuple):
@@ -514,11 +524,15 @@ def orthonormalize(a: QMatrix) -> QMatrix:
     return orthonormalize_each(a, [a.cols])[0]
 
 
-def _chi_gram(a: QMatrix) -> np.ndarray:
-    """chi(A* A) = chi(A)^H chi(A), one product, made exactly Hermitian for LAPACK."""
-    c = complex_adjoint_rep(a)
-    h = c.conj().T @ c
-    return _midpoint(h, h.conj().T)
+def _chi_gram(a: QMatrix) -> _ChiGram:
+    """chi(A* A) = chi(A)^H chi(A).  One product forms its top block row
+    [S1 S2], which gives the rest as chi does; the average with its
+    conjugate transpose keeps it in the image of chi, exactly Hermitian."""
+    c, n = complex_adjoint_rep(a), a.cols
+    h = np.empty((2 * n, 2 * n), dtype=complex)
+    h[:n] = c[:, :n].conj().T @ c
+    h[n:, :n], h[n:, n:] = -np.conj(h[:n, n:]), np.conj(h[:n, :n])
+    return _ChiGram(_midpoint(h, h.conj().T), n)
 
 
 def gram(a: QMatrix) -> QMatrix:
@@ -526,7 +540,7 @@ def gram(a: QMatrix) -> QMatrix:
     overflow become inf or nan here without a warning; the spectral routines
     refuse them with NonFinite before LAPACK runs."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _from_complex_blocks(_chi_gram(a))
+        return _from_complex_blocks(_chi_gram(a).chi)
 
 
 def projection(a: QMatrix) -> QMatrix:

@@ -35,10 +35,12 @@ from .linalg import (
     QMatrix,
     QVector,
     _chi_gram,
+    _ChiGram,
     _collapse_pairs,
     _from_complex_blocks,
     _midpoint,
     _unit,
+    hermitian_eigenvalues,
 )
 
 # a family is a frame when the smallest eigenvalue of S clears this
@@ -139,7 +141,7 @@ def _refuse_scale(a: QMatrix, upper: float) -> None:
                         f"{upper:.3e}; rescale the input")
 
 
-def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, np.ndarray]:
+def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, _ChiGram]:
     """U = A / 2^e (linalg._unit), e, and chi(S_u) (linalg._chi_gram) for
     S_u = U* U = S / 4^e, in which no product of entries under- or overflows.
     An A with an inf or nan entry has lambda_max(S) = inf: _refuse_scale refuses it."""
@@ -148,11 +150,6 @@ def _unit_gram(a: QMatrix) -> tuple[QMatrix, int, np.ndarray]:
     unit, exp = _unit(a.data)
     u = QMatrix(unit)
     return u, exp.item(), _chi_gram(u)
-
-
-def _eigenvalues(h: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of S from chi(S) = h, one per pair."""
-    return _collapse_pairs(np.linalg.eigvalsh(h))
 
 
 def _scaled_bounds(a: QMatrix, exp: int, vals: np.ndarray) -> tuple[float, float]:
@@ -165,8 +162,8 @@ def _scaled_bounds(a: QMatrix, exp: int, vals: np.ndarray) -> tuple[float, float
 
 def frame_bounds(a: QMatrix) -> tuple[float, float]:
     """The extremal eigenvalues of S = A* A under _refuse_scale; (0, 0) for A = 0."""
-    _, exp, h = _unit_gram(a)
-    return _scaled_bounds(a, exp, _eigenvalues(h))
+    _, exp, s = _unit_gram(a)
+    return _scaled_bounds(a, exp, hermitian_eigenvalues(s))
 
 
 def _is_exact(u: QMatrix, dims, lower: float, upper: float) -> bool:
@@ -187,7 +184,7 @@ def _is_exact(u: QMatrix, dims, lower: float, upper: float) -> bool:
     # fewer rows than the space dimension cannot span it
     rests = (QMatrix(np.delete(u.data, slice(stop - d, stop), axis=0))
              for d, stop in zip(dims, np.cumsum(dims, dtype=int)) if u.rows - d >= u.cols)
-    return not any(has_frame_bounds(*_eigenvalues(_chi_gram(r))[[0, -1]]) for r in rests)
+    return not any(has_frame_bounds(*hermitian_eigenvalues(_chi_gram(r))[[0, -1]]) for r in rests)
 
 
 def build_report(a: QMatrix, dims) -> FrameReport:
@@ -201,8 +198,8 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     undecided is re-solved with each member deleted in turn.
     S is read at unit scale; one out of scale raises NonFinite (_refuse_scale).
     """
-    u, exp, h = _unit_gram(a)
-    vals = _eigenvalues(h)
+    u, exp, s = _unit_gram(a)
+    vals = hermitian_eigenvalues(s)
     lower, upper = _scaled_bounds(a, exp, vals)
     is_frame = has_frame_bounds(lower, upper)
     is_tight = is_frame and abs(upper - lower) <= TIGHT_RTOL * upper
@@ -211,7 +208,7 @@ def build_report(a: QMatrix, dims) -> FrameReport:
     return FrameReport(lower=lower, upper=upper, is_bessel=True,
                        is_frame=is_frame, is_tight=is_tight,
                        is_parseval=is_parseval, is_exact=is_exact,
-                       frame_operator=QMatrix(np.ldexp(_from_complex_blocks(h).data, 2 * exp)))
+                       frame_operator=QMatrix(np.ldexp(_from_complex_blocks(s.chi).data, 2 * exp)))
 
 
 def _require_frame(lower: float, upper: float) -> None:
@@ -231,8 +228,8 @@ def _canonical_rows(a: QMatrix, parseval: bool) -> QMatrix:
     SINGULAR_RTOL * sqrt(MAX_DIM) below FRAME_TOL, the frame test implies
     the one inverse_matrix applies.
     """
-    u, e, h = _unit_gram(a)
-    w, v = np.linalg.eigh(h)
+    u, e, s = _unit_gram(a)
+    w, v = np.linalg.eigh(s.chi)
     _require_frame(*_scaled_bounds(a, e, _collapse_pairs(w)))
     m = (v * (1.0 / (np.sqrt(w) if parseval else w))) @ v.conj().T
     rows = u @ _from_complex_blocks(_midpoint(m, m.conj().T))

@@ -47,8 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditionViolated, DimensionMismatch, InvalidParams, NotAFrame
+from .linalg import hermitian_eigenvalues
 from .operator_frames import OperatorFrame
-from .reporting import _eigenvalues, _refuse_scale, _unit_gram, frame_bounds, has_frame_bounds
+from .reporting import _refuse_scale, _unit_gram, frame_bounds, has_frame_bounds
 from .sampling import random_columns
 
 # relative slack of the sampled hypothesis and of the predicted-vs-measured
@@ -155,10 +156,10 @@ def _difference_norm(f: OperatorFrame, r: OperatorFrame) -> float:
     are read-only, so the last pair's norm is kept: a fit and the check that
     follows it compute it once."""
     d = difference_frame(f, r).analysis_matrix()
-    _, exp, h = _unit_gram(d)
+    _, exp, s = _unit_gram(d)
     # the Gram operator is positive; tiny negatives are rounding
     with np.errstate(over="ignore"):
-        norm = float(np.ldexp(sqrt(max(_eigenvalues(h)[-1], 0.0)), exp))
+        norm = float(np.ldexp(sqrt(max(hermitian_eigenvalues(s)[-1], 0.0)), exp))
     if norm == inf:  # then so is lambda_max(S) of F or of R
         _refuse_scale(d, norm)
     return norm

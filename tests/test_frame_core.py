@@ -592,10 +592,11 @@ def lapack_calls(monkeypatch):
 
 @pytest.fixture
 def chi_calls(monkeypatch):
-    """Calls of linalg._hermitian_chi and of the Gram kernel linalg._chi_gram,
-    counted wherever a quatframes module binds them."""
+    """Calls of linalg._hermitian_chi, of the Gram kernel linalg._chi_gram and
+    of linalg.hermitian_eigenvalues, counted wherever a quatframes module
+    binds them."""
     calls = Counter()
-    for name in ("_hermitian_chi", "_chi_gram"):
+    for name in ("_hermitian_chi", "_chi_gram", "hermitian_eigenvalues"):
         def counted(*args, _name=name, _real=getattr(linalg, name)):
             calls[_name] += 1
             return _real(*args)
@@ -684,8 +685,9 @@ def test_stability_fit_runs_three_eigvalsh(lapack_calls, chi_calls, small_files,
                       "2": (fit_params_t2, check_stability_t2)}[theorem]
         assert check(f, r, fit(f, r)).hypothesis_ok
     assert lapack_calls == Counter({("core", "eigvalsh"): 3})
-    # each reader of an S forms chi(S) once and hands it to LAPACK as it is
-    assert chi_calls == Counter({"_chi_gram": 3})
+    # each reader of an S forms chi(S) once and hands it to LAPACK as it is,
+    # through the library's eigenvalue routine
+    assert chi_calls == Counter({"_chi_gram": 3, "hermitian_eigenvalues": 3})
 
 
 def test_analyze_runs_one_eigvalsh_on_one_chi_gram(lapack_calls, chi_calls, tmp_path):
@@ -695,4 +697,4 @@ def test_analyze_runs_one_eigvalsh_on_one_chi_gram(lapack_calls, chi_calls, tmp_
     write_document(path, operator_frame_obj(OperatorFrame(3, [QMatrix(m) for m in members])))
     assert cli.main(["analyze", path]) == 0
     assert lapack_calls == Counter({("core", "eigvalsh"): 1})
-    assert chi_calls == Counter({"_chi_gram": 1})
+    assert chi_calls == Counter({"_chi_gram": 1, "hermitian_eigenvalues": 1})

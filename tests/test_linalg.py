@@ -680,13 +680,19 @@ def test_chi_gram_is_chi_of_a_star_a(a):
         with pytest.raises(NonFinite):
             hermitian_eigenvalues(s)
         return
-    h = linalg._chi_gram(a)
-    # exactly Hermitian (a signed zero compares equal to its negation)
+    g = linalg._chi_gram(a)
+    h = g.chi
+    # exactly Hermitian (a signed zero compares equal to its negation), and
+    # exactly chi of its pull-back
     assert np.array_equal(h, h.conj().T)
+    assert np.array_equal(h, complex_adjoint_rep(gram(a)))
+    assert g.rows == a.cols
     scale = a.frobenius() ** 2
     assert np.abs(gram(a).data - (a.adjoint() @ a).data).max() <= 1e-12 * scale
     pairs = np.linalg.eigvalsh(h).reshape(-1, 2)
     assert np.abs(pairs[:, 1] - pairs[:, 0]).max(initial=0.0) <= 1e-12 * scale
+    # the spectral routine takes the kernel's output for S, untested
+    assert np.array_equal(hermitian_eigenvalues(g), pairs.mean(axis=1))
 
 
 # finite floats with the largest, the subnormal and the signed zeros drawn often
