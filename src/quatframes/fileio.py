@@ -24,7 +24,9 @@ wording, line and column.  On text both accept, orjson 3.8 returns what
 json returns but for an integer literal from 2^64 on, or below -2^63,
 which it reads as float(int(literal)), or refuses past the largest
 float: at a count or a kind the parser refuses that float, and at a leaf
-or a weight it reads json's integer as the same float.
+or a weight it reads json's integer as the same float.  Decoding and
+parsing run with the cyclic collector paused, and the parser packs a
+list's numbers into one buffer with one struct.pack.
 
 Structural problems (wrong JSON, wrong types, missing fields) raise
 ParseError; declared dimensions that disagree with the payload raise
@@ -38,12 +40,14 @@ fills one template, a "%.12g" field per number, with one %.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import re
-from array import array
+import struct
 from itertools import chain, takewhile
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Callable, NoReturn
 
@@ -152,29 +156,29 @@ def _stack(entries: list, axes: tuple[str, ...], mismatch, at) -> tuple[np.ndarr
     """All rows of a list of vectors (axes ("dim",)) or matrices (axes
     ("rows", "cols")) as one float64 array, and each entry's first count.
     `mismatch(shape)` is the message for a shape the frame refuses, else
-    false.  Counts, payloads, rows, quaternions and leaves are each one
-    pass of itemgetter or chain, with lengths checked as sets.  array("d")
-    reads a leaf as float() does and refuses any non-number but a bool,
-    which it reads as 0 or 1; so the leaves read as 0 or 1, or all when
-    they are more than half, have their types checked.  Anything refused
-    is walked by _refuse, entry k at `at(k)`."""
+    false.  Counts, payloads, rows and quaternions are each one pass of
+    itemgetter or chain, with lengths checked as sets; one struct.pack
+    reads every leaf as float() does, refusing any non-number but a bool,
+    which it reads as 0 or 1.  So once the lengths pass, the leaves read
+    as 0 or 1, or all when they are more than half, have their types
+    checked.  Anything refused is walked by _refuse, entry k at `at(k)`."""
     try:
         counts = [list(map(itemgetter(axis), entries)) for axis in axes]
         data = list(map(itemgetter("data"), entries))
         rows = data if len(axes) == 1 else list(chain.from_iterable(data))
         quats = list(chain.from_iterable(rows))
-        leaves = list(chain.from_iterable(quats))
-        arr = np.frombuffer(array("d", leaves))
+        size = 4 * len(quats)
+        arr = np.frombuffer(struct.pack(f"{size}d", *chain.from_iterable(quats)))
         hits = np.flatnonzero((arr == 0) | (arr == 1))
-        suspects = (leaves if 2 * len(hits) > len(leaves)
-                    else map(leaves.__getitem__, hits.tolist()))
+        suspects = (chain.from_iterable(quats) if 2 * len(hits) > size
+                    else (quats[k >> 2][k & 3] for k in hits.tolist()))
         ok = (set(map(type, chain(*counts))) <= {int} and min(chain(*counts), default=1) >= 1
               and not (mismatch and any(map(mismatch, set(zip(*counts)))))
               and list(map(len, data)) == counts[0]
               and len(set(counts[-1])) <= 1 and set(map(len, rows)) <= set(counts[-1])
               and set(map(len, quats)) <= {4} and np.isfinite(arr).all()
               and all(map(_is_real_type, set(map(type, suspects)))))
-    except (TypeError, KeyError, OverflowError):
+    except (TypeError, KeyError, OverflowError, struct.error):
         ok = False
     if not ok:
         _refuse(entries, axes, mismatch, at)
@@ -320,24 +324,31 @@ def _read(path: str) -> bytes:
 
 def _load(path: str, parse: Callable[[Any], Any]) -> tuple[bytes, Any]:
     """The bytes of the file at path and parse of their JSON value, read
-    as the module docstring says."""
+    as the module docstring says with the cyclic collector paused: the
+    decoded tree holds no cycle for a collection to free."""
     raw = _read(path)
     if _depth(raw) > MAX_DEPTH:
         raise ParseError(f"{path}: arrays and objects nest deeper than {MAX_DEPTH} levels")
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return raw, parse(orjson.loads(raw))
-    except (orjson.JSONDecodeError, QuatFramesError):
-        pass
-    try:
-        value = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
-        # bytes that are not UTF-8 or an integer literal beyond Python's
-        # digit limit
-        raise ParseError(f"{path}: {exc}") from exc
-    return raw, parse(value)
+        try:
+            return raw, parse(orjson.loads(raw))
+        except (orjson.JSONDecodeError, QuatFramesError):
+            pass
+        try:
+            value = json.loads(raw.decode("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:
+            # bytes that are not UTF-8 or an integer literal beyond Python's
+            # digit limit
+            raise ParseError(f"{path}: {exc}") from exc
+        return raw, parse(value)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_frame(path: str):
@@ -408,7 +419,7 @@ def _compile(value: Any, pad: str, numbers: list) -> str:
     and a "%.12g" field per number, each number appended to numbers in
     field order, plus 0.0 so that zero is always spelled "0"."""
     if isinstance(value, str):
-        return json.dumps(value).replace("%", "%%")
+        return encode_basestring_ascii(value).replace("%", "%%")
     if isinstance(value, float):
         numbers.append(value + 0.0)
         return "%.12g"
@@ -419,7 +430,7 @@ def _compile(value: Any, pad: str, numbers: list) -> str:
         numbers += (value + 0.0).ravel().tolist()
         return _array_template(value.shape, pad)
     if isinstance(value, dict):
-        return _lines([json.dumps(str(key)).replace("%", "%%") + ": "
+        return _lines([encode_basestring_ascii(str(key)).replace("%", "%%") + ": "
                        + _compile(entry, pad + "  ", numbers) for key, entry in value.items()],
                       pad, "{}")
     if isinstance(value, (list, tuple)):

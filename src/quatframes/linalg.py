@@ -63,12 +63,16 @@ def _conj4(a: np.ndarray) -> np.ndarray:
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex split q = (r0 + r1*i) + (r2 + r3*i)*j."""
-    return a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+    """Complex split q = (r0 + r1*i) + (r2 + r3*i)*j, read off the memory
+    of a's four components as two complex128 and copied contiguous for BLAS."""
+    c = a.view(np.complex128)
+    return c[..., 0].copy(), c[..., 1].copy()
 
 
 def _join(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
+    out = np.empty(c1.shape + (2,), dtype=np.complex128)
+    out[..., 0], out[..., 1] = c1, c2
+    return out.view(np.float64)
 
 
 def _unit(a: np.ndarray, axis=None) -> tuple[np.ndarray, np.ndarray]:

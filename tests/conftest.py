@@ -6,10 +6,12 @@ diag(2, 1, ..., 1), bounds 1 and 2), the coordinate functionals (Parseval),
 and the coordinate projectors (a resolution of the identity).
 """
 
+import gc
 import json
 import re
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from quatframes.linalg import QMatrix, QVector
@@ -21,6 +23,14 @@ ACCEPT_SEED = 20260814
 # one line per acceptance criterion, echoed after the run because
 # pytest's capture also swallows writes to the underlying descriptor
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Every test ends with the cyclic collector on; the frame readers
+    pause it and must turn it back on."""
+    yield
+    assert gc.isenabled(), "the test left the cyclic collector off"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

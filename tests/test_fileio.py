@@ -1,6 +1,7 @@
 """File formats: parsing with field diagnostics, the deterministic
 12-digit writer, and round trips through both."""
 
+import gc
 import hashlib
 import json
 import sys
@@ -878,3 +879,63 @@ def test_nesting_64_deep_reads_as_json_reads_it(tmp_path, raw):
     path = tmp_path / "deep.json"
     path.write_bytes(raw)
     assert repr(fileio._load(str(path), lambda value: value)[1]) == repr(json.loads(raw))
+
+
+# ====== the paused collector ======
+
+COLLECTOR_VECTOR = {"dim": 1, "data": [[0.5, 0, 0, 0]]}
+COLLECTOR_READERS = {
+    "load_frame": (load_frame, {"kind": "vector_frame", "dim": 1, "members": [COLLECTOR_VECTOR]}),
+    "load_vector": (load_vector, COLLECTOR_VECTOR)}
+# each way out of a reader: its text and what it raises
+COLLECTOR_EXITS = {
+    "success": (lambda text: text, None),
+    # the parser refuses orjson's reading, and json's
+    "bool leaf": (lambda text: text.replace("0.5", "true"), "expected a number"),
+    # orjson refuses the text, and the parser json's reading
+    "nan literal": (lambda text: text.replace("0.5", "NaN"), "expected a finite number"),
+    "too deep": (lambda text: TOO_DEEP["65"].decode(), "nest deeper than 64"),
+    "missing file": (None, "No such file")}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("way_out", COLLECTOR_EXITS)
+@pytest.mark.parametrize("reader", COLLECTOR_READERS)
+def test_readers_leave_the_collector_as_they_found_it(tmp_path, reader, way_out, enabled):
+    load, doc = COLLECTOR_READERS[reader]
+    text, refusal = COLLECTOR_EXITS[way_out]
+    path = tmp_path / "in.json"
+    if text:
+        path.write_text(text(json.dumps(doc)))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if refusal is None:
+            load(str(path))
+        else:
+            with pytest.raises((ParseError, FileNotFoundError), match=refusal):
+                load(str(path))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_decoding_an_operator_frame_sets_off_no_collection(tmp_path):
+    # 20 members of 4 x 16: 5,120 numbers in 1,280 quaternion lists, more
+    # container allocations than the first generation's threshold of 700
+    gen = np.random.default_rng(7)
+    frame = OperatorFrame.from_analysis(QMatrix(gen.standard_normal((80, 16, 4))), [4] * 20)
+    path = tmp_path / "op.json"
+    write_document(str(path), frame)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert load_frame(str(path))[0] == "operator_frame"
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []

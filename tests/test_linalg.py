@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quatframes.errors import (
     DimensionMismatch,
@@ -715,3 +716,60 @@ def test_midpoint_is_the_average_wherever_the_sum_is_finite(pairs):
     assert got[finite].tobytes() == (total[finite] / 2.0).tobytes()
     assert np.isfinite(got).all()
     assert (got[~finite] == x[~finite] / 2.0 + y[~finite] / 2.0).all()
+
+
+def arithmetic_split(a):
+    """The complex split as arithmetic on the components, the reference for
+    the complex128 view that linalg._split takes."""
+    return a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
+
+
+def stacked_join(c1, c2):
+    return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=-1)
+
+
+# moderate finite floats with the signed zeros and subnormals drawn often
+SPLIT_FLOATS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 3e-320, 2.2250738585072014e-308]))
+
+
+@st.composite
+def split_operands(draw):
+    """An m x n and an n x k quaternion array, the first drawn at times as
+    the swapaxes view that orthonormalize_each splits."""
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = draw(arrays(np.float64, (m, n, 4), elements=SPLIT_FLOATS))
+    b = draw(arrays(np.float64, (n, k, 4), elements=SPLIT_FLOATS))
+    if draw(st.booleans()):
+        a = np.swapaxes(np.ascontiguousarray(np.swapaxes(a, 0, 1)), 0, 1)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_operands())
+def test_split_is_the_arithmetic_split_and_join_inverts_it(operands):
+    a, b = operands
+    c1, c2 = linalg._split(a)
+    r1, r2 = arithmetic_split(a)
+    assert np.array_equal(c1, r1) and np.array_equal(c2, r2)
+    assert c1.flags.c_contiguous and c2.flags.c_contiguous
+    assert linalg._join(c1, c2).tobytes() == np.ascontiguousarray(a).tobytes()
+    # the product through the arithmetic split, as QMatrix @ computed it,
+    # bit for bit but for the sign of a zero entry, which the arithmetic
+    # split did not keep; dumps12 prints every number plus 0.0
+    a1, a2 = arithmetic_split(np.ascontiguousarray(a))
+    b1, b2 = arithmetic_split(b)
+    expected = stacked_join(a1 @ b1 - a2 @ np.conj(b2), a1 @ b2 + a2 @ np.conj(b1))
+    assert ((QMatrix(a) @ QMatrix(b)).data + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+
+def test_split_keeps_the_components_as_they_are_stored():
+    # arithmetic turned an imaginary -0.0 into +0.0, and 1j * inf into nan + inf j
+    a = np.array([[[-0.0, -0.0, 1.0, np.inf]]])
+    c1, c2 = linalg._split(a)
+    with np.errstate(invalid="ignore"):
+        r1, r2 = arithmetic_split(a)
+    assert np.signbit(c1.imag[0, 0]) and not np.signbit(r1.imag[0, 0])
+    assert c2[0, 0] == complex(1.0, np.inf) and np.isnan(r2.real[0, 0])
+    assert linalg._join(c1, c2).tobytes() == a.tobytes()
